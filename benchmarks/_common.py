@@ -81,29 +81,6 @@ def bench_backend(default: str = DEFAULT_BACKEND) -> str:
 BACKEND = bench_backend()
 
 
-def bench_kernel(default: str = "auto") -> str:
-    """Compute kernel for benchmark runs, from ``REPRO_KERNEL``.
-
-    Unset/empty → ``default`` (``"auto"``: numba when installed, else the
-    canonical numpy kernels).  Like ``REPRO_WORKERS`` — and unlike
-    ``REPRO_BACKEND`` — this knob never changes a table's *numbers*, only
-    how fast they are produced; CI's kernel-matrix job exports it to time
-    both implementations of the same bit-identical computation.
-    """
-    raw = os.environ.get("REPRO_KERNEL", "").strip()
-    if not raw:
-        return default
-    from repro.kernels import KERNELS
-
-    if raw not in KERNELS:
-        raise SystemExit(f"REPRO_KERNEL must be one of {KERNELS}, got {raw!r}")
-    return raw
-
-
-#: Resolved once so every benchmark honours the same setting.
-KERNEL = bench_kernel()
-
-
 def check(label: str, condition: bool) -> None:
     """Soft shape assertion: print PASS/WARN without failing the bench."""
     print(f"  shape[{label}]: {'PASS' if condition else 'WARN'}")

@@ -36,7 +36,7 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _common import KERNEL, check, write_bench_json
+from _common import check, write_bench_json
 
 from repro.distributed import (
     ChaosSchedule,
@@ -79,7 +79,7 @@ def main(argv: "list[str] | None" = None) -> int:
     serial = complexity_sweep(
         spec.axis, list(spec.values), n=spec.n, k=spec.k, eps=spec.eps,
         trials=spec.trials, bisection_steps=spec.bisection_steps,
-        rng=spec.seed, kernel=KERNEL, trace=serial_tracer,
+        rng=spec.seed, trace=serial_tracer,
     )
     wall_serial = time.perf_counter() - start
     serial_trace = canonical_jsonl(serial_tracer.events)
@@ -89,7 +89,7 @@ def main(argv: "list[str] | None" = None) -> int:
         start = time.perf_counter()
         fleet = run_fleet(
             store, processes=args.processes, lease_seconds=1.0,
-            kernel=KERNEL, chaos=CHAOS, timeout=600,
+            chaos=CHAOS, timeout=600,
         )
         wall_distributed = time.perf_counter() - start
         tracer = RecordingTracer()
@@ -138,7 +138,7 @@ def main(argv: "list[str] | None" = None) -> int:
             "k": spec.k, "eps": spec.eps, "trials": spec.trials,
             "bisection_steps": spec.bisection_steps, "seed": SEED,
             "processes": args.processes, "chaos_seed": CHAOS.seed,
-            "chaos_rate": CHAOS.rate, "kernel": KERNEL,
+            "chaos_rate": CHAOS.rate,
         },
         columns=["shard", "committed_by", "samples", "drift"],
         rows=rows,

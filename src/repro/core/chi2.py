@@ -83,8 +83,7 @@ def chi2_point_terms(
     terms in one vectorized pass.  The arithmetic is elementwise, so the
     stacked result is bit-identical to the per-stream loop.
 
-    Dispatches on the thread's current kernel (``chi2.point_terms`` op);
-    the python and numba implementations are bit-identical.
+    Dispatches the ``chi2.point_terms`` op.
     """
     return dispatch("chi2.point_terms")(counts, m, reference_pmf, mask)
 
@@ -173,8 +172,7 @@ def paired_point_terms(
     calibrate.  When ``dTV(p, q) ≥ ε`` and cell masses are not tiny,
     ``E[Z] ≈ m·Σ (p−q)²/(p+q) ≥ 2·m·ε²`` by Cauchy–Schwarz.
 
-    Dispatches on the thread's current kernel (``chi2.paired_point_terms``
-    op); the python and numba implementations are bit-identical.
+    Dispatches the ``chi2.paired_point_terms`` op.
     """
     return dispatch("chi2.paired_point_terms")(counts_x, counts_y, mask)
 

@@ -61,7 +61,6 @@ from repro.distributions.projection import (
     exists_close_histogram,
 )
 from repro.distributions.sampling import SampleSource, as_source
-from repro.kernels import use_kernel, validate_kernel
 from repro.observability.ledger import SampleLedger
 from repro.observability.metrics import get_metrics
 from repro.observability.trace import NULL_TRACER, Tracer
@@ -233,7 +232,6 @@ class TesterPipeline:
         rng: RandomState = None,
         backend: str = DEFAULT_BACKEND,
         projection_engine: str = "auto",
-        kernel: str = "auto",
         check_oracle: CheckOracle | None = None,
         project_oracle: ProjectOracle | None = None,
         trace: Tracer = NULL_TRACER,
@@ -247,10 +245,6 @@ class TesterPipeline:
         self.config = config if config is not None else TesterConfig.practical()
         self.backend = validate_backend(backend)
         self.engine = projection_engine
-        # Execution knob like `engine`, never an identity field: each stage
-        # body runs under `use_kernel(self.kernel)` so every dispatched hot
-        # loop (counting, χ² terms, projection DP) follows one setting.
-        self.kernel = validate_kernel(kernel)
         self.check_oracle = (
             check_oracle if check_oracle is not None else exists_close_histogram
         )
@@ -318,7 +312,7 @@ class TesterPipeline:
 
             self._ledger = SampleLedger()
             self._log = _StageLog(self.source, self.trace, self._ledger)
-            with self._log.stage("plugin"), use_kernel(self.kernel):
+            with self._log.stage("plugin"):
                 plugin = learn_offline_test(self.source, k, eps)
             return self._exit(
                 accept=plugin.accept,
@@ -338,7 +332,7 @@ class TesterPipeline:
 
     def run_partition(self) -> None:
         """Stage 1: partition [line 3]."""
-        with self._log.stage("partition", b=int(self._b)) as span, use_kernel(self.kernel):
+        with self._log.stage("partition", b=int(self._b)) as span:
             self.partition = approx_partition(
                 self.source, self._b, self.config.partition_samples(self.k, self.eps)
             )
@@ -352,7 +346,7 @@ class TesterPipeline:
             num_samples = self.config.cdkl22_learner_samples(len(self.partition), self.eps)
         else:
             num_samples = self.config.learner_samples(len(self.partition), self.eps)
-        with self._log.stage("learn"), use_kernel(self.kernel):
+        with self._log.stage("learn"):
             self.learned = learn_histogram(
                 self.source, self.partition, num_samples, self.trace
             )
@@ -376,7 +370,7 @@ class TesterPipeline:
                 final_statistic=float("nan"),
             )
             return None
-        with self._log.stage("sieve") as span, use_kernel(self.kernel):
+        with self._log.stage("sieve") as span:
             if self.config.sieve_enabled:
                 self.sieve = sieve_intervals(
                     self.source, self.learned, self.k, self.eps, self.config, self.trace
@@ -416,7 +410,7 @@ class TesterPipeline:
         """
         if self.backend == "cdkl22":
             return self._run_check_cdkl22()
-        with self._log.stage("check") as span, use_kernel(self.kernel):
+        with self._log.stage("check") as span:
             close = self.check_oracle(
                 self.learned.to_pmf(),
                 self.partition,
@@ -439,7 +433,7 @@ class TesterPipeline:
 
     def _run_check_cdkl22(self) -> Verdict | None:
         tolerance = self.config.cdkl22_check_tolerance(self.eps)
-        with self._log.stage("check") as span, use_kernel(self.kernel):
+        with self._log.stage("check") as span:
             projection = self.project_oracle(
                 self.learned.to_pmf(),
                 self.partition,
@@ -501,12 +495,10 @@ class TesterPipeline:
         """
         plan = self._plan
         # The per-repeat loop is deliberate: batching the draws would change
-        # the RNG call sequence, and `kernel` must stay verdict-invariant.
-        # Only the counting inside each draw dispatches.
-        with use_kernel(self.kernel):
-            return np.stack(
-                [self.source.draw_counts_poissonized(plan.m) for _ in range(plan.repeats)]
-            )
+        # the RNG call sequence and with it every verdict.
+        return np.stack(
+            [self.source.draw_counts_poissonized(plan.m) for _ in range(plan.repeats)]
+        )
 
     def finish_final_test(self, z_per_interval: np.ndarray) -> Verdict | None:
         """Threshold the (externally computed) statistics into a verdict.
@@ -643,10 +635,9 @@ class TesterPipeline:
                 plan = self._plan
                 try:
                     counts = self.draw_final_counts()
-                    with use_kernel(self.kernel):
-                        z = median_interval_statistics(
-                            counts, plan.m, plan.reference_pmf, self.partition, plan.mask
-                        )
+                    z = median_interval_statistics(
+                        counts, plan.m, plan.reference_pmf, self.partition, plan.mask
+                    )
                 except BaseException:
                     self.close_final_test()
                     raise
@@ -680,7 +671,6 @@ def test_histogram(
     rng: RandomState = None,
     backend: str = DEFAULT_BACKEND,
     projection_engine: str = "auto",
-    kernel: str = "auto",
     trace: Tracer = NULL_TRACER,
 ) -> Verdict:
     """Test whether the unknown distribution is a ``k``-histogram.
@@ -711,12 +701,6 @@ def test_histogram(
         Which DP engine backs the Step-10 check ("auto" | "fast" |
         "dense"); a pure execution knob that never changes the verdict, so
         it is a call parameter rather than part of ``TesterConfig``.
-    kernel:
-        Which compute kernels back the hot loops ("auto" | "python" |
-        "numba"; see :mod:`repro.kernels`).  Like ``projection_engine``
-        it is verdict-invariant — every kernel pair is bit-identical — so
-        it is never fingerprinted.  ``"auto"`` picks numba when the
-        optional native extra is importable, else pure numpy.
     trace:
         Observability sink (default: the no-op tracer).  A
         :class:`~repro.observability.trace.RecordingTracer` captures one
@@ -737,7 +721,6 @@ def test_histogram(
         rng=rng,
         backend=backend,
         projection_engine=projection_engine,
-        kernel=kernel,
         trace=trace,
     )
     with trace.span("test", n=pipeline.n, k=k, eps=eps, backend=pipeline.backend) as run_span:
@@ -781,7 +764,6 @@ class HistogramTester:
         eps: float,
         config: TesterConfig | None = None,
         backend: str = DEFAULT_BACKEND,
-        kernel: str = "auto",
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
@@ -791,7 +773,6 @@ class HistogramTester:
         self.eps = eps
         self.config = config if config is not None else TesterConfig.practical()
         self.backend = validate_backend(backend)
-        self.kernel = validate_kernel(kernel)
 
     def test(
         self,
@@ -807,7 +788,6 @@ class HistogramTester:
             config=self.config,
             rng=rng,
             backend=self.backend,
-            kernel=self.kernel,
             trace=trace,
         )
 

@@ -110,7 +110,6 @@ def run_local(
     store: ResultsStore,
     *,
     worker_id: str = "local",
-    kernel: str = "auto",
     workers: "int | None" = None,
     lease_seconds: float = 300.0,
     chaos: "ChaosSchedule | None" = None,
@@ -123,7 +122,6 @@ def run_local(
     options = WorkerOptions(
         worker_id=worker_id,
         lease_seconds=lease_seconds,
-        kernel=kernel,
         workers=workers,
         chaos=chaos,
     )
@@ -140,7 +138,6 @@ def _worker_argv(
     worker_id: str,
     *,
     lease_seconds: float,
-    kernel: str,
     chaos: "ChaosSchedule | None",
 ) -> list[str]:
     argv = [
@@ -154,8 +151,6 @@ def _worker_argv(
         worker_id,
         "--lease-seconds",
         str(lease_seconds),
-        "--kernel",
-        kernel,
     ]
     if chaos is not None:
         argv += chaos.to_args()
@@ -193,7 +188,6 @@ def run_fleet(
     *,
     processes: int = 2,
     lease_seconds: float = 15.0,
-    kernel: str = "auto",
     chaos: "ChaosSchedule | None" = None,
     poll_seconds: float = 0.2,
     max_restarts: int = 20,
@@ -224,7 +218,6 @@ def run_fleet(
                 store.path,
                 worker_id,
                 lease_seconds=lease_seconds,
-                kernel=kernel,
                 chaos=chaos,
             ),
             env=env,
@@ -285,7 +278,6 @@ def distributed_sweep(
     *,
     processes: int = 2,
     lease_seconds: float = 15.0,
-    kernel: str = "auto",
     chaos: "ChaosSchedule | None" = None,
     resume: bool = True,
     timeout: float = 600.0,
@@ -305,11 +297,7 @@ def distributed_sweep(
             # One process and no faults to inject: skip the subprocess
             # machinery entirely (the thin local special case).
             start = time.monotonic()
-            run_local(
-                store,
-                kernel=kernel,
-                lease_seconds=max(lease_seconds, 300.0),
-            )
+            run_local(store, lease_seconds=max(lease_seconds, 300.0))
             report = FleetReport(workers_spawned=1)
             report.wall_seconds = time.monotonic() - start
         else:
@@ -317,7 +305,6 @@ def distributed_sweep(
                 store,
                 processes=processes,
                 lease_seconds=lease_seconds,
-                kernel=kernel,
                 chaos=chaos,
                 timeout=timeout,
             )

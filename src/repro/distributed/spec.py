@@ -2,7 +2,7 @@
 
 A :class:`SweepSpec` is the complete, JSON-round-trippable description of a
 :func:`repro.experiments.sweeps.complexity_sweep` call — identity knobs
-only, never execution knobs (worker count, kernel).  Its fingerprint *is*
+only, never execution knobs (worker count).  Its fingerprint *is*
 the checkpoint fingerprint of the equivalent serial sweep, so a sqlite
 results store and a JSON checkpoint of the same sweep agree byte-for-byte
 on identity.
@@ -40,7 +40,6 @@ from repro.experiments.sweeps import (
     _point_to_json,
     sweep_fingerprint,
 )
-from repro.kernels import validate_kernel
 from repro.observability.trace import RecordingTracer
 from repro.util.rng import spawn_rngs
 
@@ -234,17 +233,14 @@ def run_shard(
     spec: SweepSpec,
     index: int,
     *,
-    kernel: str = "auto",
     workers: "int | None" = None,
 ) -> ShardResult:
     """Compute one sweep point exactly as the serial sweep loop would.
 
-    ``kernel`` and ``workers`` are execution knobs: any combination yields
-    the same bytes (the engine's determinism contract), so workers on
-    heterogeneous hosts — some with numba, some without, some multi-core —
+    ``workers`` is an execution knob: any count yields the same bytes (the
+    engine's determinism contract), so single- and multi-core workers
     still assemble into one byte-identical sweep.
     """
-    validate_kernel(kernel)
     cur_n, cur_k, cur_eps = spec.point_params(index)
     # Identical stream derivation to the serial loop: spawn all point
     # streams from the sweep seed, take ours.  O(len(values)) int draws —
@@ -252,12 +248,10 @@ def run_shard(
     stream = spawn_rngs(spec.seed, len(spec.values))[index]
     if spec.task == "closeness":
         complete, far = _default_paired_workloads(cur_n, cur_k, cur_eps)
-        family = ClosenessTesterFamily(cur_k, cur_eps, spec.config, kernel)
+        family = ClosenessTesterFamily(cur_k, cur_eps, spec.config)
     else:
         complete, far = _default_workloads(cur_n, cur_k, cur_eps)
-        family = HistogramTesterFamily(
-            cur_k, cur_eps, spec.config, spec.backend, kernel
-        )
+        family = HistogramTesterFamily(cur_k, cur_eps, spec.config, spec.backend)
     tracer = RecordingTracer()
     with tracer.span(
         "point",

@@ -131,7 +131,6 @@ class WorkerOptions:
     poll_seconds: float = 0.2
     #: Stop after this many commits (``None`` = run until the sweep finishes).
     max_shards: "int | None" = None
-    kernel: str = "auto"
     #: Intra-shard trial parallelism (the existing engine's ``workers=``).
     workers: "int | None" = None
     chaos: "ChaosSchedule | None" = None
@@ -306,9 +305,7 @@ class Worker:
             )
             beat.start()
         try:
-            result = run_shard(
-                spec, shard.index, kernel=opts.kernel, workers=opts.workers
-            )
+            result = run_shard(spec, shard.index, workers=opts.workers)
         finally:
             if beat is not None:
                 beat.stop()

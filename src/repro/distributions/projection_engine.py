@@ -26,9 +26,8 @@ by the set bits of ``x``; each level stores its blocks sorted by
 bits and misclassify values within a few ulp of ``μ``) together with
 running sums of the masked weights in that order.  The tree is stored as
 flat arrays with per-level key offsets so a batched query across *all*
-levels of *all* queries is a single ``searchsorted`` (python kernel) or a
-jitted per-query bisect loop (numba kernel) — O(log n) amortised per
-interval after an O(n log² n) preprocess.  The
+levels of *all* queries is a single ``searchsorted`` — O(log n) amortised
+per interval after an O(n log² n) preprocess.  The
 median (unconstrained ℓ1) variant binary-searches the weighted lower
 median over global value ranks with the same primitive, matching the
 dense two-heap tracker's lower-median convention.
@@ -73,16 +72,14 @@ O(n log n) for the tree and tables.
 
 The hot primitives — rank-tree build/query, aligned-block cost tables, the
 canonical cover walk, per-segment first-minima — live in
-:mod:`repro.kernels` and dispatch on the fingerprint-safe ``kernel`` knob
-(``python``/``numba``); both implementations of every op are bit-identical,
-so the engine's results are independent of the kernel in use.
+:mod:`repro.kernels`, which meters each op's calls and seconds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import dispatch, resolve_kernel
+from repro.kernels import dispatch
 from repro.observability.metrics import get_metrics
 
 #: Per-layer exactness slack of the verification pass; total error over a
@@ -117,7 +114,7 @@ class _PairCostCache:
     layer-independent, so a small cache recovers most of that work.
     Direct-mapped with the stored key as the collision check: a hit
     returns the *exact* float computed earlier (never an approximation),
-    so results — and cross-kernel bit-identity — are unchanged; a
+    so results are unchanged; a
     collision simply overwrites (stale entries cost a re-evaluation, not
     correctness).  The table is sized O(n) (512 slots per element, capped
     at 2²⁰ → ≤ 16 MB), which preserves the engine's O(n·k) peak-memory
@@ -167,9 +164,6 @@ class IntervalCostOracle:
     optimum over constants (weighted lower median).  ``mean_numerator``
     optionally overrides the per-element numerator of the mean (the coarse
     path passes interval masses so ``μ`` matches the dense build bitwise).
-    ``kernel`` selects the implementation family for the hot primitives
-    (resolved once at construction; ``None`` follows the thread's current
-    kernel) — results are bit-identical across kernels.
     """
 
     def __init__(
@@ -179,7 +173,6 @@ class IntervalCostOracle:
         mask: np.ndarray,
         *,
         mean_numerator: np.ndarray | None = None,
-        kernel: str | None = None,
     ):
         v = np.ascontiguousarray(values, dtype=np.float64)
         w = np.ascontiguousarray(weights, dtype=np.float64)
@@ -190,7 +183,6 @@ class IntervalCostOracle:
         if n and float(w.min()) <= 0.0:
             raise ValueError("weights must be strictly positive")
         self.n = n
-        self.kernel = resolve_kernel(kernel)
         num = w * v if mean_numerator is None else np.asarray(mean_numerator, np.float64)
         wm = np.where(m, w, 0.0)
         wvm = wm * v
@@ -198,9 +190,9 @@ class IntervalCostOracle:
         self._num_pre = np.concatenate(([0.0], np.cumsum(num)))
         self._mw_pre = np.concatenate(([0.0], np.cumsum(wm)))
         self._mwv_pre = np.concatenate(([0.0], np.cumsum(wvm)))
-        self._tree = dispatch("rank_tree.build", self.kernel)(v, wm, wvm)
-        self._prefix_stats = dispatch("rank_tree.prefix_stats", self.kernel)
-        self._interval_stats = dispatch("rank_tree.interval_stats", self.kernel)
+        self._tree = dispatch("rank_tree.build")(v, wm, wvm)
+        self._prefix_stats = dispatch("rank_tree.prefix_stats")
+        self._interval_stats = dispatch("rank_tree.interval_stats")
         self._st_hi = _sparse_table(np.where(m, v, -np.inf), np.maximum)
         self._st_lo = _sparse_table(np.where(m, v, np.inf), np.minimum)
         masked_w = w[m]
@@ -209,9 +201,9 @@ class IntervalCostOracle:
         # padded 2-D prefix lets a per-pair, length-adaptive level be
         # gathered in one fancy-index).
         self._bc_flat, self._bc_off, self._block_prefix2d, self._bc_levels = dispatch(
-            "blocks.build", self.kernel
+            "blocks.build"
         )(v, wm)
-        self._cover_walk = dispatch("blocks.cover_walk", self.kernel)
+        self._cover_walk = dispatch("blocks.cover_walk")
         self._cost_cache: dict[str, _PairCostCache] = {}
 
     # -- admissible lower bound ------------------------------------------
@@ -289,7 +281,7 @@ class IntervalCostOracle:
         the misses and splicing in previously computed values changes
         nothing but the work done.  Eval order is deterministic, hence so
         is the cache state — verdicts and traces are byte-identical with
-        or without hits, across kernels, and across replays.
+        or without hits, and across replays.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -548,7 +540,6 @@ def project_intervals(
     tol: float = DEFAULT_TOL,
     return_profile: bool = False,
     mean_numerator=None,
-    kernel: str | None = None,
 ):
     """Minimise the total interval cost of splitting ``[0, n)`` into at most
     ``pieces`` intervals; the fast equivalent of building a dense cost
@@ -566,14 +557,11 @@ def project_intervals(
     pieces = min(int(pieces), n)
     if pieces < 1:
         raise ValueError(f"need at least one piece, got {pieces}")
-    kernel = resolve_kernel(kernel)
-    oracle = IntervalCostOracle(
-        v, weights, mask, mean_numerator=mean_numerator, kernel=kernel
-    )
+    oracle = IntervalCostOracle(v, weights, mask, mean_numerator=mean_numerator)
     cost_fn = (
         oracle.flattening_costs if objective == "flattening" else oracle.median_costs
     )
-    seg_min = dispatch("dp.segment_first_min", kernel)
+    seg_min = dispatch("dp.segment_first_min")
     f = np.full(n + 1, np.inf)
     f[0] = 0.0
     fs = [f]

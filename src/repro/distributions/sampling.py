@@ -26,8 +26,7 @@ from repro.util.rng import RandomState, child_rng, ensure_rng
 def counts_from_samples(samples: np.ndarray, n: int) -> np.ndarray:
     """Occurrence counts ``N_i`` over the domain ``{0, …, n-1}``.
 
-    Counting dispatches on the current kernel (``sampling.counts_from_samples``
-    op) — integer-exact either way, so the knob cannot affect results.
+    Counting dispatches the ``sampling.counts_from_samples`` op.
     """
     from repro.kernels import dispatch
 

@@ -1,50 +1,23 @@
-"""Dispatchable hot-path kernels: pure-numpy reference + optional numba JIT.
+"""Hot-path kernels: one pure-numpy implementation per op, metered per call.
 
-``kernel`` is a fingerprint-safe execution knob (like ``engine``, unlike
-``backend``): it selects *how* array loops run, never what they compute —
-both implementations of every op are bit-identical by construction and by
-test.  See DESIGN.md § "Kernel layer".
-
-Importing this package registers the pure-python kernels; the native
-(numba) set registers lazily the first time availability is probed.
+See DESIGN.md § "Kernel layer".  Importing this package registers every op
+(:mod:`repro.kernels.pykernels`).
 """
 
 from repro.kernels.dispatch import (
     DispatchedKernel,
     dispatch,
     kernel_seconds_snapshot,
-    kernels_for,
     register,
     registered_ops,
 )
-from repro.kernels.state import (
-    KERNEL_ENV_VAR,
-    KERNELS,
-    KernelUnavailableError,
-    available_kernels,
-    current_kernel,
-    native_available,
-    resolve_kernel,
-    use_kernel,
-    validate_kernel,
-)
 
-import repro.kernels.pykernels  # noqa: E402,F401  (registers python ops)
+import repro.kernels.pykernels  # noqa: E402,F401  (registers the ops)
 
 __all__ = [
-    "KERNELS",
-    "KERNEL_ENV_VAR",
-    "KernelUnavailableError",
     "DispatchedKernel",
-    "available_kernels",
-    "current_kernel",
     "dispatch",
     "kernel_seconds_snapshot",
-    "kernels_for",
-    "native_available",
     "register",
     "registered_ops",
-    "resolve_kernel",
-    "use_kernel",
-    "validate_kernel",
 ]

@@ -1,19 +1,17 @@
-"""The kernel op registry: named hot-path operations, dispatched by kernel.
+"""The kernel op registry: named hot-path operations, metered per call.
 
 Every hot kernel is registered under a stable op name (``"rank_tree.
-prefix_stats"``, ``"blocks.cover_walk"``, …) with one implementation per
-kernel family.  :func:`dispatch` resolves the requested kernel, picks the
-implementation (falling back to the canonical python one when an op has no
-native registration), and returns a thin callable that meters every call
-into the metrics registry:
+prefix_stats"``, ``"blocks.cover_walk"``, …) with exactly one
+implementation.  :func:`dispatch` returns a thin callable that meters every
+call into the metrics registry:
 
-    ``kernels.seconds{op=…, kernel=…}`` — a distribution whose ``count`` is
-    the number of dispatched calls and whose ``sum`` is the wall-clock
-    seconds spent inside them.
+    ``kernels.seconds{op=…}`` — a distribution whose ``count`` is the
+    number of dispatched calls and whose ``sum`` is the wall-clock seconds
+    spent inside them.
 
-Callers on a hot path resolve once and reuse the returned callable (the
+Callers on a hot path dispatch once and reuse the returned callable (the
 projection oracle binds its kernels at construction); one-shot callers just
-dispatch inline — a dispatch is two dict lookups plus one instrument fetch.
+dispatch inline — a dispatch is one dict lookup plus one instrument fetch.
 """
 
 from __future__ import annotations
@@ -21,16 +19,14 @@ from __future__ import annotations
 import time
 from typing import Any, Callable
 
-from repro.kernels.state import resolve_kernel
-
-_REGISTRY: "dict[str, dict[str, Callable[..., Any]]]" = {}
+_REGISTRY: "dict[str, Callable[..., Any]]" = {}
 
 
-def register(op: str, kernel: str) -> Callable[[Callable], Callable]:
-    """Class-of-2 decorator: register ``fn`` as ``op``'s ``kernel`` impl."""
+def register(op: str) -> Callable[[Callable], Callable]:
+    """Decorator: register ``fn`` as the implementation of ``op``."""
 
     def decorate(fn: Callable) -> Callable:
-        _REGISTRY.setdefault(op, {})[kernel] = fn
+        _REGISTRY[op] = fn
         return fn
 
     return decorate
@@ -41,28 +37,17 @@ def registered_ops() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def kernels_for(op: str) -> tuple[str, ...]:
-    """Sorted kernel names registered for one op."""
-    return tuple(sorted(_REGISTRY.get(op, ())))
-
-
 class DispatchedKernel:
-    """One resolved (op, kernel) pair, metered per call.
+    """One registered op, metered per call."""
 
-    ``kernel`` is the implementation actually bound — a native-less op under
-    ``kernel="numba"`` reports ``"python"`` here, which is exactly what the
-    per-kernel timing table should show.
-    """
+    __slots__ = ("op", "_fn", "_metric")
 
-    __slots__ = ("op", "kernel", "_fn", "_metric")
-
-    def __init__(self, op: str, kernel: str, fn: Callable[..., Any]) -> None:
+    def __init__(self, op: str, fn: Callable[..., Any]) -> None:
         from repro.observability.metrics import get_metrics
 
         self.op = op
-        self.kernel = kernel
         self._fn = fn
-        self._metric = get_metrics().distribution("kernels.seconds", op=op, kernel=kernel)
+        self._metric = get_metrics().distribution("kernels.seconds", op=op)
 
     def __call__(self, *args: Any, **kwargs: Any) -> Any:
         tick = time.perf_counter()
@@ -72,33 +57,24 @@ class DispatchedKernel:
             self._metric.observe(time.perf_counter() - tick)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DispatchedKernel(op={self.op!r}, kernel={self.kernel!r})"
+        return f"DispatchedKernel(op={self.op!r})"
 
 
-def dispatch(op: str, kernel: "str | None" = None) -> DispatchedKernel:
-    """Resolve ``op`` under the requested kernel; returns a metered callable.
-
-    Raises ``KeyError`` for unknown ops and
-    :class:`~repro.kernels.state.KernelUnavailableError` when ``"numba"``
-    is requested explicitly without the native extra.  An op with no
-    implementation for the resolved kernel falls back to its python one.
-    """
-    impls = _REGISTRY.get(op)
-    if impls is None:
-        raise KeyError(f"unknown kernel op {op!r}; registered: {registered_ops()}")
-    resolved = resolve_kernel(kernel)
-    fn = impls.get(resolved)
+def dispatch(op: str) -> DispatchedKernel:
+    """The metered callable for ``op``; ``KeyError`` for unknown ops."""
+    fn = _REGISTRY.get(op)
     if fn is None:
-        resolved = "python"
-        fn = impls[resolved]
-    return DispatchedKernel(op, resolved, fn)
+        raise KeyError(f"unknown kernel op {op!r}; registered: {registered_ops()}")
+    return DispatchedKernel(op, fn)
 
 
 def kernel_seconds_snapshot() -> "list[tuple[str, str, int, float]]":
     """Rows ``(op, kernel, calls, seconds)`` from the metrics registry.
 
     Sourced from the process-wide ``kernels.seconds`` distributions — the
-    data behind ``repro test --stage-timings``'s per-kernel breakdown.
+    data behind ``repro test --stage-timings``'s per-op breakdown.  The
+    ``kernel`` column names the implementation that ran, which is always
+    the numpy one (``"python"``).
     """
     from repro.observability.metrics import Distribution, get_metrics
 
@@ -106,12 +82,7 @@ def kernel_seconds_snapshot() -> "list[tuple[str, str, int, float]]":
     for inst in get_metrics():
         if isinstance(inst, Distribution) and inst.name == "kernels.seconds":
             rows.append(
-                (
-                    str(inst.labels.get("op", "?")),
-                    str(inst.labels.get("kernel", "?")),
-                    int(inst.count),
-                    float(inst.total),
-                )
+                (str(inst.labels.get("op", "?")), "python", int(inst.count), float(inst.total))
             )
-    rows.sort(key=lambda row: (-row[3], row[0], row[1]))
+    rows.sort(key=lambda row: (-row[3], row[0]))
     return rows

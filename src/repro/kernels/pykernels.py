@@ -1,17 +1,14 @@
-"""Canonical pure-numpy implementations of every registered kernel op.
+"""The pure-numpy implementation of every registered kernel op.
 
-These are the reference semantics: the native (numba) kernels in
-:mod:`repro.kernels.native` must reproduce them **bit-identically** — same
-floating-point operations, same accumulation order — which the
-``tests/kernels`` equivalence suite asserts.  The ops:
+``tests/kernels`` checks each op against a brute-force reference.  The ops:
 
 * ``rank_tree.build`` / ``rank_tree.prefix_stats`` /
   ``rank_tree.interval_stats`` — the Fenwick-block rank tree of the
   projection engine, stored as *flat* arrays: all levels' sorted keys live
   in one int64 array, offset per level by ``key_span`` so the whole array
   is globally sorted and a batched query across every level of every query
-  is **one** ``searchsorted`` (the python kernel's big win over the
-  historical per-level loop — ~11 searchsorted calls and mask scans per
+  is **one** ``searchsorted`` (the big win over the historical per-level
+  loop — ~11 searchsorted calls and mask scans per
   batch collapse into one).  The interval form decomposes ``[a, b)`` by
   its canonical segment-tree cover — fewer needles than differencing two
   prefix queries, which is what the oracle's batch objectives use.
@@ -27,12 +24,6 @@ floating-point operations, same accumulation order — which the
   ``(repeats, n)`` count/term matrix (``np.add.reduceat`` semantics:
   strictly sequential in-segment accumulation).
 * ``sampling.counts_from_samples`` — batched sample→histogram counting.
-
-Accumulation-order contract (what makes kernels interchangeable): for each
-query, per-level contributions are added in ascending level order (interval
-covers: left edge before right within a level); in-segment sums accumulate
-left to right (``reduceat`` is sequential, not pairwise); ties in
-``segment_first_min`` resolve to the smallest index.
 """
 
 from __future__ import annotations
@@ -65,8 +56,7 @@ class RankTreeData:
     ``keys`` aligns index-for-index with ``cw``/``cwv``, the per-level
     running masked weight / weight·value sums (one leading zero per
     level): a global ``searchsorted`` hit minus one **is** the cumulative
-    index, no per-level offset bookkeeping.  Plain arrays only, so both
-    the numpy and the numba query kernels consume the same object.
+    index, no per-level offset bookkeeping.
     """
 
     __slots__ = (
@@ -101,14 +91,9 @@ class RankTreeData:
         self.cw_off = cw_off
 
 
-@register("rank_tree.build", "python")
+@register("rank_tree.build")
 def build_rank_tree(values: np.ndarray, wm: np.ndarray, wvm: np.ndarray) -> RankTreeData:
-    """Build the flat rank tree (shared by every query kernel).
-
-    Construction is numpy argsorts and cumsums — already vectorized — so
-    only the python implementation exists; ``kernel="numba"`` falls back
-    here by design.
-    """
+    """Build the flat rank tree (shared by every query kernel)."""
     n = len(values)
     unique_vals = np.unique(values)
     stride = int(len(unique_vals) + 1)
@@ -143,7 +128,7 @@ def build_rank_tree(values: np.ndarray, wm: np.ndarray, wvm: np.ndarray) -> Rank
     return RankTreeData(unique_vals, stride, nlevels, key_span, keys, cw, cwv, cw_off)
 
 
-@register("rank_tree.prefix_stats", "python")
+@register("rank_tree.prefix_stats")
 def rank_prefix_stats(
     tree: RankTreeData, x: np.ndarray, L: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -195,7 +180,7 @@ def rank_prefix_stats(
     return w, wv
 
 
-@register("rank_tree.interval_stats", "python")
+@register("rank_tree.interval_stats")
 def rank_interval_stats(
     tree: RankTreeData, a: np.ndarray, b: np.ndarray, L: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +250,7 @@ def rank_interval_stats(
     return w, wv
 
 
-@register("blocks.build", "python")
+@register("blocks.build")
 def build_block_tables(
     v: np.ndarray, wm: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -320,7 +305,7 @@ def build_block_tables(
     return costs_flat, costs_off, prefix2d, nlevels
 
 
-@register("blocks.cover_walk", "python")
+@register("blocks.cover_walk")
 def cover_walk(
     costs_flat: np.ndarray,
     costs_off: np.ndarray,
@@ -364,7 +349,7 @@ def cover_walk(
     return out
 
 
-@register("dp.segment_first_min", "python")
+@register("dp.segment_first_min")
 def segment_first_min(
     vals: np.ndarray, starts: np.ndarray, i_arr: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -379,7 +364,7 @@ def segment_first_min(
     return mins, argi
 
 
-@register("chi2.point_terms", "python")
+@register("chi2.point_terms")
 def chi2_point_terms(
     counts: np.ndarray,
     m: "float | np.ndarray",
@@ -396,7 +381,7 @@ def chi2_point_terms(
     return np.where(mask & (expected > 0), terms, 0.0)
 
 
-@register("chi2.paired_point_terms", "python")
+@register("chi2.paired_point_terms")
 def chi2_paired_point_terms(
     counts_x: np.ndarray,
     counts_y: np.ndarray,
@@ -415,7 +400,7 @@ def chi2_paired_point_terms(
     return np.where(mask & (total > 0), terms, 0.0)
 
 
-@register("serve.aggregate_rows", "python")
+@register("serve.aggregate_rows")
 def aggregate_rows(terms: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Segment sums of every row of a ``(repeats, n)`` matrix at once.
 
@@ -428,8 +413,8 @@ def aggregate_rows(terms: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(terms, np.asarray(starts, dtype=np.int64), axis=-1)
 
 
-@register("sampling.counts_from_samples", "python")
+@register("sampling.counts_from_samples")
 def counts_from_samples(samples: np.ndarray, n: int) -> np.ndarray:
     """Histogram counts of integer samples over ``{0, …, n-1}`` (exact
-    integer counting — trivially identical across kernels)."""
+    integer counting)."""
     return np.bincount(samples, minlength=n).astype(np.int64)

@@ -44,7 +44,6 @@ def _amplified_test(
     repeats: int,
     backend: str = DEFAULT_BACKEND,
     projection_engine: str = "auto",
-    kernel: str = "auto",
 ) -> bool:
     verdicts = [
         test_histogram(
@@ -54,7 +53,6 @@ def _amplified_test(
             config=config,
             backend=backend,
             projection_engine=projection_engine,
-            kernel=kernel,
         ).accept
         for _ in range(repeats)
     ]
@@ -72,7 +70,6 @@ def select_k(
     rng: RandomState = None,
     backend: str = DEFAULT_BACKEND,
     projection_engine: str = "auto",
-    kernel: str = "auto",
 ) -> ModelSelectionResult:
     """Doubling + binary search for the smallest accepted ``k``, then learn.
 
@@ -114,7 +111,7 @@ def select_k(
     while True:
         probe = min(k, k_max)
         ok = _amplified_test(
-            source, probe, eps, config, repeats, backend, projection_engine, kernel
+            source, probe, eps, config, repeats, backend, projection_engine
         )
         trace[probe] = ok
         tests += 1
@@ -134,7 +131,7 @@ def select_k(
     while lo < hi:
         mid = (lo + hi) // 2
         ok = _amplified_test(
-            source, mid, eps, config, repeats, backend, projection_engine, kernel
+            source, mid, eps, config, repeats, backend, projection_engine
         )
         trace[mid] = ok
         tests += 1

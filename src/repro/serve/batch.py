@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.backends import DEFAULT_BACKEND
 from repro.core.chi2 import chi2_point_terms
-from repro.kernels import dispatch, use_kernel
+from repro.kernels import dispatch
 from repro.parallel.engine import TrialOutcome, run_tasks
 from repro.util.intervals import Partition
 
@@ -41,12 +41,6 @@ class FinalBatchItem:
     but grouping same-shape *and* same-backend sessions keeps each group's
     membership meaningful for audit and leaves room for backends to diverge
     in kernel without silently mixing.
-
-    ``kernel`` also joins the grouping key — not because results could
-    differ (every kernel pair is bit-identical) but so one vectorized group
-    call runs under exactly one dispatch setting; an explicit
-    ``kernel="numba"`` session must fail loudly when the native extra is
-    missing rather than silently compute under a groupmate's kernel.
     """
 
     counts: np.ndarray  # (repeats, n) Poissonized count matrix
@@ -55,7 +49,6 @@ class FinalBatchItem:
     mask: np.ndarray  # (n,) bool
     partition: Partition
     backend: str = DEFAULT_BACKEND
-    kernel: str = "auto"
 
 
 def _group_statistics(index: int, payload: dict) -> TrialOutcome:
@@ -66,7 +59,6 @@ def _group_statistics(index: int, payload: dict) -> TrialOutcome:
         counts     (S, R, n)   m     (S, 1, 1)
         references (S, 1, n)   masks (S, 1, n)
         partitions  list of S Partition objects
-        kernel      the group's dispatch setting
 
     Returns the S median-amplified per-interval statistic vectors.  The
     per-session aggregation batches all R repeats through one
@@ -74,15 +66,14 @@ def _group_statistics(index: int, payload: dict) -> TrialOutcome:
     exactly what ``partition.aggregate`` does, so the result is
     bit-identical to the historical per-repeat loop).
     """
-    with use_kernel(payload["kernel"]):
-        terms = chi2_point_terms(
-            payload["counts"], payload["m"], payload["references"], payload["masks"]
-        )
-        aggregate_rows = dispatch("serve.aggregate_rows")
-        statistics: list[np.ndarray] = []
-        for s, partition in enumerate(payload["partitions"]):
-            per_repeat = aggregate_rows(terms[s], partition.boundaries[:-1])
-            statistics.append(np.median(per_repeat, axis=0))
+    terms = chi2_point_terms(
+        payload["counts"], payload["m"], payload["references"], payload["masks"]
+    )
+    aggregate_rows = dispatch("serve.aggregate_rows")
+    statistics: list[np.ndarray] = []
+    for s, partition in enumerate(payload["partitions"]):
+        per_repeat = aggregate_rows(terms[s], partition.boundaries[:-1])
+        statistics.append(np.median(per_repeat, axis=0))
     return TrialOutcome(index=index, value=statistics)
 
 
@@ -91,17 +82,17 @@ def compute_final_statistics(
 ) -> list[np.ndarray]:
     """Per-interval statistics for every item, in item order.
 
-    Items are grouped by ``(n, repeats, backend, kernel)``; each group is
+    Items are grouped by ``(n, repeats, backend)``; each group is
     one vectorized kernel call.  Group order is sorted by key and membership
     follows item order, so the computation is replay-deterministic
     regardless of how the caller assembled the batch.
     """
     if not items:
         return []
-    groups: dict[tuple[int, int, str, str], list[int]] = {}
+    groups: dict[tuple[int, int, str], list[int]] = {}
     for position, item in enumerate(items):
         repeats, n = item.counts.shape
-        groups.setdefault((n, repeats, item.backend, item.kernel), []).append(position)
+        groups.setdefault((n, repeats, item.backend), []).append(position)
 
     payloads: list[dict] = []
     membership: list[list[int]] = []
@@ -121,7 +112,6 @@ def compute_final_statistics(
                     [np.asarray(it.mask, dtype=bool) for it in members]
                 )[:, None, :],
                 "partitions": [it.partition for it in members],
-                "kernel": key[3],
             }
         )
         membership.append(positions)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.backends import BACKENDS, validate_backend
-from repro.kernels import validate_kernel
 from repro.experiments.workloads import make
 from repro.robustness.faults import FaultConfig
 from repro.serve.session import StreamRequest
@@ -60,16 +59,12 @@ class ChaosConfig:
     #: or ``"mixed"`` to alternate per session (exercising the same-shape,
     #: different-backend batch-grouping path).
     backend: str = "pods16"
-    #: Compute-kernel knob applied to every session (execution only; the
-    #: drill's canonical report is identical under any kernel).
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.sessions < 1:
             raise ValueError(f"sessions must be ≥ 1, got {self.sessions}")
         if self.backend != "mixed":
             validate_backend(self.backend)
-        validate_kernel(self.kernel)
         if not 0.0 <= self.fault_rate <= 1.0:
             raise ValueError(f"fault_rate must be in [0, 1], got {self.fault_rate}")
         if self.healthy_sources < 1:
@@ -130,7 +125,6 @@ def build_requests(config: ChaosConfig) -> list:
                 deadline_ticks=deadline_ticks,
                 projection_fault=projection_fault,
                 backend=backend,
-                kernel=config.kernel,
             )
         )
     return requests

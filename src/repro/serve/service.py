@@ -419,7 +419,6 @@ class TesterService:
             mask=plan.mask,
             partition=pipeline.partition,
             backend=plan.backend,
-            kernel=pipeline.kernel,
         )
 
     def _on_failure(
@@ -540,13 +539,7 @@ class TesterService:
         )
 
     def _check_cached(self, pmf, partition, k, kept, tolerance, engine) -> bool:
-        """The shared projection-check cache (LRU over exact byte keys).
-
-        The key covers the engine but deliberately not the compute kernel:
-        kernels are bit-identical, so a hit computed under one kernel is the
-        exact answer under any other.  (The pipeline's ``use_kernel`` scope
-        still governs which kernel computes a miss.)
-        """
+        """The shared projection-check cache (LRU over exact byte keys)."""
         key = self._check_key(pmf, partition, k, kept, tolerance, engine)
         metrics = get_metrics()
         if key in self._check_cache:

@@ -37,7 +37,6 @@ from repro.core.config import TesterConfig
 from repro.core.tester import CheckOracle, ProjectOracle, TesterPipeline, Verdict
 from repro.distributions.discrete import DiscreteDistribution
 from repro.distributions.sampling import SampleSource
-from repro.kernels import validate_kernel
 from repro.observability.trace import RecordingTracer
 from repro.robustness.faults import FaultConfig, FaultInjectingSource
 from repro.robustness.resilience import Deadline, DeadlineSource
@@ -89,12 +88,6 @@ class StreamRequest:
     max_samples: Optional[int] = None
     #: Projection DP engine for the check stage.
     engine: str = "auto"
-    #: Compute-kernel knob for the hot loops ("auto" | "python" | "numba").
-    #: Like ``engine`` — and unlike ``backend`` — every kernel pair is
-    #: bit-identical, so it stays out of pricing, grouping identity, and
-    #: replay fingerprints; mixed-kernel rounds are still grouped apart in
-    #: the final batch so one vectorized call never mixes kernels.
-    kernel: str = "auto"
     #: Chaos knob: make the fast projection engine fail once for this
     #: session, exercising the dense-fallback degradation path.
     projection_fault: bool = False
@@ -109,7 +102,6 @@ class StreamRequest:
         if self.max_samples is not None and self.max_samples < 1:
             raise ValueError(f"max_samples must be ≥ 1, got {self.max_samples}")
         validate_backend(self.backend)
-        validate_kernel(self.kernel)
 
 
 @dataclass(frozen=True)
@@ -236,7 +228,6 @@ class StreamSession:
             config=self.config,
             backend=req.backend,
             projection_engine=req.engine,
-            kernel=req.kernel,
             check_oracle=self.check_oracle,
             project_oracle=self.project_oracle,
             trace=self.tracer,

@@ -276,8 +276,6 @@ class TestClosenessTesterFacade:
             ClosenessTester(0, 0.3)
         with pytest.raises(ValueError, match="eps"):
             ClosenessTester(2, 1.5)
-        with pytest.raises(ValueError, match="kernel must be one of"):
-            ClosenessTester(2, 0.3, kernel="fortran")
 
     def test_matches_function_form(self):
         tester = ClosenessTester(4, 0.4, CFG)
@@ -307,13 +305,3 @@ class TestDeterminism:
             )
             runs.append((v.accept, v.stage, v.samples_used, dict(v.stage_samples)))
         assert runs[0] == runs[1]
-
-    def test_kernel_is_verdict_invariant(self):
-        """python vs auto must agree bit-for-bit (numba covered by the
-        kernel-equivalence suite when installed)."""
-        results = {}
-        for kernel in ("python", "auto"):
-            p, q = _pair("identical-staircase", 2000, 4, 0.4)
-            v = test_closeness(p, q, 4, 0.4, config=CFG, rng=5, kernel=kernel)
-            results[kernel] = (v.accept, v.samples_used, v.chi2.statistic)
-        assert results["python"] == results["auto"]

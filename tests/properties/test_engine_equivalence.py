@@ -19,7 +19,6 @@ from repro.distributions.projection import (
     project_flattening,
     unconstrained_l1_distance,
 )
-from repro.kernels import available_kernels, use_kernel
 from repro.util.intervals import Partition
 
 ATOL = 1e-12
@@ -98,54 +97,6 @@ class TestEngineEquivalence:
         pmf = np.ones(1)
         for engine in ("fast", "dense"):
             assert flattening_distance(pmf, 1, engine=engine) <= ATOL
-
-
-class TestKernelEngineMatrix:
-    """The issue's acceptance matrix: every (kernel, engine) cell agrees.
-
-    ``kernel`` selects how the hot loops execute (numpy vs numba),
-    ``engine`` selects which DP runs (fast vs dense); neither may move a
-    distance by more than 1e-12, and the fast engine must be bit-identical
-    to itself across kernels (the native kernels' accumulation-order
-    contract).  The numba column joins automatically wherever the
-    ``repro[native]`` extra is installed.
-    """
-
-    @given(masked_pmfs(max_n=64))
-    def test_all_cells_agree(self, case):
-        pmf, mask, k = case
-        results = {}
-        for kernel in available_kernels():
-            for engine in ("fast", "dense"):
-                with use_kernel(kernel):
-                    results[(kernel, engine)] = flattening_distance(
-                        pmf, k, mask, engine=engine
-                    )
-        reference = flattening_distance(pmf, k, mask, engine="dense")
-        for cell, value in results.items():
-            assert abs(value - reference) <= ATOL, (cell, value, reference)
-
-    @given(masked_pmfs(max_n=64))
-    def test_fast_engine_bit_identical_across_kernels(self, case):
-        pmf, mask, k = case
-        profiles = []
-        for kernel in available_kernels():
-            with use_kernel(kernel):
-                profiles.append(flattening_profile(pmf, k, mask, engine="fast"))
-        for other in profiles[1:]:
-            assert np.array_equal(profiles[0], other)
-
-    @given(masked_pmfs(max_n=64))
-    def test_explicit_python_kernel_matches_auto(self, case):
-        pmf, mask, k = case
-        with use_kernel("python"):
-            pinned = flattening_distance(pmf, k, mask, engine="fast")
-        with use_kernel("auto"):
-            auto = flattening_distance(pmf, k, mask, engine="fast")
-        if available_kernels() == ("python",):
-            assert pinned == auto  # same resolved kernel → same bits
-        else:
-            assert abs(pinned - auto) <= ATOL
 
 
 class TestCoarseEquivalence:

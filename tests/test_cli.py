@@ -36,6 +36,10 @@ class TestParser:
         assert args.resume is False
         assert args.checkpoint is None
 
+    def test_kernel_option_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["test", "staircase", "--kernel", "python"])
+
 
 class TestCommands:
     def test_test_accepts_histogram(self, capsys):
@@ -52,6 +56,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "REJECT" in out
+
+    def test_stage_timings_prints_per_op_table(self, capsys):
+        rc = main(
+            ["test", "staircase", "--n", "4000", "--k", "4", "--eps", "0.3",
+             "--stage-timings"]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "kernel dispatches (op / calls / seconds):" in out
+        assert "chi2.point_terms" in out and " calls " in out
+
+    def test_closeness_rejects_out_of_range_eps_at_defaults(self, capsys):
+        rc = main(["closeness", "shifted-staircase"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "error: cannot build workload shifted-staircase at n=10000, k=8, eps=0.25: "
+            "epsilon=0.25 too large"
+        )
 
     def test_budget(self, capsys):
         rc = main(["budget", "--n", "100000", "--k", "8", "--eps", "0.1"])
