@@ -2,7 +2,8 @@
 
 The determinism suites compare serial against parallel runs of one commit;
 this file compares today's outputs against a committed fixture, so a
-refactor that moves a verdict, a stage exit or a single sample fails here.
+refactor that moves a verdict, a stage exit, a single sample or a trace
+span fails here.
 The fixture holds only integers, booleans and strings, so it is stable
 across hosts.
 
@@ -22,6 +23,7 @@ import numpy as np
 from repro import test_histogram
 from repro.core.closeness import test_closeness
 from repro.experiments.workloads import CLOSENESS_REGISTRY, REGISTRY, make, make_pair
+from repro.observability.trace import RecordingTracer
 from repro.serve.chaos import ChaosConfig, build_requests
 from repro.serve.service import TesterService
 
@@ -41,13 +43,29 @@ def _verdict(verdict) -> dict:
     }
 
 
+def _trace(tracer: RecordingTracer) -> list:
+    """The trace's structure: ``[kind, name, depth]`` per event in order,
+    plus the integer ``samples`` attribute of every span carrying one."""
+    rows = []
+    for event in tracer.export():
+        row = [event["kind"], event["name"], event["depth"]]
+        samples = event["attrs"].get("samples")
+        if event["kind"] == "span" and isinstance(samples, int):
+            row.append(samples)
+        rows.append(row)
+    return rows
+
+
 def identity_outputs() -> dict:
     out = {}
     for f, family in enumerate(sorted(REGISTRY)):
         dist = make(family, N, K, EPS, rng=np.random.default_rng([SEED, f]))
         for b, backend in enumerate(BACKENDS):
-            verdict = test_histogram(dist, K, EPS, rng=np.random.SeedSequence([SEED, f, b]), backend=backend)
-            out[f"{family}/{backend}"] = _verdict(verdict)
+            tracer = RecordingTracer()
+            verdict = test_histogram(
+                dist, K, EPS, rng=np.random.SeedSequence([SEED, f, b]), backend=backend, trace=tracer
+            )
+            out[f"{family}/{backend}"] = _verdict(verdict) | {"trace": _trace(tracer)}
     return out
 
 
@@ -55,7 +73,13 @@ def closeness_outputs() -> dict:
     out = {}
     for f, name in enumerate(sorted(CLOSENESS_REGISTRY)):
         p, q = make_pair(name, N, K, EPS, rng=np.random.default_rng([SEED, f]))
-        out[name] = _verdict(test_closeness(p, q, K, EPS, rng=np.random.SeedSequence([SEED, f])))
+        tracer = RecordingTracer()
+        verdict = test_closeness(p, q, K, EPS, rng=np.random.SeedSequence([SEED, f]), trace=tracer)
+        out[name] = _verdict(verdict) | {
+            "samples_p": int(verdict.samples_p),
+            "samples_q": int(verdict.samples_q),
+            "trace": _trace(tracer),
+        }
     return out
 
 
