@@ -1,8 +1,8 @@
 """Tester backend registry.
 
 The repo ships two implementations of the histogram-testing decision
-procedure, selected by the ``backend=`` knob that every tester entry point
-(:func:`~repro.core.tester.test_histogram`, the stepped
+procedure, selected by the ``backend=`` knob that every identity entry
+point (:func:`~repro.core.tester.test_histogram`, the stepped
 :class:`~repro.core.tester.TesterPipeline`, ``select_k``, sweeps, the serve
 layer, the CLI) threads through:
 
@@ -16,16 +16,31 @@ layer, the CLI) threads through:
   and an adaptive two-stage sample schedule.  See
   :mod:`repro.core.backends.cdkl22`.
 
+Both run on the one stepped driver of :mod:`repro.core.pipeline`.  A
+backend is a *strategy* class the identity pipeline consults for exactly
+the steps that differ: ``budget(n, k, eps, config)``;
+``learner_samples(config, intervals, eps)``; ``skip_sieve`` (``None``, or
+why there is no sieve stage); the gate ``check(pipeline, span)`` — via
+``check_oracle`` (a bool) or ``project_oracle`` (a projection) — which sets
+``pipeline.reference`` and returns a rejection reason or ``None``;
+``plan_final_test(pipeline)`` → ``(ε', reference pmf, active mask)``; and
+``statistic(pipeline, z, plan)`` → ``(statistic, span attrs, reason
+prefix)`` with its rule ``escalate(pipeline, plan, statistic, threshold)``
+→ an escalated plan, or ``None`` to decide now.
+
 Unlike the projection ``engine`` knob (execution-only, fingerprint-exempt),
 the backend changes sample budgets and — on marginal inputs — verdicts, so
-it **is** part of experiment checkpoint fingerprints and serve batch keys.
+it **is** part of experiment checkpoint fingerprints.
 """
 
 from __future__ import annotations
 
+from repro.core.backends.cdkl22 import Cdkl22
+from repro.core.backends.pods16 import Pods16
 from repro.core.config import TesterConfig
 
-BACKENDS = ("pods16", "cdkl22")
+STRATEGIES = {strategy.name: strategy for strategy in (Pods16, Cdkl22)}
+BACKENDS = tuple(STRATEGIES)
 DEFAULT_BACKEND = "pods16"
 
 
@@ -36,6 +51,11 @@ def validate_backend(backend: str) -> str:
     return backend
 
 
+def backend_strategy(backend: str):
+    """The strategy class of a known ``backend`` (``ValueError`` otherwise)."""
+    return STRATEGIES[validate_backend(backend)]
+
+
 def backend_budget(
     backend: str, n: int, k: int, eps: float, config: TesterConfig | None = None
 ) -> float:
@@ -44,11 +64,4 @@ def backend_budget(
     Single dispatch point so admission control, ledger caps, and the budget
     experiments all price a backend identically.
     """
-    validate_backend(backend)
-    if backend == "cdkl22":
-        from repro.core.backends.cdkl22 import cdkl22_budget
-
-        return cdkl22_budget(n, k, eps, config)
-    from repro.core.backends.pods16 import pods16_budget
-
-    return pods16_budget(n, k, eps, config)
+    return backend_strategy(backend).budget(n, k, eps, config)

@@ -45,11 +45,14 @@ measured numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.core.budget import check_instance
+from repro.core.chi2 import active_mask
 from repro.core.config import TesterConfig
+from repro.observability.metrics import get_metrics
 from repro.util.intervals import Partition
 
 
@@ -74,12 +77,7 @@ def cdkl22_budget(
     ``repeats · (m + ceil(escalation_factor·m))``.  The tester can use
     less — most runs decide at stage 0 — never more.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
+    check_instance(n, k, eps)
     if config is None:
         config = TesterConfig.practical()
     if k >= n:
@@ -131,3 +129,85 @@ def guard_width(config: TesterConfig, mask: np.ndarray) -> float:
     """
     active = int(np.asarray(mask, dtype=bool).sum())
     return config.cdkl22_guard_sigmas * math.sqrt(2.0 * max(1, active))
+
+
+class Cdkl22:
+    """Testing by learning (see :mod:`repro.core.backends` for the surface)."""
+
+    name = "cdkl22"
+    budget = staticmethod(cdkl22_budget)
+    #: No sieve stage at all (no span, no ledger entry, zero samples):
+    #: breakpoint-interval contamination is removed by the trimmed final
+    #: statistic instead.
+    skip_sieve = "cdkl22: sieve replaced by the trimmed final statistic"
+
+    #: The coarser ``ε/16`` learner: projecting onto ``H_k`` needs far less
+    #: precision than per-interval sieving.
+    learner_samples = staticmethod(TesterConfig.cdkl22_learner_samples)
+
+    @staticmethod
+    def check(pipeline, span) -> str | None:
+        """The testing-by-learning gate: project ``D̂`` onto ``H_k``, reject
+        sample-free when it is far, otherwise keep ``D*`` as the final
+        test's reference."""
+        tolerance = pipeline.config.cdkl22_check_tolerance(pipeline.eps)
+        projection = pipeline.project_oracle(
+            pipeline.learned.to_pmf(),
+            pipeline.partition,
+            pipeline.k,
+            pipeline.sieve.kept,
+            engine=pipeline.engine,
+        )
+        pipeline.reference = projection.histogram
+        close = projection.distance <= tolerance
+        span.set(close=bool(close), distance=float(projection.distance))
+        if close:
+            return None
+        return (
+            f"testing-by-learning gate: learned distribution is "
+            f"{projection.distance:.4g} from H_k on the partition "
+            f"borders (> {tolerance:.4g})"
+        )
+
+    @staticmethod
+    def plan_final_test(pipeline) -> tuple[float, np.ndarray, np.ndarray]:
+        """``(ε', reference pmf, active mask)``: ``D*`` over the whole
+        domain at the larger effective ``ε'``."""
+        eps_final = pipeline.config.cdkl22_final_eps(pipeline.k, pipeline.eps)
+        ref = pipeline.reference.to_pmf()
+        return eps_final, ref, active_mask(ref, eps_final, pipeline.config.chi2_truncation, None)
+
+    @staticmethod
+    def statistic(pipeline, z: np.ndarray, plan) -> tuple[float, dict, str]:
+        """``(statistic, span attrs, reason prefix)``: the trimmed sum."""
+        trimmed = trimmed_statistic(
+            z, pipeline.partition, plan.reference_pmf, pipeline.config, pipeline.k, pipeline.eps
+        )
+        dropped = trimmed.trimmed_indices.size
+        escalated = ", after escalation" if plan.stage else ""
+        return (
+            trimmed.statistic,
+            {"trimmed": int(dropped), "stage": plan.stage},
+            f"cdkl22 trimmed χ² statistic {trimmed.statistic:.4g} "
+            f"({dropped} intervals trimmed{escalated})",
+        )
+
+    @staticmethod
+    def escalate(pipeline, plan, statistic: float, threshold: float):
+        """The stage-1 plan at ``escalation_factor × m`` when the stage-0
+        statistic falls inside the guard band, else ``None``."""
+        if plan.stage:
+            return None
+        guard = guard_width(pipeline.config, plan.mask)
+        if not threshold - guard < statistic < threshold + guard:
+            return None
+        escalated = replace(plan, m=float(pipeline.config.cdkl22_escalated_m(plan.m)), stage=1)
+        pipeline.trace.event(
+            "chi2_escalate",
+            statistic=statistic,
+            threshold=threshold,
+            guard=guard,
+            m_next=escalated.m,
+        )
+        get_metrics().counter("tester.chi2_escalations").inc()
+        return escalated

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 
-from repro.core.config import TesterConfig, _log2k
+from repro.core.config import TesterConfig, _log2k, check_k_eps
 
 
 def theorem_upper_bound(n: int, k: int, eps: float) -> float:
     """Theorem 3.1 (unit constants):
     ``√n/ε²·log k + k/ε³·log²k + k/ε·log(k/ε)``."""
-    _check(n, k, eps)
+    check_instance(n, k, eps)
     logk = _log2k(k)
     return (
         math.sqrt(n) / eps**2 * logk
@@ -33,37 +33,37 @@ def theorem_upper_bound(n: int, k: int, eps: float) -> float:
 
 def theorem_lower_bound(n: int, k: int, eps: float) -> float:
     """Theorem 1.2 (unit constants): ``√n/ε² + k/(ε·log k)``."""
-    _check(n, k, eps)
+    check_instance(n, k, eps)
     return math.sqrt(n) / eps**2 + k / (eps * _log2k(k))
 
 
 def paninski_lower_bound(n: int, eps: float) -> float:
     """Proposition 4.1 / [Pan08] (unit constants): ``√n/ε²``."""
-    _check(n, 1, eps)
+    check_instance(n, 1, eps)
     return math.sqrt(n) / eps**2
 
 
 def support_size_lower_bound(k: int, eps: float) -> float:
     """Proposition 4.2 / [VV10] (unit constants): ``k/(ε·log k)``."""
-    _check(1, k, eps)
+    check_instance(1, k, eps)
     return k / (eps * _log2k(k))
 
 
 def ilr12_budget(n: int, k: int, eps: float) -> float:
     """[ILR12] upper bound (unit constants): ``√(kn)/ε⁵ · log n``."""
-    _check(n, k, eps)
+    check_instance(n, k, eps)
     return math.sqrt(k * n) / eps**5 * math.log2(max(2, n))
 
 
 def cdgr16_budget(n: int, k: int, eps: float) -> float:
     """[CDGR16] upper bound (unit constants): ``√(kn)/ε³ · log n``."""
-    _check(n, k, eps)
+    check_instance(n, k, eps)
     return math.sqrt(k * n) / eps**3 * math.log2(max(2, n))
 
 
 def learn_offline_budget(n: int, eps: float) -> float:
     """The trivial baseline: learn everything, project offline — ``Θ(n/ε²)``."""
-    _check(n, 1, eps)
+    check_instance(n, 1, eps)
     return n / eps**2
 
 
@@ -77,7 +77,7 @@ def algorithm1_budget(
     repeat count.  The tester can use *less* (the sieve may finish early or
     reject), never more.
     """
-    _check(n, k, eps)
+    check_instance(n, k, eps)
     if config is None:
         config = TesterConfig.practical()
     if k >= n:
@@ -141,10 +141,8 @@ def budget_table_row(n: int, k: int, eps: float) -> dict:
     }
 
 
-def _check(n: int, k: int, eps: float) -> None:
+def check_instance(n: int, k: int, eps: float) -> None:
+    """Raise ``ValueError`` unless ``(n, k, ε)`` is a valid test instance."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
+    check_k_eps(k, eps)

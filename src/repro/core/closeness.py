@@ -51,17 +51,15 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.budget import check_instance
 from repro.core.chi2 import Chi2Result, median_paired_interval_statistics
-from repro.core.config import TesterConfig
+from repro.core.config import TesterConfig, check_k_eps
 from repro.core.learner import learn_histogram
-from repro.core.partition import approx_partition
+from repro.core.pipeline import FinalTestPlan, SteppedPipeline
 from repro.core.sieve import SieveResult, sieve_intervals
-from repro.core.tester import _finish, _StageLog
 from repro.distributions.discrete import DiscreteDistribution
 from repro.distributions.histogram import Histogram
 from repro.distributions.sampling import PairedSampleSource, SampleSource
-from repro.observability.ledger import SampleLedger
-from repro.observability.metrics import get_metrics
 from repro.observability.trace import NULL_TRACER, Tracer
 from repro.util.intervals import Partition
 from repro.util.rng import RandomState
@@ -81,12 +79,7 @@ def closeness_budget(
     partition, then learner/sieve per stream, then the paired final test at
     ``O(√B/ε'²)`` per stream on the ``B ≤ 4b + 2`` interval domain.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
+    check_instance(n, k, eps)
     if config is None:
         config = TesterConfig.practical()
     repeats = config.chi2_repeat_count(k)
@@ -137,17 +130,6 @@ class ClosenessVerdict:
         return self.accept
 
 
-@dataclass(frozen=True)
-class ClosenessFinalPlan:
-    """Parameters of the paired final test (per-stream rate ``m``)."""
-
-    m: float
-    repeats: int
-    eps_final: float
-    #: Boolean mask over the partition's *intervals* — the jointly-kept set.
-    mask: np.ndarray
-
-
 class _UnionDraw:
     """Duck-typed source for ``APPROXPART`` over the union sample.
 
@@ -192,33 +174,18 @@ def as_paired_source(
     return PairedSampleSource(p, q, rng)
 
 
-class ClosenessPipeline:
+class ClosenessPipeline(SteppedPipeline):
     """Stepped (batch-first) execution of the DKN17 closeness tester.
 
-    Mirrors :class:`~repro.core.tester.TesterPipeline`'s stepping protocol::
-
-        pipeline = ClosenessPipeline(p, q, k, eps, config=..., trace=...)
-        verdict = pipeline.prepare()            # trivial short-circuit
-        if verdict is None:
-            pipeline.run_partition()
-            pipeline.run_learn()
-            verdict = pipeline.run_sieve()      # may reject
-        if verdict is None:
-            verdict = pipeline.run_check()      # may reject (sample-free)
-        if verdict is None:
-            plan = pipeline.begin_final_test()
-            counts_p, counts_q = pipeline.draw_final_counts()
-            z = median_paired_interval_statistics(
-                counts_p, counts_q, pipeline.partition, plan.mask
-            )
-            verdict = pipeline.finish_final_test(z)
-
-    A caller abandoning the pipeline mid-flight must call :meth:`abort` so
-    any open stage's partial draws land in the ledger and the joint
-    reconciliation still balances.
+    Supplies the two-stream stage bodies of the shared driver
+    (:class:`~repro.core.pipeline.SteppedPipeline`).  The final statistics
+    of ``counts_p, counts_q = draw_final_counts()`` are
+    ``median_paired_interval_statistics(counts_p, counts_q,
+    pipeline.partition, pipeline.final_plan.mask)``.
     """
 
-    __test__ = False  # "Test"-infixed product class; not a pytest suite
+    root_span = "test_closeness"
+    verdict_counter = "closeness.verdicts"
 
     def __init__(
         self,
@@ -231,106 +198,51 @@ class ClosenessPipeline:
         rng: RandomState = None,
         trace: Tracer = NULL_TRACER,
     ) -> None:
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        if not 0.0 < eps <= 1.0:
-            raise ValueError(f"eps must be in (0, 1], got {eps}")
-        self.k = k
-        self.eps = eps
-        self.config = config if config is not None else TesterConfig.practical()
-        self.trace = trace
         self.pair = as_paired_source(p, q, rng)
-        self.n = self.pair.n
-        self.start = self.pair.samples_drawn
+        super().__init__(self.pair, k, eps, config=config, trace=trace)
         self._start_p = self.pair.p.samples_drawn
         self._start_q = self.pair.q.samples_drawn
-        self.partition: Partition | None = None
         self.learned_p: Histogram | None = None
         self.learned_q: Histogram | None = None
         self.sieve_p: SieveResult | None = None
         self.sieve_q: SieveResult | None = None
-        self._b: float | None = None
-        self._degenerate = False
-        self._ledger: SampleLedger | None = None
-        self._log: _StageLog | None = None
-        self._final = None
-        self._plan: ClosenessFinalPlan | None = None
-
-    # -- admission metadata --------------------------------------------------
 
     def budget_cap(self) -> int | None:
-        """The joint sample cap for this instance (``None`` only when the
-        trivial ``n = 1`` regime applies)."""
+        """The joint sample cap for this instance (``0`` in the trivial
+        ``n = 1`` regime)."""
         if self.n <= 1:
             return 0
         return int(math.ceil(closeness_budget(self.n, self.k, self.eps, self.config)))
 
-    # -- stepped stages ------------------------------------------------------
+    # -- stage bodies ---------------------------------------------------------
 
-    def prepare(self) -> ClosenessVerdict | None:
-        """Dispatch the degenerate regimes; set up the joint ledger otherwise."""
-        n, k, eps = self.n, self.k, self.eps
-        if n <= 1:
-            # Both distributions are the point mass on the single element.
-            ledger = SampleLedger()
-            samples_used = _finish(
-                self.trace, ledger, self.pair.samples_drawn - self.start
-            )
-            return ClosenessVerdict(
-                accept=True,
-                stage="trivial",
-                reason="n=1: both distributions are the same point mass",
-                samples_used=samples_used,
-                samples_p=self.pair.p.samples_drawn - self._start_p,
-                samples_q=self.pair.q.samples_drawn - self._start_q,
-                k=k,
-                eps=eps,
-            )
-        b = self.config.partition_b(k, eps)
-        if 2.0 * b + 2.0 >= n / 2.0:
-            # Degenerate regime b = Ω(n): the adaptive partition would be
-            # almost all singletons, so flattening buys nothing — run the
-            # paired test directly on the singleton partition.  Outside the
-            # closeness_budget formula's main branch, so the cap matches.
-            self._degenerate = True
-            self.partition = Partition.singletons(n)
-        else:
-            self._b = b
-        self._ledger = SampleLedger(budget_cap=self.budget_cap())
-        self._log = _StageLog(self.pair, self.trace, self._ledger)
+    def _trivial_reason(self) -> str | None:
+        if self.n <= 1:
+            return "n=1: both distributions are the same point mass"
         return None
 
-    def run_partition(self) -> None:
-        """Stage 1: ``APPROXPART`` over the union sample.
+    def _prepare_degenerate(self, b: float) -> None:
+        # Degenerate regime b = Ω(n): the adaptive partition would be almost
+        # all singletons, so flattening buys nothing — skip the reduction
+        # stages (no spans, no ledger entries) and run the paired test
+        # directly on the singleton partition.  Outside the closeness_budget
+        # formula's main branch, so the cap matches.
+        self.partition = Partition.singletons(self.n)
+        self.sieve_p = self.sieve_q = SieveResult.keep_all(
+            self.n, "degenerate regime: singleton partition, nothing to sieve"
+        )
+        self._open_ledger(self.budget_cap())
 
-        In the degenerate regime the singleton partition is already fixed
-        and no stage is opened (no span, no ledger entry, zero samples).
-        """
-        if self._degenerate:
-            return
-        with self._log.stage("partition", b=int(self._b)) as span:
-            self.partition = approx_partition(
-                _UnionDraw(self.pair),
-                self._b,
-                self.config.partition_samples(self.k, self.eps),
-            )
-            span.set(intervals=len(self.partition))
+    def _partition_source(self) -> "_UnionDraw":
+        return _UnionDraw(self.pair)
 
-    def run_learn(self) -> None:
-        """Stage 2: the χ² learner per stream on the shared partition."""
-        if self._degenerate:
-            return
+    def _learn(self) -> None:
         num_samples = self.config.learner_samples(len(self.partition), self.eps)
-        with self._log.stage("learn"):
-            self.learned_p = learn_histogram(
-                self.pair.p, self.partition, num_samples, self.trace
-            )
-            self.learned_q = learn_histogram(
-                self.pair.q, self.partition, num_samples, self.trace
-            )
+        self.learned_p = learn_histogram(self.pair.p, self.partition, num_samples, self.trace)
+        self.learned_q = learn_histogram(self.pair.q, self.partition, num_samples, self.trace)
 
-    def run_sieve(self) -> ClosenessVerdict | None:
-        """Stage 3: the Algorithm 1 sieve per stream; either may reject.
+    def _sieve(self) -> str | None:
+        """The Algorithm 1 sieve per stream; either may reject.
 
         A sieve rejection means the stream's samples are inconsistent with
         *any* flattening on the shared partition — under the histogram
@@ -338,19 +250,6 @@ class ClosenessPipeline:
         (the promise is violated, so any answer is permissible; rejecting
         surfaces the anomaly).
         """
-        if self._degenerate:
-            kept = np.ones(len(self.partition), dtype=bool)
-            none_removed = np.empty(0, dtype=np.int64)
-            self.sieve_p = self.sieve_q = SieveResult(
-                rejected=False,
-                reason="degenerate regime: singleton partition, nothing to sieve",
-                kept=kept,
-                removed=none_removed,
-                rounds=0,
-                samples_used=0,
-                final_statistic=float("nan"),
-            )
-            return None
         with self._log.stage("sieve") as span:
             self.sieve_p = sieve_intervals(
                 self.pair.p, self.learned_p, self.k, self.eps, self.config, self.trace
@@ -369,53 +268,37 @@ class ClosenessPipeline:
             )
         for name, result in (("p", self.sieve_p), ("q", self.sieve_q)):
             if result is not None and result.rejected:
-                return self._exit(
-                    accept=False,
-                    stage="sieve",
-                    reason=f"stream {name}: {result.reason}",
-                )
+                return f"stream {name}: {result.reason}"
         return None
 
-    def run_check(self) -> ClosenessVerdict | None:
-        """Stage 4: sample-free gate on the learned flattenings.
+    def _check(self, span) -> str | None:
+        """Sample-free gate on the learned flattenings.
 
         Rejects when ``dTV(p̂, q̂)`` restricted to the jointly-kept domain
         already exceeds the (generous) gate — each learner is ε/40-accurate
         under the promise, so ``p = q`` implies a learned distance ≈ ε/20,
         far below the 0.5ε gate; clearly-far pairs exit here sample-free.
         """
-        if self._degenerate:
-            return None
-        kept = self.kept_intervals
-        kept_points = self.partition.restrict_mask(list(np.flatnonzero(kept)))
+        kept_points = self.partition.restrict_mask(list(np.flatnonzero(self.kept_intervals)))
         tolerance = self.config.closeness_check_tolerance(self.eps)
-        with self._log.stage("check") as span:
-            diff = np.abs(self.learned_p.to_pmf() - self.learned_q.to_pmf())
-            distance = 0.5 * float(diff[kept_points].sum())
-            close = distance <= tolerance
-            span.set(close=bool(close), distance=distance)
-        if not close:
-            return self._exit(
-                accept=False,
-                stage="check",
-                reason=(
-                    f"learned flattenings are {distance:.4g} apart in TV on "
-                    f"the jointly-kept domain (> {tolerance:.4g})"
-                ),
-            )
-        return None
+        diff = np.abs(self.learned_p.to_pmf() - self.learned_q.to_pmf())
+        distance = 0.5 * float(diff[kept_points].sum())
+        close = distance <= tolerance
+        span.set(close=bool(close), distance=distance)
+        if close:
+            return None
+        return (
+            f"learned flattenings are {distance:.4g} apart in TV on "
+            f"the jointly-kept domain (> {tolerance:.4g})"
+        )
 
     @property
     def kept_intervals(self) -> np.ndarray:
         """The jointly-kept interval mask (intersection of both sieves)."""
         return self.sieve_p.kept & self.sieve_q.kept
 
-    # -- stage 5: paired final test, stepped ---------------------------------
-
-    def begin_final_test(self) -> ClosenessFinalPlan:
-        """Open the chi2 stage and fix the paired test parameters.
-
-        The per-stream rate ``m`` scales with ``√B`` for ``B`` kept
+    def _final_test_plan(self) -> FinalTestPlan:
+        """The per-stream rate ``m`` scales with ``√B`` for ``B`` kept
         intervals — the domain reduction is what makes closeness cheaper
         than two identity tests.  No ``A_ε`` truncation mask is needed: the
         paired terms are exactly mean-zero under the null regardless of the
@@ -424,14 +307,12 @@ class ClosenessPipeline:
         kept = self.kept_intervals
         num_kept = max(1, int(kept.sum()))
         eps_final = self.config.closeness_final_eps(self.eps)
-        self._plan = ClosenessFinalPlan(
+        return FinalTestPlan(
             m=self.config.closeness_samples(num_kept, eps_final),
             repeats=self.config.chi2_repeat_count(self.k),
             eps_final=eps_final,
             mask=kept,
         )
-        self._final = self._log.begin("chi2")
-        return self._plan
 
     def draw_final_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Draw the per-stream ``(repeats, n)`` Poissonized count matrices.
@@ -446,112 +327,30 @@ class ClosenessPipeline:
             counts_q.append(self.pair.q.draw_counts_poissonized(plan.m))
         return np.stack(counts_p), np.stack(counts_q)
 
-    def finish_final_test(self, z_per_interval: np.ndarray) -> ClosenessVerdict:
-        """Threshold the (externally computed) paired statistics."""
-        z_per_interval = np.asarray(z_per_interval, dtype=np.float64)
-        plan = self._plan
-        handle = self._final
-        statistic = float(z_per_interval.sum())
-        threshold = (
-            self.config.closeness_accept_fraction * plan.m * plan.eps_final**2
+    def _final_statistics(self, counts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        counts_p, counts_q = counts
+        return median_paired_interval_statistics(
+            counts_p, counts_q, self.partition, self._plan.mask
         )
-        chi2 = Chi2Result(
-            accept=statistic <= threshold,
-            statistic=statistic,
-            threshold=threshold,
-            m=plan.m,
-            interval_statistics=z_per_interval,
-            samples_used=self.pair.samples_drawn - handle.mark,
-        )
-        handle.span.set(
-            statistic=chi2.statistic, threshold=chi2.threshold, accept=chi2.accept
-        )
-        self._final = None
-        self._log.end(handle)
-        reason = (
-            f"paired closeness statistic {chi2.statistic:.4g} "
-            f"{'<=' if chi2.accept else '>'} threshold {chi2.threshold:.4g}"
-        )
-        return self._exit(accept=chi2.accept, stage="chi2", reason=reason, chi2=chi2)
 
-    @property
-    def final_plan(self) -> ClosenessFinalPlan | None:
-        return self._plan
+    def _decide(self, z: np.ndarray, plan: FinalTestPlan):
+        statistic = float(z.sum())
+        threshold = self.config.closeness_accept_fraction * plan.m * plan.eps_final**2
+        return statistic, threshold, {}, f"paired closeness statistic {statistic:.4g}"
 
-    @property
-    def final_in_flight(self) -> bool:
-        return self._final is not None
-
-    def close_final_test(self) -> None:
-        """Close an open chi2 stage without a verdict (failure path)."""
-        if self._final is not None:
-            handle, self._final = self._final, None
-            self._log.end(handle)
-
-    def abort(self) -> int:
-        """Abandon the pipeline mid-flight and reconcile what was drawn.
-
-        Same contract as the one-sample pipeline: closes any open stage and
-        demands exact integer reconciliation of the *joint* draw total.
-        """
-        self.close_final_test()
-        samples = self.pair.samples_drawn - self.start
-        if self._ledger is None:
-            return samples  # failed before prepare(): nothing was drawn
-        return _finish(self.trace, self._ledger, samples)
-
-    # -- drivers -------------------------------------------------------------
-
-    def run(self) -> ClosenessVerdict:
-        """Run every stage in order (the single-call driver)."""
-        verdict = self.prepare()
-        if verdict is None:
-            self.run_partition()
-            self.run_learn()
-            verdict = self.run_sieve()
-        if verdict is None:
-            verdict = self.run_check()
-        if verdict is None:
-            plan = self.begin_final_test()
-            try:
-                counts_p, counts_q = self.draw_final_counts()
-                z = median_paired_interval_statistics(
-                    counts_p, counts_q, self.partition, plan.mask
-                )
-            except BaseException:
-                self.close_final_test()
-                raise
-            verdict = self.finish_final_test(z)
-        return verdict
-
-    def _exit(
-        self,
-        accept: bool,
-        stage: str,
-        reason: str,
-        chi2: Chi2Result | None = None,
-    ) -> ClosenessVerdict:
-        samples_used = _finish(
-            self.trace, self._ledger, self.pair.samples_drawn - self.start
-        )
+    def _verdict(self, **fields) -> ClosenessVerdict:
         return ClosenessVerdict(
-            accept=accept,
-            stage=stage,
-            reason=reason,
-            samples_used=samples_used,
             samples_p=self.pair.p.samples_drawn - self._start_p,
             samples_q=self.pair.q.samples_drawn - self._start_q,
-            k=self.k,
-            eps=self.eps,
-            partition=self.partition,
             learned_p=self.learned_p,
             learned_q=self.learned_q,
             sieve_p=self.sieve_p,
             sieve_q=self.sieve_q,
-            chi2=chi2,
-            stage_samples=dict(self._log.stage_samples),
-            stage_timings=dict(self._log.stage_timings),
+            **fields,
         )
+
+    def _root_attrs(self) -> dict:
+        return {"task": "closeness"}
 
 
 def test_closeness(
@@ -594,7 +393,7 @@ def test_closeness(
         ``accept`` ≈ "``p = q``" (w.p. ≥ 2/3 when true); ``not accept`` ≈
         "``dTV(p, q) ≥ ε``" (w.p. ≥ 2/3 when true, under the promise).
     """
-    pipeline = ClosenessPipeline(
+    return ClosenessPipeline(
         source_p,
         source_q,
         k,
@@ -602,20 +401,7 @@ def test_closeness(
         config=config,
         rng=rng,
         trace=trace,
-    )
-    with trace.span(
-        "test_closeness", n=pipeline.n, k=k, eps=eps, task="closeness"
-    ) as run_span:
-        verdict = pipeline.run()
-        run_span.set(
-            accept=verdict.accept,
-            stage=verdict.stage,
-            samples_used=verdict.samples_used,
-        )
-    get_metrics().counter(
-        "closeness.verdicts", stage=verdict.stage, accept=verdict.accept
-    ).inc()
-    return verdict
+    ).run_traced()
 
 
 # The public name begins with "test_", which pytest would otherwise collect
@@ -634,10 +420,7 @@ class ClosenessTester:
         eps: float,
         config: TesterConfig | None = None,
     ) -> None:
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        if not 0.0 < eps <= 1.0:
-            raise ValueError(f"eps must be in (0, 1], got {eps}")
+        check_k_eps(k, eps)
         self.k = k
         self.eps = eps
         self.config = config if config is not None else TesterConfig.practical()

@@ -273,7 +273,7 @@ class TesterConfig:
 
     def partition_b(self, k: int, eps: float) -> float:
         """The APPROXPART parameter ``b`` (paper: ``20·k·log k/ε``)."""
-        _validate(k, eps)
+        check_k_eps(k, eps)
         return self.partition_b_factor * k * _log2k(k) / eps
 
     def partition_samples(self, k: int, eps: float) -> int:
@@ -354,7 +354,7 @@ class TesterConfig:
 
     def cdkl22_trim_count(self, k: int) -> int:
         """How many light intervals the trimmed statistic may drop."""
-        _validate(k, 1.0)
+        check_k_eps(k, 1.0)
         return int(math.ceil(self.cdkl22_trim_factor * max(0, k - 1)))
 
     def cdkl22_trim_mass_cap(self, k: int, eps: float) -> float:
@@ -412,7 +412,8 @@ class TesterConfig:
 TesterConfig.__test__ = False  # type: ignore[attr-defined]
 
 
-def _validate(k: int, eps: float) -> None:
+def check_k_eps(k: int, eps: float) -> None:
+    """Raise ``ValueError`` unless ``k ≥ 1`` and ``ε ∈ (0, 1]``."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if not 0.0 < eps <= 1.0:

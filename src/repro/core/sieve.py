@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.chi2 import active_mask, collect_interval_statistics, interval_statistics
-from repro.core.config import TesterConfig
+from repro.core.config import TesterConfig, check_k_eps
 from repro.distributions.histogram import Histogram
 from repro.distributions.sampling import SampleSource
 from repro.observability.metrics import get_metrics
@@ -62,6 +62,19 @@ class SieveResult:
     def num_removed(self) -> int:
         return len(self.removed)
 
+    @classmethod
+    def keep_all(cls, intervals: int, reason: str) -> "SieveResult":
+        """A sample-free non-result that keeps every interval (no sieve ran)."""
+        return cls(
+            rejected=False,
+            reason=reason,
+            kept=np.ones(intervals, dtype=bool),
+            removed=np.empty(0, dtype=np.int64),
+            rounds=0,
+            samples_used=0,
+            final_statistic=float("nan"),
+        )
+
 
 def sieve_intervals(
     source: SampleSource,
@@ -72,10 +85,7 @@ def sieve_intervals(
     trace: Tracer = NULL_TRACER,
 ) -> SieveResult:
     """Run the two-phase sieve; see the module docstring."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
+    check_k_eps(k, eps)
     partition: Partition = learned.partition
     if partition.n != source.n:
         raise ValueError("learned histogram does not cover the source domain")

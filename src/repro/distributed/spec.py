@@ -31,14 +31,11 @@ from repro.core.backends import DEFAULT_BACKEND, validate_backend
 from repro.core.config import TesterConfig
 from repro.experiments.estimate import empirical_sample_complexity
 from repro.experiments.sweeps import (
-    ClosenessTesterFamily,
-    HistogramTesterFamily,
     SweepPoint,
-    _default_paired_workloads,
-    _default_workloads,
     _point_from_json,
     _point_to_json,
     sweep_fingerprint,
+    sweep_task,
 )
 from repro.observability.trace import RecordingTracer
 from repro.util.rng import spawn_rngs
@@ -82,10 +79,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in ("n", "k", "eps"):
             raise ValueError(f"axis must be one of n/k/eps, got {self.axis!r}")
-        if self.task not in ("identity", "closeness"):
-            raise ValueError(
-                f"task must be 'identity' or 'closeness', got {self.task!r}"
-            )
+        sweep_task(self.task)
         if not self.values:
             raise ValueError("need at least one axis value")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
@@ -246,12 +240,9 @@ def run_shard(
     # streams from the sweep seed, take ours.  O(len(values)) int draws —
     # negligible next to the point itself.
     stream = spawn_rngs(spec.seed, len(spec.values))[index]
-    if spec.task == "closeness":
-        complete, far = _default_paired_workloads(cur_n, cur_k, cur_eps)
-        family = ClosenessTesterFamily(cur_k, cur_eps, spec.config)
-    else:
-        complete, far = _default_workloads(cur_n, cur_k, cur_eps)
-        family = HistogramTesterFamily(cur_k, cur_eps, spec.config, spec.backend)
+    task = sweep_task(spec.task)
+    complete, far = task.workloads(cur_n, cur_k, cur_eps)
+    family = task.family(cur_k, cur_eps, spec.config, spec.backend)
     tracer = RecordingTracer()
     with tracer.span(
         "point",

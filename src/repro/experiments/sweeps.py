@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +23,11 @@ from repro.core.tester import test_histogram
 from repro.distributions import families
 from repro.distributions.discrete import DiscreteDistribution
 from repro.experiments.estimate import ComplexityEstimate, empirical_sample_complexity
+from repro.experiments.workloads import (
+    BoundPairedWorkload,
+    ground_truth_bounds,
+    pair_ground_truth,
+)
 from repro.observability.trace import NULL_TRACER, Tracer
 from repro.robustness.checkpoint import CheckpointStore, load_if_matching, resolve_store
 from repro.robustness.resilience import TrialPolicy
@@ -181,12 +186,37 @@ def _default_paired_workloads(
     n: int, k: int, eps: float
 ) -> tuple[Callable, Callable]:
     """Default closeness sides: identical staircases / exact-ε shifted pair."""
-    from repro.experiments.workloads import BoundPairedWorkload
-
     return (
         BoundPairedWorkload("identical-staircase", n, k, eps),
         BoundPairedWorkload("shifted-staircase", n, k, eps),
     )
+
+
+class SweepTask(NamedTuple):
+    """What a sweep ``task`` measures."""
+
+    workloads: Callable  # (n, k, eps) -> (complete, far) default factories
+    family: Callable  # (k, eps, config, backend) -> tester family
+    label: Callable  # (instance, k) -> (lower, upper) ground-truth distance
+
+
+#: Identity sweeps label each side with certified ``dTV(·, H_k)`` bounds;
+#: closeness sweeps with the pair's exact, closed-form ``dTV(p, q)``.
+TASKS = {
+    "identity": SweepTask(_default_workloads, HistogramTesterFamily, ground_truth_bounds),
+    "closeness": SweepTask(
+        _default_paired_workloads,
+        lambda k, eps, config, backend: ClosenessTesterFamily(k, eps, config),
+        lambda pair, k: (pair_ground_truth(*pair),) * 2,
+    ),
+}
+
+
+def sweep_task(task: str) -> SweepTask:
+    """The :class:`SweepTask` of ``task`` (``ValueError`` when unknown)."""
+    if task not in TASKS:
+        raise ValueError(f"task must be one of {tuple(TASKS)}, got {task!r}")
+    return TASKS[task]
 
 
 #: Seed-stream tag for ground-truth labelling generators.  Labels get their
@@ -202,24 +232,14 @@ def _label_point(
     index: int,
     task: str = "identity",
 ) -> dict[str, dict[str, float]]:
-    """Ground-truth labels for one instance of each workload side.
-
-    Identity sweeps label each side with certified ``dTV(·, H_k)`` bounds;
-    closeness sweeps label each pair with its exact ``dTV(p, q)`` (the pair
-    distance is closed-form, so lower = upper).
-    """
-    from repro.experiments.workloads import ground_truth_bounds, pair_ground_truth
-
+    """Ground-truth labels for one instance of each workload side."""
+    label = sweep_task(task).label
     complete, far = make_workloads(point.n, point.k, point.eps)
     labels: dict[str, dict[str, float]] = {}
     for side, factory in (("complete", complete), ("far", far)):
         gen = np.random.default_rng([_LABEL_STREAM_TAG, index])
-        if task == "closeness":
-            tv = pair_ground_truth(*factory(gen))
-            labels[side] = {"lower": tv, "upper": tv}
-        else:
-            lower, upper = ground_truth_bounds(factory(gen), point.k)
-            labels[side] = {"lower": lower, "upper": upper}
+        lower, upper = label(factory(gen), point.k)
+        labels[side] = {"lower": lower, "upper": upper}
     return labels
 
 
@@ -252,8 +272,7 @@ def sweep_fingerprint(
     different testers, so a checkpoint or results-store shard of one must
     never be spliced into the other even when every numeric knob matches.
     """
-    if task not in ("identity", "closeness"):
-        raise ValueError(f"task must be 'identity' or 'closeness', got {task!r}")
+    sweep_task(task)
     config_print = asdict(config)
     config_print.pop("workers", None)
     return {
@@ -394,17 +413,13 @@ def complexity_sweep(
         raise ValueError(f"axis must be one of n/k/eps, got {axis!r}")
     if not values:
         raise ValueError("need at least one axis value")
-    if task not in ("identity", "closeness"):
-        raise ValueError(f"task must be 'identity' or 'closeness', got {task!r}")
+    spec = sweep_task(task)
     if config is None:
         config = TesterConfig.practical()
     if workers is None:
         workers = config.workers
     validate_backend(backend)
-    default_workloads = (
-        _default_paired_workloads if task == "closeness" else _default_workloads
-    )
-    make_workloads = workloads if workloads is not None else default_workloads
+    make_workloads = workloads if workloads is not None else spec.workloads
 
     store = resolve_store(checkpoint)
     done: list[SweepPoint] = []
@@ -447,10 +462,7 @@ def complexity_sweep(
         else:
             cur_eps = float(value)
         complete, far = make_workloads(cur_n, cur_k, cur_eps)
-        if task == "closeness":
-            family = ClosenessTesterFamily(cur_k, cur_eps, config)
-        else:
-            family = HistogramTesterFamily(cur_k, cur_eps, config, backend)
+        family = spec.family(cur_k, cur_eps, config, backend)
         with trace.span(
             "point", axis=axis, value=float(value), n=cur_n, k=cur_k, eps=cur_eps
         ):

@@ -26,7 +26,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.backends import DEFAULT_BACKEND
 from repro.core.chi2 import chi2_point_terms
 from repro.kernels import dispatch
 from repro.parallel.engine import TrialOutcome, run_tasks
@@ -37,10 +36,9 @@ from repro.util.intervals import Partition
 class FinalBatchItem:
     """One session's pending final test: pre-drawn counts + test plan.
 
-    ``backend`` joins the grouping key: the χ² point-term kernel is shared,
-    but grouping same-shape *and* same-backend sessions keeps each group's
-    membership meaningful for audit and leaves room for backends to diverge
-    in kernel without silently mixing.
+    Every backend's final statistic starts from the same elementwise χ²
+    point terms, so items group by shape alone; the backend's own
+    aggregation (e.g. the cdkl22 trim) runs in the pipeline afterwards.
     """
 
     counts: np.ndarray  # (repeats, n) Poissonized count matrix
@@ -48,7 +46,6 @@ class FinalBatchItem:
     reference_pmf: np.ndarray  # (n,)
     mask: np.ndarray  # (n,) bool
     partition: Partition
-    backend: str = DEFAULT_BACKEND
 
 
 def _group_statistics(index: int, payload: dict) -> TrialOutcome:
@@ -82,17 +79,17 @@ def compute_final_statistics(
 ) -> list[np.ndarray]:
     """Per-interval statistics for every item, in item order.
 
-    Items are grouped by ``(n, repeats, backend)``; each group is
-    one vectorized kernel call.  Group order is sorted by key and membership
+    Items are grouped by ``(n, repeats)``; each group is one vectorized
+    kernel call.  Group order is sorted by key and membership
     follows item order, so the computation is replay-deterministic
     regardless of how the caller assembled the batch.
     """
     if not items:
         return []
-    groups: dict[tuple[int, int, str], list[int]] = {}
+    groups: dict[tuple[int, int], list[int]] = {}
     for position, item in enumerate(items):
         repeats, n = item.counts.shape
-        groups.setdefault((n, repeats, item.backend), []).append(position)
+        groups.setdefault((n, repeats), []).append(position)
 
     payloads: list[dict] = []
     membership: list[list[int]] = []

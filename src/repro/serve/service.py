@@ -391,17 +391,10 @@ class TesterService:
         """
         try:
             pipeline = session.start_attempt()
-            verdict = pipeline.prepare()
-            if verdict is None:
-                pipeline.run_partition()
-                pipeline.run_learn()
-                verdict = pipeline.run_sieve()
-            if verdict is None:
-                verdict = pipeline.run_check()
+            verdict = pipeline.run_to_final()
             if verdict is not None:
                 self._retire_with_verdict(session, verdict, round_index)
                 return None
-            pipeline.begin_final_test()
             return self._final_item(pipeline)
         except SESSION_FAILURES as exc:
             self._on_failure(session, exc, round_index)
@@ -418,7 +411,6 @@ class TesterService:
             reference_pmf=plan.reference_pmf,
             mask=plan.mask,
             partition=pipeline.partition,
-            backend=plan.backend,
         )
 
     def _on_failure(
@@ -528,32 +520,56 @@ class TesterService:
         arr = np.ascontiguousarray(values)
         return (arr.tobytes(), arr.shape, arr.dtype.str)
 
-    def _check_key(self, pmf, partition, k, kept, tolerance, engine) -> tuple:
+    def _project_key(self, pmf, partition, k, kept, engine) -> tuple:
         return (
             self._array_key(pmf),
             int(k),
             self._array_key(partition.boundaries),
             self._array_key(kept),
-            float(tolerance),
             engine,
         )
 
-    def _check_cached(self, pmf, partition, k, kept, tolerance, engine) -> bool:
-        """The shared projection-check cache (LRU over exact byte keys)."""
-        key = self._check_key(pmf, partition, k, kept, tolerance, engine)
+    def _check_key(self, pmf, partition, k, kept, tolerance, engine) -> tuple:
+        return self._project_key(pmf, partition, k, kept, engine) + (float(tolerance),)
+
+    def _cached(self, cache: OrderedDict, metric: str, key: tuple, compute):
+        """One shared oracle cache: an LRU over exact byte keys."""
         metrics = get_metrics()
-        if key in self._check_cache:
-            self._check_cache.move_to_end(key)
-            metrics.counter("serve.check_cache", result="hit").inc()
-            return self._check_cache[key]
-        metrics.counter("serve.check_cache", result="miss").inc()
-        value = bool(
-            exists_close_histogram(pmf, partition, k, kept, tolerance, engine=engine)
-        )
-        self._check_cache[key] = value
-        while len(self._check_cache) > self.config.check_cache_size:
-            self._check_cache.popitem(last=False)
+        if key in cache:
+            cache.move_to_end(key)
+            metrics.counter(metric, result="hit").inc()
+            return cache[key]
+        metrics.counter(metric, result="miss").inc()
+        value = compute()
+        cache[key] = value
+        while len(cache) > self.config.check_cache_size:
+            cache.popitem(last=False)
         return value
+
+    def _check_cached(self, pmf, partition, k, kept, tolerance, engine) -> bool:
+        """The shared projection-check cache."""
+        return self._cached(
+            self._check_cache,
+            "serve.check_cache",
+            self._check_key(pmf, partition, k, kept, tolerance, engine),
+            lambda: bool(
+                exists_close_histogram(pmf, partition, k, kept, tolerance, engine=engine)
+            ),
+        )
+
+    def _project_cached(self, pmf, partition, k, kept, engine) -> Projection:
+        """The shared cdkl22 projection cache.
+
+        Caches the full :class:`Projection` (distance *and* reference
+        histogram): repeated sessions on the same learned pmf skip the DP
+        entirely.  Entries are immutable, so sharing across sessions is safe.
+        """
+        return self._cached(
+            self._project_cache,
+            "serve.project_cache",
+            self._project_key(pmf, partition, k, kept, engine),
+            lambda: coarse_flattening_projection(pmf, partition, k, kept, engine=engine),
+        )
 
     def _note_fallback(self, session: StreamSession) -> None:
         """Account one *observed* fast-path fault and degrade the session.
@@ -568,6 +584,14 @@ class TesterService:
         session.degrade("projection-dense-fallback")
 
     def _make_check_oracle(self, session: StreamSession):
+        """The per-session pods16 check oracle (see :meth:`_make_oracle`)."""
+        return self._make_oracle(session, self._check_cached, self._check_key)
+
+    def _make_project_oracle(self, session: StreamSession):
+        """The per-session cdkl22 projection oracle (see :meth:`_make_oracle`)."""
+        return self._make_oracle(session, self._project_cached, self._project_key)
+
+    def _make_oracle(self, session: StreamSession, cached, key):
         """A per-session oracle: shared cache + dense-engine fallback.
 
         A failure of the requested engine (injected by chaos, or a real
@@ -582,7 +606,7 @@ class TesterService:
         engine or inflating the fallback counter.
         """
 
-        def oracle(pmf, partition, k, kept, tolerance, engine="auto"):
+        def oracle(*args, engine="auto"):
             if session.projection_fault_pending:
                 # Injected chaos fault: transient, so it counts as a fault
                 # and is never memoized against the key.
@@ -592,80 +616,20 @@ class TesterService:
                         "injected projection-oracle fault (chaos schedule)"
                     )
                 self._note_fallback(session)
-                return self._check_cached(pmf, partition, k, kept, tolerance, "dense")
-            key = self._check_key(pmf, partition, k, kept, tolerance, engine)
-            if engine != "dense" and key in self._fast_path_failed:
+                return cached(*args, "dense")
+            failure_key = key(*args, engine)
+            if engine != "dense" and failure_key in self._fast_path_failed:
                 session.degrade("projection-dense-fallback")
-                return self._check_cached(pmf, partition, k, kept, tolerance, "dense")
+                return cached(*args, "dense")
             try:
-                return self._check_cached(pmf, partition, k, kept, tolerance, engine)
+                return cached(*args, engine)
             except SESSION_FAILURES:
                 raise  # stream faults are not oracle faults
             except Exception:
                 if engine == "dense":
                     raise
-                self._fast_path_failed.add(key)
+                self._fast_path_failed.add(failure_key)
                 self._note_fallback(session)
-                return self._check_cached(pmf, partition, k, kept, tolerance, "dense")
-
-        return oracle
-
-    def _project_key(self, pmf, partition, k, kept, engine) -> tuple:
-        return (
-            self._array_key(pmf),
-            int(k),
-            self._array_key(partition.boundaries),
-            self._array_key(kept),
-            engine,
-        )
-
-    def _project_cached(self, pmf, partition, k, kept, engine) -> Projection:
-        """The shared cdkl22 projection cache (LRU over exact byte keys).
-
-        Caches the full :class:`Projection` (distance *and* reference
-        histogram): repeated sessions on the same learned pmf skip the DP
-        entirely.  Entries are immutable, so sharing across sessions is safe.
-        """
-        key = self._project_key(pmf, partition, k, kept, engine)
-        metrics = get_metrics()
-        if key in self._project_cache:
-            self._project_cache.move_to_end(key)
-            metrics.counter("serve.project_cache", result="hit").inc()
-            return self._project_cache[key]
-        metrics.counter("serve.project_cache", result="miss").inc()
-        value = coarse_flattening_projection(pmf, partition, k, kept, engine=engine)
-        self._project_cache[key] = value
-        while len(self._project_cache) > self.config.check_cache_size:
-            self._project_cache.popitem(last=False)
-        return value
-
-    def _make_project_oracle(self, session: StreamSession):
-        """Per-session cdkl22 projection oracle: shared cache + the same
-        dense-engine fallback and fast-path-failure memoization policy as
-        the pods16 check oracle."""
-
-        def oracle(pmf, partition, k, kept, engine="auto"):
-            if session.projection_fault_pending:
-                session.projection_fault_pending = False
-                if engine == "dense":
-                    raise ProjectionOracleError(
-                        "injected projection-oracle fault (chaos schedule)"
-                    )
-                self._note_fallback(session)
-                return self._project_cached(pmf, partition, k, kept, "dense")
-            key = self._project_key(pmf, partition, k, kept, engine)
-            if engine != "dense" and key in self._fast_path_failed:
-                session.degrade("projection-dense-fallback")
-                return self._project_cached(pmf, partition, k, kept, "dense")
-            try:
-                return self._project_cached(pmf, partition, k, kept, engine)
-            except SESSION_FAILURES:
-                raise  # stream faults are not oracle faults
-            except Exception:
-                if engine == "dense":
-                    raise
-                self._fast_path_failed.add(key)
-                self._note_fallback(session)
-                return self._project_cached(pmf, partition, k, kept, "dense")
+                return cached(*args, "dense")
 
         return oracle

@@ -92,8 +92,8 @@ class StreamRequest:
     #: session, exercising the dense-fallback degradation path.
     projection_fault: bool = False
     #: Tester backend for this session ("pods16" | "cdkl22").  Part of the
-    #: batch grouping key — mixed-backend rounds batch same-shape *and*
-    #: same-backend sessions together — and of the admission cost formula.
+    #: admission cost formula; mixed-backend rounds still batch same-shape
+    #: sessions together.
     backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:

@@ -4,7 +4,7 @@ Regression net for the bug this PR fixes: ``StreamSession.start_attempt``
 used to hard-code the pipeline construction, so a request's ``backend``
 field silently ran pods16.  Covers the full path — request validation,
 session → pipeline threading, mixed-backend batch grouping (same-shape
-sessions on *different* backends must not share a kernel group), the
+sessions on different backends share one kernel group, bit-identically), the
 escalation redraw loop inside a service round, and the cdkl22 projection
 fault → dense fallback → DEGRADED path.
 """
@@ -74,7 +74,7 @@ class TestBackendThreading:
 
 
 class TestMixedBatchGrouping:
-    def _item(self, backend, seed):
+    def _item(self, seed):
         rng = np.random.default_rng(seed)
         n, repeats = 32, 3
         pmf = rng.dirichlet(np.ones(n))
@@ -87,13 +87,12 @@ class TestMixedBatchGrouping:
             reference_pmf=pmf,
             mask=np.ones(n, dtype=bool),
             partition=Partition(boundaries),
-            backend=backend,
         )
 
     def test_mixed_backends_match_singleton_path_bitwise(self):
-        """Same-shape items on different backends are separate kernel groups;
-        either way every statistic must equal its singleton computation."""
-        items = [self._item(BACKENDS[i % len(BACKENDS)], seed=i) for i in range(6)]
+        """Same-shape items from sessions on different backends share one
+        kernel group; every statistic must equal its singleton computation."""
+        items = [self._item(seed=i) for i in range(6)]
         batched = compute_final_statistics(items)
         for item, z in zip(items, batched):
             (alone,) = compute_final_statistics([item])
