@@ -8,9 +8,10 @@ threshold locations) are encoded as soft checks that print WARN rather than
 fail, since benchmarks are measurements, not tests.
 
 Long-running benchmarks iterate their grid through
-:func:`checkpointed_loop`, which persists completed rows to an atomic JSON
-checkpoint after every point — a benchmark killed mid-run (SIGINT, OOM)
-resumes from the last completed point instead of starting over.
+:func:`checkpointed_loop`, which commits every completed row to a sqlite
+results store (:mod:`repro.distributed.store`) — a benchmark killed
+mid-run (SIGINT, OOM) resumes from its completed points instead of
+starting over.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Any, Callable, Sequence
 
 from repro.core.backends import BACKENDS, DEFAULT_BACKEND
 from repro.core.config import TesterConfig
-from repro.robustness.checkpoint import load_if_matching, resolve_store
+from repro.distributed.store import Shard, open_store
 from repro.util.atomicio import atomic_write_json
 
 #: The default scale every benchmark runs at unless it sweeps the axis.
@@ -141,26 +142,36 @@ def checkpointed_loop(
 ) -> list[Any]:
     """Map ``compute`` over ``points``, checkpointing one row per point.
 
-    Rows must be JSON-serialisable.  With a ``checkpoint`` path, completed
-    rows are saved atomically after every point; a rerun with a matching
-    ``fingerprint`` (and ``resume=True``) skips the already-computed prefix.
-    A mismatched fingerprint — different grid, profile, or trial count —
-    discards the stale checkpoint rather than splicing incompatible rows.
+    Rows must be JSON-serialisable.  With a ``checkpoint`` path, the grid
+    is a sqlite results store bound to ``fingerprint`` with one shard per
+    point, and each completed row is committed as its shard's result; a
+    rerun (``resume=True``) computes only the points not yet committed.
+    A store of a mismatched fingerprint — different grid, profile, or
+    trial count — raises :class:`~repro.distributed.store.StoreError`
+    rather than splicing incompatible rows; ``resume=False`` starts over.
     """
-    store = resolve_store(checkpoint)
-    if store is None:
+    if checkpoint is None:
         return [compute(point) for point in points]
+    shards = [
+        Shard(shard_id=f"point-{index}", index=index, payload={"index": index})
+        for index in range(len(points))
+    ]
     fingerprint = fingerprint or {}
-    rows: list[Any] = []
-    if resume:
-        state = load_if_matching(store, fingerprint)
-        if state is not None:
-            rows = list(state.get("rows", []))[: len(points)]
-            if rows:
-                print(f"  (resumed {len(rows)}/{len(points)} points from {store.path})")
-    else:
-        store.clear()
-    for point in points[len(rows) :]:
-        rows.append(compute(point))
-        store.save({"fingerprint": fingerprint, "rows": rows})
-    return rows
+    store = open_store(checkpoint, fingerprint, fingerprint, shards, resume=resume)
+    try:
+        done = {row.index for row in store.results()}
+        if done:
+            print(f"  (resumed {len(done)}/{len(points)} points from {store.path})")
+        for shard, point in zip(shards, points):
+            if shard.index not in done:
+                store.commit(
+                    shard.shard_id,
+                    "bench",
+                    result={"row": compute(point)},
+                    trace=(),
+                    samples_total=0,
+                    trials_total=0,
+                )
+        return [row.result["row"] for row in store.results()]
+    finally:
+        store.close()

@@ -12,14 +12,15 @@ soundness-under-contamination curve the paper never plots, for both the
 At ``r = 0`` the fault wrapper is a byte-identical passthrough, so that
 column reproduces the seed completeness numbers (within the binomial CI).
 Trials run under the fault-isolation policy (bounded retry, per-trial
-deadline), and the grid iterates through an atomic checkpoint — interrupt
-with SIGINT and rerun with ``--resume`` to continue from the last completed
-point.  Results are emitted as a JSON degradation curve.
+deadline), and the grid commits each point to a sqlite checkpoint store —
+interrupt with SIGINT and rerun with the same ``--checkpoint`` to continue
+from the completed points.  Results are emitted as a JSON degradation
+curve.
 
 Usage::
 
     python benchmarks/bench_e20_robustness.py [--smoke] [--out curve.json]
-        [--checkpoint e20.ckpt.json] [--fresh]
+        [--checkpoint e20.sqlite] [--fresh]
 """
 
 from __future__ import annotations
@@ -180,13 +181,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--checkpoint",
         default=None,
-        help="atomic per-point checkpoint file (matching checkpoints resume "
-        "automatically after an interruption)",
+        help="per-point sqlite checkpoint store (a store of this grid "
+        "resumes automatically after an interruption; another grid's is "
+        "refused)",
     )
     parser.add_argument(
         "--fresh",
         action="store_true",
-        help="discard any existing checkpoint instead of resuming",
+        help="delete any existing checkpoint store instead of resuming",
     )
     args = parser.parse_args(argv)
     result = run_curves(

@@ -87,7 +87,7 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="trials per cell and side (default 60; smoke 20)")
     parser.add_argument("--json", default=None, metavar="PATH")
     parser.add_argument("--checkpoint", default=None, metavar="PATH",
-                        help="resume a killed grid from this JSON file")
+                        help="resume a killed grid from this sqlite store")
     args = parser.parse_args(argv)
     grid = (600,) if args.smoke else (600, 1200, 2500)
     trials = args.trials if args.trials is not None else (20 if args.smoke else 60)

@@ -123,7 +123,7 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="trials per cell and side (default 60; smoke 20)")
     parser.add_argument("--json", default=None, metavar="PATH")
     parser.add_argument("--checkpoint", default=None, metavar="PATH",
-                        help="resume a killed grid from this JSON file")
+                        help="resume a killed grid from this sqlite store")
     args = parser.parse_args(argv)
     grid = (2000,) if args.smoke else (2000, 4000, 8000)
     trials = args.trials if args.trials is not None else (20 if args.smoke else 60)

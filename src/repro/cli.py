@@ -9,7 +9,7 @@ Six subcommands mirroring the library's main entry points:
 * ``select``  — model selection (smallest ε-sufficient k) on a workload;
 * ``budget``  — print the sample-budget landscape for given (n, k, ε);
 * ``sweep``   — empirical sample-complexity sweep along one axis, with
-  ``--checkpoint``/``--resume`` for interruption-safe long runs and
+  ``--store``/``--resume`` for interruption-safe long runs and
   ``--workers`` for trial-parallel execution;
 * ``bench``   — repeated-trial acceptance benchmark of Algorithm 1 on a
   named workload, fanned out over ``--workers`` processes (results are
@@ -27,11 +27,12 @@ Six subcommands mirroring the library's main entry points:
 * ``trace``   — inspect a trace file (``summarize`` renders per-span
   aggregates, ``validate`` checks the JSONL schema and seq invariant).
 
-``sweep --store`` switches the sweep to the distributed executor: shards
-are enqueued into a crash-consistent sqlite store and drained by
-``--worker-procs`` supervised subprocesses (or by separately launched
-``repro worker`` processes on other terminals/hosts sharing the file);
-the assembled output is byte-identical to the serial run.
+``sweep --store`` persists the sweep in a crash-consistent sqlite store:
+shards are enqueued into it and drained by ``--worker-procs`` supervised
+subprocesses (or by separately launched ``repro worker`` processes on
+other terminals/hosts sharing the file), or in-process with
+``--worker-procs 1``; the assembled output is byte-identical to the
+serial run.
 
 All RNG seeding goes through :func:`repro.util.rng.ensure_rng` so every
 entry point shares one seed-handling convention.
@@ -307,13 +308,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise SystemExit("--values must name at least one axis value")
     tracer = RecordingTracer() if args.trace else NULL_TRACER
-    if args.store:
+    fleet = None
+    if args.store and args.worker_procs != 1:
         from repro.distributed import SweepSpec, distributed_sweep
 
-        if args.checkpoint:
+        if args.workers is not None:
             raise SystemExit(
-                "--store and --checkpoint are alternatives: the results "
-                "store *is* the distributed sweep's checkpoint"
+                "--workers needs --worker-procs 1: fleet workers run trials "
+                "serially (start `repro worker --workers N` by hand instead)"
             )
         spec = SweepSpec(
             axis=args.axis,
@@ -334,37 +336,33 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             processes=args.worker_procs,
             lease_seconds=args.lease_seconds,
             resume=args.resume,
-            trace=tracer if args.trace else None,
+            trace=tracer,
         )
-        _print_sweep_result(args, result)
+    else:
+        result = complexity_sweep(
+            args.axis,
+            values,
+            n=args.n,
+            k=args.k,
+            eps=args.eps,
+            config=_config(args),
+            trials=args.trials,
+            bisection_steps=args.bisection_steps,
+            rng=args.seed,
+            checkpoint=args.store,
+            resume=args.resume,
+            workers=args.workers,
+            backend=args.backend,
+            task=args.task,
+            trace=tracer,
+        )
+    _print_sweep_result(args, result)
+    if args.store:
         print(f"store          : {args.store}")
+    if fleet is not None:
         print(f"fleet          : {fleet.workers_spawned} worker(s), "
               f"{fleet.restarts} restart(s), {fleet.leases_expired} lease "
               f"expiries, {fleet.wall_seconds:.2f}s wall")
-        if args.trace:
-            write_jsonl(args.trace, tracer.export())
-            print(f"trace          : {args.trace} ({len(tracer.events)} events)")
-        return 0
-    result = complexity_sweep(
-        args.axis,
-        values,
-        n=args.n,
-        k=args.k,
-        eps=args.eps,
-        config=_config(args),
-        trials=args.trials,
-        bisection_steps=args.bisection_steps,
-        rng=args.seed,
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-        workers=args.workers,
-        backend=args.backend,
-        task=args.task,
-        trace=tracer,
-    )
-    _print_sweep_result(args, result)
-    if args.checkpoint:
-        print(f"checkpoint     : {args.checkpoint}")
     if args.trace:
         write_jsonl(args.trace, tracer.export())
         print(f"trace          : {args.trace} ({len(tracer.events)} events)")
@@ -613,31 +611,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--bisection-steps", type=int, default=5, help="budget-bisection refinements"
     )
     p_sweep.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="save progress to this JSON file after every completed point",
-    )
-    p_sweep.add_argument(
         "--resume",
         action="store_true",
         default=False,
-        help="continue a matching checkpoint instead of discarding it",
+        help="continue the --store sweep instead of starting it over "
+        "(a store of a different sweep is refused)",
     )
     p_sweep.add_argument(
         "--store",
         default=None,
         metavar="PATH",
-        help="distributed mode: enqueue shards into this sqlite results "
-        "store and drain them with supervised worker subprocesses "
-        "(byte-identical to the serial run; inspect with `repro report`)",
+        help="commit every point to this sqlite results store, drained by "
+        "supervised worker subprocesses (byte-identical to the serial run; "
+        "inspect with `repro report`)",
     )
     p_sweep.add_argument(
         "--worker-procs",
         type=int,
         default=2,
         metavar="N",
-        help="worker subprocesses for --store mode (1 runs in-process)",
+        help="worker subprocesses for --store mode (1 runs in-process and "
+        "honours --workers)",
     )
     p_sweep.add_argument(
         "--lease-seconds",

@@ -23,7 +23,6 @@ of the latter.
 
 from __future__ import annotations
 
-import math
 import os
 import subprocess
 import sys
@@ -34,10 +33,10 @@ from typing import Callable
 
 from repro.distributed.chaos import ChaosSchedule
 from repro.distributed.spec import SweepSpec
-from repro.distributed.store import ResultsStore, StoreError
+from repro.distributed.store import ResultsStore, StoreError, open_store
 from repro.distributed.worker import Worker, WorkerOptions, WorkerSummary
-from repro.experiments.sweeps import SweepResult, _point_from_json, fit_power_law
-from repro.observability.trace import RecordingTracer, Tracer
+from repro.experiments.sweeps import SweepResult, _point_from_json
+from repro.observability.trace import Tracer
 
 
 def create_store(
@@ -53,16 +52,14 @@ def create_store(
     otherwise an existing store must carry this sweep's fingerprint
     (committed shards are kept — that is the crash-recovery path).
     """
-    path = Path(store_path)
-    if not resume and path.exists():
-        path.unlink()
-        for suffix in ("-wal", "-shm"):
-            sidecar = Path(str(path) + suffix)
-            if sidecar.exists():
-                sidecar.unlink()
-    store = ResultsStore(path, clock=clock)
-    store.initialise(spec.fingerprint(), spec.to_json(), spec.shards())
-    return store
+    return open_store(
+        store_path,
+        spec.fingerprint(),
+        spec.to_json(),
+        spec.shards(),
+        resume=resume,
+        clock=clock,
+    )
 
 
 def spec_from_store(store: ResultsStore) -> SweepSpec:
@@ -100,10 +97,7 @@ def assemble(store: ResultsStore, *, trace: "Tracer | None" = None) -> SweepResu
     if trace is not None:
         for row in rows:
             trace.absorb(list(row.trace))
-    xs = [float(getattr(p, spec.axis)) for p in points]
-    ys = [p.estimate.samples for p in points]
-    exponent = fit_power_law(xs, ys) if len(points) >= 2 else math.nan
-    return SweepResult(axis=spec.axis, points=points, exponent=exponent)
+    return SweepResult.fit(spec.axis, points)
 
 
 def run_local(
@@ -293,22 +287,13 @@ def distributed_sweep(
     """
     store = create_store(store_path, spec, resume=resume)
     try:
-        if processes == 1 and chaos is None:
-            # One process and no faults to inject: skip the subprocess
-            # machinery entirely (the thin local special case).
-            start = time.monotonic()
-            run_local(store, lease_seconds=max(lease_seconds, 300.0))
-            report = FleetReport(workers_spawned=1)
-            report.wall_seconds = time.monotonic() - start
-        else:
-            report = run_fleet(
-                store,
-                processes=processes,
-                lease_seconds=lease_seconds,
-                chaos=chaos,
-                timeout=timeout,
-            )
-        result = assemble(store, trace=trace)
-        return result, report
+        report = run_fleet(
+            store,
+            processes=processes,
+            lease_seconds=lease_seconds,
+            chaos=chaos,
+            timeout=timeout,
+        )
+        return assemble(store, trace=trace), report
     finally:
         store.close()

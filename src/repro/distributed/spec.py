@@ -2,10 +2,10 @@
 
 A :class:`SweepSpec` is the complete, JSON-round-trippable description of a
 :func:`repro.experiments.sweeps.complexity_sweep` call — identity knobs
-only, never execution knobs (worker count).  Its fingerprint *is*
-the checkpoint fingerprint of the equivalent serial sweep, so a sqlite
-results store and a JSON checkpoint of the same sweep agree byte-for-byte
-on identity.
+only, never execution knobs (worker count).  Its fingerprint is the one
+:func:`~repro.experiments.sweeps.sweep_fingerprint` computes, so a
+checkpointed serial sweep and a distributed sweep of the same parameters
+bind the same results store.
 
 A **shard** is one sweep point.  Its id is the sha256 of the canonical JSON
 of ``{sweep fingerprint, point index, point value}``, which makes commits
@@ -13,11 +13,11 @@ idempotent by construction: however many times a shard is re-dispatched,
 every completion computes the same id and only the first writer's result
 row lands.
 
-:func:`run_shard` is the determinism keystone.  It replays exactly what the
-serial sweep loop does for one point — same ``spawn_rngs`` stream
-derivation, same workload factories, same span structure — so a shard
-computed by any worker, on any host, after any number of crashes, yields a
-point and a sub-trace byte-identical to the serial run's.
+:func:`run_shard` is the determinism keystone.  It runs the serial sweep's
+own per-point function (:func:`~repro.experiments.sweeps.measure_point`)
+on the stream the serial loop hands that index, so a shard computed by any
+worker, on any host, after any number of crashes, yields a point and a
+sub-trace byte-identical to the serial run's.
 """
 
 from __future__ import annotations
@@ -25,22 +25,23 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.backends import DEFAULT_BACKEND, validate_backend
 from repro.core.config import TesterConfig
-from repro.experiments.estimate import empirical_sample_complexity
 from repro.experiments.sweeps import (
     SweepPoint,
     _point_from_json,
     _point_to_json,
+    measure_point,
     sweep_fingerprint,
     sweep_task,
 )
 from repro.observability.trace import RecordingTracer
+from repro.robustness.resilience import TrialPolicy
 from repro.util.rng import spawn_rngs
 
-from repro.distributed.store import Shard
+from repro.distributed.store import ResultsStore, Shard
 
 #: Exactly the keys a serialised spec carries (a compatibility surface).
 SPEC_KEYS = frozenset(
@@ -84,7 +85,7 @@ class SweepSpec:
             raise ValueError("need at least one axis value")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError(
-                "a distributed sweep requires an integer seed — every shard "
+                "a stored sweep requires an integer seed — every shard "
                 "re-derives its stream from it"
             )
         validate_backend(self.backend)
@@ -134,18 +135,6 @@ class SweepSpec:
             )
             for index, value in enumerate(self.values)
         ]
-
-    def point_params(self, index: int) -> tuple[int, int, float]:
-        """The ``(n, k, eps)`` of point ``index`` after applying the axis."""
-        value = self.values[index]
-        cur_n, cur_k, cur_eps = self.n, self.k, self.eps
-        if self.axis == "n":
-            cur_n = int(value)
-        elif self.axis == "k":
-            cur_k = int(value)
-        else:
-            cur_eps = float(value)
-        return cur_n, cur_k, cur_eps
 
     # -- JSON round trip -----------------------------------------------------
 
@@ -198,6 +187,17 @@ class ShardResult:
     def sweep_point(self) -> SweepPoint:
         return _point_from_json(self.point)
 
+    def commit(self, store: ResultsStore, shard_id: str, worker_id: str) -> bool:
+        """Commit this result as ``shard_id``'s row; ``False`` = duplicate."""
+        return store.commit(
+            shard_id,
+            worker_id,
+            result={"index": self.index, "point": self.point},
+            trace=self.trace,
+            samples_total=self.samples_total,
+            trials_total=self.trials_total,
+        )
+
 
 def ledger_totals(events: "Sequence[dict]") -> tuple[int, int]:
     """``(samples_total, ledger_event_count)`` from an exported trace.
@@ -227,43 +227,30 @@ def run_shard(
     spec: SweepSpec,
     index: int,
     *,
+    workloads: "Callable | None" = None,
+    policy: "TrialPolicy | None" = None,
     workers: "int | None" = None,
 ) -> ShardResult:
     """Compute one sweep point exactly as the serial sweep loop would.
 
     ``workers`` is an execution knob: any count yields the same bytes (the
     engine's determinism contract), so single- and multi-core workers
-    still assemble into one byte-identical sweep.
+    still assemble into one byte-identical sweep.  ``workloads`` and
+    ``policy`` pass a checkpointed :func:`complexity_sweep`'s own
+    arguments through to :func:`measure_point`.
     """
-    cur_n, cur_k, cur_eps = spec.point_params(index)
     # Identical stream derivation to the serial loop: spawn all point
     # streams from the sweep seed, take ours.  O(len(values)) int draws —
     # negligible next to the point itself.
     stream = spawn_rngs(spec.seed, len(spec.values))[index]
-    task = sweep_task(spec.task)
-    complete, far = task.workloads(cur_n, cur_k, cur_eps)
-    family = task.family(cur_k, cur_eps, spec.config, spec.backend)
     tracer = RecordingTracer()
-    with tracer.span(
-        "point",
-        axis=spec.axis,
-        value=float(spec.values[index]),
-        n=cur_n,
-        k=cur_k,
-        eps=cur_eps,
-    ):
-        estimate = empirical_sample_complexity(
-            family,
-            complete=complete,
-            far=far,
-            trials=spec.trials,
-            bisection_steps=spec.bisection_steps,
-            rng=stream,
-            policy=None,
-            workers=workers,
-            trace=tracer,
-        )
-    point = SweepPoint(n=cur_n, k=cur_k, eps=cur_eps, estimate=estimate)
+    point = measure_point(
+        spec.axis, spec.values[index], stream, n=spec.n, k=spec.k,
+        eps=spec.eps, config=spec.config, trials=spec.trials,
+        bisection_steps=spec.bisection_steps, backend=spec.backend,
+        task=spec.task, workloads=workloads, policy=policy, workers=workers,
+        trace=tracer,
+    )
     events = tracer.export()
     samples_total, trials_total = ledger_totals(events)
     return ShardResult(

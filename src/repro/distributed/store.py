@@ -97,6 +97,35 @@ class CommittedResult:
     trials_total: int
 
 
+def open_store(
+    path: "str | os.PathLike",
+    fingerprint: dict[str, Any],
+    spec: dict[str, Any],
+    shards: Sequence[Shard],
+    *,
+    resume: bool = True,
+    clock: Callable[[], float] = time.time,
+) -> "ResultsStore":
+    """Open (or create) the store at ``path`` bound to ``fingerprint``,
+    with ``shards`` enqueued.
+
+    ``resume=False`` first deletes any existing store file and its WAL
+    sidecars, so the run starts over.  Otherwise committed shards are kept,
+    and a store bound to a different fingerprint raises :class:`StoreError`.
+    """
+    path = Path(path)
+    if not resume:
+        for stale in (path, Path(f"{path}-wal"), Path(f"{path}-shm")):
+            stale.unlink(missing_ok=True)
+    store = ResultsStore(path, clock=clock)
+    try:
+        store.initialise(fingerprint, spec, shards)
+    except StoreError:
+        store.close()
+        raise
+    return store
+
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
@@ -249,9 +278,8 @@ class ResultsStore:
         A fresh store records the fingerprint and enqueues every shard; an
         existing store must carry the *same* fingerprint (resuming a
         different sweep through the same file would splice incompatible
-        results together — the same rule JSON checkpoints enforce) and the
-        enqueue is a no-op for shards already present.  Returns the number
-        of newly enqueued shards.
+        results together) and the enqueue is a no-op for shards already
+        present.  Returns the number of newly enqueued shards.
         """
         canonical = json.dumps(fingerprint, sort_keys=True)
         with self._txn() as cur:

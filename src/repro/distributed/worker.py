@@ -325,18 +325,12 @@ class Worker:
             stall = max(0.0, lease.deadline - time.time()) + chaos.stall_seconds
             self._sleep(stall)
 
-        committed = self._guarded(
-            "commit",
-            lambda: self.store.commit(
-                shard.shard_id,
-                opts.worker_id,
-                result={"index": result.index, "point": result.point},
-                trace=result.trace,
-                samples_total=result.samples_total,
-                trials_total=result.trials_total,
-            ),
-        )
-        if committed:
+        def commit() -> bool:
+            return self._guarded(
+                "commit", lambda: result.commit(self.store, shard.shard_id, opts.worker_id)
+            )
+
+        if commit():
             summary.committed += 1
             summary.samples_total += result.samples_total
             ledger.record(f"shard-{shard.index}", result.samples_total)
@@ -345,18 +339,7 @@ class Worker:
 
         if action == "duplicate-commit":
             # A second completion of the same shard must always be a no-op.
-            again = self._guarded(
-                "commit",
-                lambda: self.store.commit(
-                    shard.shard_id,
-                    opts.worker_id,
-                    result={"index": result.index, "point": result.point},
-                    trace=result.trace,
-                    samples_total=result.samples_total,
-                    trials_total=result.trials_total,
-                ),
-            )
-            if again:
+            if commit():
                 raise StoreError(
                     f"shard {shard.shard_id} committed twice — idempotency broken"
                 )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ from repro.experiments.workloads import (
     pair_ground_truth,
 )
 from repro.observability.trace import NULL_TRACER, Tracer
-from repro.robustness.checkpoint import CheckpointStore, load_if_matching, resolve_store
 from repro.robustness.resilience import TrialPolicy
 from repro.util.rng import RandomState, ensure_rng, spawn_rngs
 
@@ -56,6 +55,14 @@ class SweepResult:
     #: certified ``(lower, upper)`` dTV(·, H_k) bounds of each instance.
     #: Never checkpointed — recomputed (memoized) on every run.
     ground_truth: "list[dict[str, dict[str, float]]] | None" = None
+
+    @classmethod
+    def fit(cls, axis: str, points: list[SweepPoint]) -> "SweepResult":
+        """The sweep of ``points`` with its fitted power-law exponent."""
+        xs = [float(getattr(p, axis)) for p in points]
+        ys = [p.estimate.samples for p in points]
+        exponent = fit_power_law(xs, ys) if len(points) >= 2 else math.nan
+        return cls(axis=axis, points=points, exponent=exponent)
 
     def axis_values(self) -> list[float]:
         return [getattr(p, self.axis) for p in self.points]
@@ -259,9 +266,10 @@ def sweep_fingerprint(
 ) -> dict[str, Any]:
     """The canonical parameter fingerprint of a sweep.
 
-    Shared between :func:`complexity_sweep` checkpoints and the distributed
-    results store (:mod:`repro.distributed`), so a sqlite store and a JSON
-    checkpoint of the same sweep agree byte-for-byte on identity.  The
+    The identity a results store (:mod:`repro.distributed`) is bound to,
+    computed by :meth:`~repro.distributed.spec.SweepSpec.fingerprint`, so a
+    :func:`complexity_sweep` checkpoint and a distributed fleet sweep of
+    the same parameters bind the same store.  The
     worker count never enters the fingerprint: results are bit-identical
     at any count, so a checkpoint must resume across machines with
     different parallelism.  The backend *does* enter: it changes budgets
@@ -337,6 +345,60 @@ def _point_from_json(data: dict[str, Any]) -> SweepPoint:
     )
 
 
+def measure_point(
+    axis: str,
+    value: float,
+    stream: np.random.Generator,
+    *,
+    n: int,
+    k: int,
+    eps: float,
+    config: TesterConfig,
+    trials: int,
+    bisection_steps: int,
+    backend: str = DEFAULT_BACKEND,
+    task: str = "identity",
+    workloads: Callable[[int, int, float], tuple[Callable, Callable]] | None = None,
+    policy: TrialPolicy | None = None,
+    workers: int | None = None,
+    trace: Tracer = NULL_TRACER,
+) -> SweepPoint:
+    """Measure one sweep point (``axis`` set to ``value``) from ``stream``.
+
+    The one per-point body behind every sweep executor: the serial loop of
+    :func:`complexity_sweep` calls it directly, and
+    :func:`repro.distributed.spec.run_shard` calls it under a recording
+    tracer, so a point and its ``point`` sub-trace are byte-identical
+    whichever executor computed them.
+    """
+    cur_n, cur_k, cur_eps = n, k, eps
+    if axis == "n":
+        cur_n = int(value)
+    elif axis == "k":
+        cur_k = int(value)
+    else:
+        cur_eps = float(value)
+    spec = sweep_task(task)
+    make_workloads = workloads if workloads is not None else spec.workloads
+    complete, far = make_workloads(cur_n, cur_k, cur_eps)
+    family = spec.family(cur_k, cur_eps, config, backend)
+    with trace.span(
+        "point", axis=axis, value=float(value), n=cur_n, k=cur_k, eps=cur_eps
+    ):
+        estimate = empirical_sample_complexity(
+            family,
+            complete=complete,
+            far=far,
+            trials=trials,
+            bisection_steps=bisection_steps,
+            rng=stream,
+            policy=policy,
+            workers=workers,
+            trace=trace,
+        )
+    return SweepPoint(n=cur_n, k=cur_k, eps=cur_eps, estimate=estimate)
+
+
 def complexity_sweep(
     axis: str,
     values: Sequence[float],
@@ -349,7 +411,7 @@ def complexity_sweep(
     bisection_steps: int = 5,
     workloads: Callable[[int, int, float], tuple[Callable, Callable]] | None = None,
     rng: RandomState = None,
-    checkpoint: "str | os.PathLike | CheckpointStore | None" = None,
+    checkpoint: "str | os.PathLike | None" = None,
     resume: bool = True,
     policy: TrialPolicy | None = None,
     workers: int | None = None,
@@ -372,13 +434,17 @@ def complexity_sweep(
     the instances (defaults: staircase / certified sawtooth for identity;
     identical-staircase / shifted-staircase pairs for closeness).
 
-    ``checkpoint`` names a JSON file the sweep saves atomically after every
-    completed point; with ``resume=True`` (the default) an existing
-    checkpoint whose parameter fingerprint matches is continued point-by-
-    point — per-point RNG streams are spawned identically on every run, so
-    a resumed sweep reproduces the uninterrupted result exactly.  With
-    ``resume=False`` any existing checkpoint is discarded first.
-    Checkpointing requires a reproducible integer seed for ``rng``.
+    ``checkpoint`` names a sqlite results store
+    (:class:`~repro.distributed.store.ResultsStore`, the format distributed
+    sweeps use) that every completed point is committed to, with its
+    sub-trace.  With ``resume=True`` (the default) an existing store of
+    this sweep is continued point by point — per-point RNG streams are
+    spawned identically on every run, so a resumed sweep reproduces the
+    uninterrupted result and trace exactly — and a store bound to a
+    different parameter fingerprint is refused with
+    :class:`~repro.distributed.store.StoreError`.  With ``resume=False``
+    any existing store is deleted first.  Checkpointing requires a
+    reproducible integer seed for ``rng``.
 
     ``policy`` opts every trial loop into fault isolation (see
     :class:`~repro.robustness.resilience.TrialPolicy`).
@@ -407,7 +473,8 @@ def complexity_sweep(
     ``trace`` (default: no-op) records one span per sweep point, per
     bisection evaluation, and per trial; trial sub-traces are assembled in
     trial order, so the stream is byte-identical across worker counts
-    (after stripping wall-clock fields).  Resumed points are not re-traced.
+    (after stripping wall-clock fields).  A checkpointed sweep replays each
+    point's stored sub-trace, so a resumed sweep traces every point too.
     """
     if axis not in ("n", "k", "eps"):
         raise ValueError(f"axis must be one of n/k/eps, got {axis!r}")
@@ -421,81 +488,52 @@ def complexity_sweep(
     validate_backend(backend)
     make_workloads = workloads if workloads is not None else spec.workloads
 
-    store = resolve_store(checkpoint)
-    done: list[SweepPoint] = []
-    fingerprint: dict[str, Any] = {}
-    if store is not None:
-        if not isinstance(rng, int):
-            raise ValueError(
-                "checkpointing requires an integer seed for rng — a resumed "
-                "sweep must replay the exact per-point streams"
-            )
-        fingerprint = sweep_fingerprint(
+    if checkpoint is None:
+        streams = spawn_rngs(rng, len(values))
+        result = SweepResult.fit(
             axis,
-            values,
-            n=n,
-            k=k,
-            eps=eps,
-            trials=trials,
-            bisection_steps=bisection_steps,
-            config=config,
-            backend=backend,
-            seed=rng,
-            task=task,
+            [
+                measure_point(
+                    axis, value, stream, n=n, k=k, eps=eps, config=config,
+                    trials=trials, bisection_steps=bisection_steps,
+                    backend=backend, task=task, workloads=workloads,
+                    policy=policy, workers=workers, trace=trace,
+                )
+                for value, stream in zip(values, streams)
+            ],
         )
-        if resume:
-            state = load_if_matching(store, fingerprint)
-            if state is not None:
-                done = [_point_from_json(d) for d in state.get("points", [])]
-        else:
-            store.clear()
+    else:
+        # Lazy: repro.distributed imports this module.
+        from repro.distributed import SweepSpec, assemble, create_store, run_shard
 
-    streams = spawn_rngs(rng, len(values))
-    points: list[SweepPoint] = list(done[: len(values)])
-    for index in range(len(points), len(values)):
-        value, stream = values[index], streams[index]
-        cur_n, cur_k, cur_eps = n, k, eps
-        if axis == "n":
-            cur_n = int(value)
-        elif axis == "k":
-            cur_k = int(value)
-        else:
-            cur_eps = float(value)
-        complete, far = make_workloads(cur_n, cur_k, cur_eps)
-        family = spec.family(cur_k, cur_eps, config, backend)
-        with trace.span(
-            "point", axis=axis, value=float(value), n=cur_n, k=cur_k, eps=cur_eps
-        ):
-            estimate = empirical_sample_complexity(
-                family,
-                complete=complete,
-                far=far,
-                trials=trials,
-                bisection_steps=bisection_steps,
-                rng=stream,
-                policy=policy,
-                workers=workers,
-                trace=trace,
-            )
-        points.append(SweepPoint(n=cur_n, k=cur_k, eps=cur_eps, estimate=estimate))
-        if store is not None:
-            store.save(
-                {
-                    "fingerprint": fingerprint,
-                    "points": [_point_to_json(p) for p in points],
-                }
-            )
+        sweep = SweepSpec(
+            axis=axis, values=tuple(values), n=n, k=k, eps=eps, trials=trials,
+            bisection_steps=bisection_steps, seed=rng, backend=backend,
+            task=task, config=config,
+        )
+        store = create_store(checkpoint, sweep, resume=resume)
+        try:
+            committed = {row.index for row in store.results()}
+            for shard in sweep.shards():
+                if shard.index in committed:
+                    continue
+                # No lease: this run is the store's only writer, so a killed
+                # run leaves nothing to expire, and a lease-less commit is
+                # first-writer-wins like any other.
+                run_shard(
+                    sweep, shard.index, workloads=workloads, policy=policy,
+                    workers=workers,
+                ).commit(store, shard.shard_id, "serial")
+            result = assemble(store, trace=trace)
+        finally:
+            store.close()
 
-    ground_truth = None
     if label_ground_truth:
-        ground_truth = [
-            _label_point(point, make_workloads, index, task)
-            for index, point in enumerate(points)
-        ]
-
-    xs = [float(getattr(p, axis)) for p in points]
-    ys = [p.estimate.samples for p in points]
-    exponent = fit_power_law(xs, ys) if len(points) >= 2 else math.nan
-    return SweepResult(
-        axis=axis, points=points, exponent=exponent, ground_truth=ground_truth
-    )
+        result = replace(
+            result,
+            ground_truth=[
+                _label_point(point, make_workloads, index, task)
+                for index, point in enumerate(result.points)
+            ],
+        )
+    return result

@@ -1,22 +1,17 @@
 """Fault-tolerant experiment execution.
 
-Three pillars, each exercised by experiment E20 and the robust trial runner
+Two pillars, each exercised by experiment E20 and the robust trial runner
 in :mod:`repro.experiments.runner`:
 
 * :mod:`repro.robustness.faults` — corrupted sample streams (Huber
   contamination, out-of-domain samples, stale reads, scheduled failures);
 * :mod:`repro.robustness.resilience` — bounded deterministic retry,
-  wall-clock deadlines, structured trial-failure isolation;
-* :mod:`repro.robustness.checkpoint` — atomic JSON checkpoint/resume for
-  long-running sweeps.
+  wall-clock deadlines, structured trial-failure isolation.
+
+Long-running sweeps checkpoint into the sqlite results store of
+:mod:`repro.distributed.store`.
 """
 
-from repro.robustness.checkpoint import (
-    CheckpointError,
-    CheckpointStore,
-    load_if_matching,
-    resolve_store,
-)
 from repro.robustness.faults import (
     CorruptSampleError,
     FaultConfig,
@@ -39,8 +34,6 @@ from repro.robustness.resilience import (
 __all__ = [
     "ISOLATED_ERRORS",
     "TRANSIENT_ERRORS",
-    "CheckpointError",
-    "CheckpointStore",
     "CorruptSampleError",
     "Deadline",
     "DeadlineSource",
@@ -52,7 +45,5 @@ __all__ = [
     "TrialFailure",
     "TrialPolicy",
     "TrialTimeout",
-    "load_if_matching",
-    "resolve_store",
     "run_with_retry",
 ]

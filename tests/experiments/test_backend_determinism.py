@@ -6,7 +6,7 @@ statistic lands inside the guard band — so these tests pin the contracts
 that adaptivity is most likely to break: byte-identical artefacts (sweep
 points *and* traces) across worker counts, checkpoint/resume straddling a
 mid-sweep crash, and the fingerprint rule that ``backend`` is an identity
-field (a pods16 checkpoint must never be spliced into a cdkl22 sweep)
+field (a pods16 checkpoint is refused by a cdkl22 sweep, never spliced)
 while ``workers`` stays execution-only.
 """
 
@@ -20,10 +20,10 @@ from repro.experiments.sweeps import (
     _default_workloads,
     complexity_sweep,
 )
+from repro.distributed import ResultsStore, StoreError
 from repro.observability.trace import RecordingTracer, canonical_jsonl
-from repro.robustness.checkpoint import CheckpointStore
 
-from .test_determinism import sweep_json
+from .test_determinism import committed_rows, sweep_json
 
 CONFIG = TesterConfig.practical()
 WORKER_COUNTS = (None, 2, 4)
@@ -75,7 +75,7 @@ class TestCheckpointResume:
         """A cdkl22 sweep killed after two points resumes under a different
         worker count to the exact uninterrupted result, byte for byte."""
         values = [400, 600, 800]
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.sqlite"
         uninterrupted = complexity_sweep(
             "n", values, rng=3, backend="cdkl22", **KWARGS
         )
@@ -93,7 +93,7 @@ class TestCheckpointResume:
                 "n", values, rng=3, checkpoint=path, workers=2,
                 backend="cdkl22", workloads=dying_workloads, **KWARGS,
             )
-        assert len(CheckpointStore(path).load()["points"]) == 2
+        assert len(committed_rows(path)) == 2
 
         resumed = complexity_sweep(
             "n", values, rng=3, checkpoint=path, workers=4,
@@ -102,25 +102,32 @@ class TestCheckpointResume:
         assert sweep_json(resumed) == sweep_json(uninterrupted)
 
     def test_fingerprint_includes_backend(self, tmp_path):
-        """A checkpoint written under pods16 must be *discarded*, not
+        """A checkpoint written under pods16 must be *refused*, not
         resumed, by a cdkl22 sweep over the same grid — backend changes the
         verdicts, so splicing rows across backends would corrupt results."""
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.sqlite"
         complexity_sweep("n", VALUES, rng=3, checkpoint=path, **KWARGS)
-        stale = CheckpointStore(path).load()
-        assert stale["fingerprint"]["backend"] == "pods16"
+        with pytest.raises(StoreError, match="different sweep"):
+            complexity_sweep(
+                "n", VALUES, rng=3, checkpoint=path, backend="cdkl22", **KWARGS
+            )
 
-        resumed = complexity_sweep(
-            "n", VALUES, rng=3, checkpoint=path, backend="cdkl22", **KWARGS
+        restarted = complexity_sweep(
+            "n", VALUES, rng=3, checkpoint=path, resume=False,
+            backend="cdkl22", **KWARGS,
         )
         fresh = complexity_sweep("n", VALUES, rng=3, backend="cdkl22", **KWARGS)
-        assert sweep_json(resumed) == sweep_json(fresh)
-        assert CheckpointStore(path).load()["fingerprint"]["backend"] == "cdkl22"
+        assert sweep_json(restarted) == sweep_json(fresh)
+        store = ResultsStore(path)
+        try:
+            assert store.fingerprint()["backend"] == "cdkl22"
+        finally:
+            store.close()
 
     def test_fingerprint_still_excludes_workers(self, tmp_path):
         """The PR-3 rule survives the new field: worker count changes must
         not invalidate a cdkl22 checkpoint."""
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.sqlite"
         complexity_sweep(
             "n", VALUES, rng=3, checkpoint=path, workers=2,
             backend="cdkl22", **KWARGS,

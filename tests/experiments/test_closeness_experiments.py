@@ -13,6 +13,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.core.config import TesterConfig
+from repro.distributed import ResultsStore, StoreError
 from repro.distributed.spec import SweepSpec, run_shard
 from repro.experiments.runner import (
     acceptance_probability,
@@ -25,7 +26,6 @@ from repro.experiments.sweeps import (
     sweep_fingerprint,
 )
 from repro.experiments.workloads import BoundPairedWorkload
-from repro.robustness.checkpoint import CheckpointStore
 
 CONFIG = TesterConfig.practical()
 WORKER_COUNTS = (None, 2, 4)
@@ -93,7 +93,7 @@ class TestClosenessSweepDeterminism:
         assert len(set(payloads.values())) == 1, payloads
 
     def test_checkpoint_resume_reproduces(self, tmp_path):
-        path = tmp_path / "closeness.ckpt"
+        path = tmp_path / "closeness.sqlite"
         first = complexity_sweep(
             "n", VALUES, rng=3, checkpoint=path, workers=2, **SWEEP_KWARGS
         )
@@ -138,23 +138,30 @@ class TestTaskIsFingerprintBearing:
 
     def test_identity_checkpoint_never_resumes_a_closeness_sweep(self, tmp_path):
         """A checkpoint written under one task is a different experiment:
-        the fingerprint mismatch forces a fresh run, not a cross-resume."""
-        path = tmp_path / "sweep.ckpt"
+        the fingerprint mismatch refuses a cross-resume, and only
+        ``resume=False`` starts the closeness sweep over."""
+        path = tmp_path / "sweep.sqlite"
         kwargs = dict(SWEEP_KWARGS)
         del kwargs["task"]
         complexity_sweep(
             "n", VALUES, rng=3, checkpoint=path, task="identity", **kwargs
         )
-        store = CheckpointStore(path)
-        identity_state = store.load()
-        assert identity_state["fingerprint"]["task"] == "identity"
+        with pytest.raises(StoreError, match="different sweep"):
+            complexity_sweep(
+                "n", VALUES, rng=3, checkpoint=path, task="closeness", **kwargs
+            )
 
-        complexity_sweep(
-            "n", VALUES, rng=3, checkpoint=path, task="closeness", **kwargs
+        restarted = complexity_sweep(
+            "n", VALUES, rng=3, checkpoint=path, resume=False,
+            task="closeness", **kwargs,
         )
-        closeness_state = store.load()
-        assert closeness_state["fingerprint"]["task"] == "closeness"
-        assert closeness_state["fingerprint"] != identity_state["fingerprint"]
+        fresh = complexity_sweep("n", VALUES, rng=3, **SWEEP_KWARGS)
+        assert sweep_json(restarted) == sweep_json(fresh)
+        store = ResultsStore(path)
+        try:
+            assert store.fingerprint()["task"] == "closeness"
+        finally:
+            store.close()
 
 
 class TestClosenessShards:

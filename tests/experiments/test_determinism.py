@@ -24,7 +24,7 @@ from repro.experiments.sweeps import (
     _point_to_json,
     complexity_sweep,
 )
-from repro.robustness.checkpoint import CheckpointStore
+from repro.distributed import ResultsStore
 
 CONFIG = TesterConfig.practical()
 WORKER_COUNTS = (None, 2, 4)
@@ -32,6 +32,15 @@ WORKER_COUNTS = (None, 2, 4)
 
 def estimate_json(estimate) -> str:
     return json.dumps(asdict(estimate), sort_keys=True)
+
+
+def committed_rows(path) -> list:
+    """The committed rows of a sweep checkpoint store, in point order."""
+    store = ResultsStore(path)
+    try:
+        return store.results()
+    finally:
+        store.close()
 
 
 def sweep_json(result) -> str:
@@ -118,7 +127,7 @@ class TestSweepDeterminism:
         """A sweep interrupted under one worker count resumes under another
         to the exact uninterrupted serial result, byte for byte."""
         values = [400, 600, 800]
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.sqlite"
         uninterrupted = complexity_sweep("n", values, rng=3, **self.KWARGS)
 
         calls = []
@@ -134,7 +143,7 @@ class TestSweepDeterminism:
                 "n", values, rng=3, checkpoint=path, workers=2,
                 workloads=dying_workloads, **self.KWARGS,
             )
-        assert len(CheckpointStore(path).load()["points"]) == 2
+        assert len(committed_rows(path)) == 2
 
         resumed = complexity_sweep(
             "n", values, rng=3, checkpoint=path, workers=4, **self.KWARGS
@@ -144,7 +153,7 @@ class TestSweepDeterminism:
     def test_checkpoint_fingerprint_excludes_workers(self, tmp_path):
         """A checkpoint written at one worker count must match (and resume
         under) a config carrying a different workers default."""
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.sqlite"
         complexity_sweep("n", self.VALUES, rng=3, checkpoint=path, workers=2,
                          **self.KWARGS)
         kwargs = dict(self.KWARGS)

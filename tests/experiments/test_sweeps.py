@@ -15,7 +15,32 @@ from repro.experiments.sweeps import (
     complexity_sweep,
     fit_power_law,
 )
-from repro.robustness.checkpoint import CheckpointStore
+from repro.distributed import ResultsStore, StoreError
+from repro.observability.trace import RecordingTracer, canonical_jsonl
+
+from .test_determinism import committed_rows
+
+
+def row_bytes(path) -> list:
+    """A checkpoint store's committed rows, wall clock stripped."""
+    return [
+        (row.index, row.result, row.samples_total, row.trials_total,
+         canonical_jsonl(list(row.trace)))
+        for row in committed_rows(path)
+    ]
+
+
+def dying_after(points: int):
+    """Workload factories that simulate a kill once ``points`` are done."""
+    calls = []
+
+    def workloads(n, k, eps):
+        calls.append(n)
+        if len(calls) == points + 1:
+            raise KeyboardInterrupt  # simulate a kill mid-sweep
+        return _default_workloads(n, k, eps)
+
+    return workloads
 
 
 class TestFitPowerLaw:
@@ -92,17 +117,16 @@ class TestGroundTruthLabels:
         assert plain.exponent == labelled.exponent
 
     def test_labelling_never_perturbs_checkpoints(self, tmp_path):
-        path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+        path_a, path_b = tmp_path / "a.sqlite", tmp_path / "b.sqlite"
         complexity_sweep("n", [400], rng=5, checkpoint=path_a, **self.KWARGS)
         complexity_sweep(
             "n", [400], rng=5, checkpoint=path_b, label_ground_truth=True,
             **self.KWARGS,
         )
-        assert json.dumps(CheckpointStore(path_a).load(), sort_keys=True) == \
-            json.dumps(CheckpointStore(path_b).load(), sort_keys=True)
+        assert row_bytes(path_a) == row_bytes(path_b)
 
     def test_resumed_sweep_is_labelled(self, tmp_path):
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.sqlite"
         complexity_sweep("n", [400, 800], rng=5, checkpoint=path, **self.KWARGS)
         resumed = complexity_sweep(
             "n", [400, 800], rng=5, checkpoint=path, label_ground_truth=True,
@@ -167,53 +191,71 @@ class TestCheckpointResume:
                   trials=3, bisection_steps=2)
 
     def test_interrupted_sweep_resumes_to_identical_result(self, tmp_path):
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.sqlite"
         full = complexity_sweep("n", self.VALUES, rng=3, **self.KWARGS)
-
-        calls = []
-
-        def dying_workloads(n, k, eps):
-            calls.append(n)
-            if len(calls) == 3:
-                raise KeyboardInterrupt  # simulate a kill mid-sweep
-            return _default_workloads(n, k, eps)
 
         with pytest.raises(KeyboardInterrupt):
             complexity_sweep(
                 "n", self.VALUES, rng=3, checkpoint=path,
-                workloads=dying_workloads, **self.KWARGS,
+                workloads=dying_after(2), **self.KWARGS,
             )
         # Two completed points survived the crash.
-        saved = CheckpointStore(path).load()
-        assert len(saved["points"]) == 2
+        assert [row.index for row in committed_rows(path)] == [0, 1]
 
         resumed = complexity_sweep(
             "n", self.VALUES, rng=3, checkpoint=path, **self.KWARGS
         )
         assert resumed == full
 
+    def test_resumed_sweep_trace_is_complete(self, tmp_path):
+        """Every committed point replays its stored sub-trace, so a resumed
+        sweep's trace equals the uninterrupted sweep's, byte for byte."""
+        path = tmp_path / "sweep.sqlite"
+        full = RecordingTracer()
+        complexity_sweep("n", self.VALUES, rng=3, trace=full, **self.KWARGS)
+
+        with pytest.raises(KeyboardInterrupt):
+            complexity_sweep(
+                "n", self.VALUES, rng=3, checkpoint=path,
+                workloads=dying_after(2), **self.KWARGS,
+            )
+        resumed = RecordingTracer()
+        complexity_sweep(
+            "n", self.VALUES, rng=3, checkpoint=path, trace=resumed, **self.KWARGS
+        )
+        assert canonical_jsonl(resumed.events) == canonical_jsonl(full.events)
+
     def test_mismatched_fingerprint_restarts(self, tmp_path):
-        path = tmp_path / "sweep.json"
+        """A store of a different sweep is refused on resume; only
+        ``resume=False`` restarts it."""
+        path = tmp_path / "sweep.sqlite"
         complexity_sweep("n", self.VALUES[:2], rng=3, checkpoint=path, **self.KWARGS)
-        # Different seed → checkpoint ignored, sweep recomputed from scratch.
+        with pytest.raises(StoreError, match="different sweep"):
+            complexity_sweep(
+                "n", self.VALUES[:2], rng=4, checkpoint=path, **self.KWARGS
+            )
         sweep = complexity_sweep(
-            "n", self.VALUES[:2], rng=4, checkpoint=path, **self.KWARGS
+            "n", self.VALUES[:2], rng=4, checkpoint=path, resume=False, **self.KWARGS
         )
         assert sweep == complexity_sweep("n", self.VALUES[:2], rng=4, **self.KWARGS)
 
     def test_resume_false_discards_checkpoint(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        store = CheckpointStore(path)
-        store.save({"fingerprint": {"bogus": 1}, "points": []})
+        path = tmp_path / "sweep.sqlite"
+        complexity_sweep("n", self.VALUES[:1], rng=4, checkpoint=path, **self.KWARGS)
         complexity_sweep(
             "n", self.VALUES[:2], rng=3, checkpoint=path, resume=False, **self.KWARGS
         )
-        # The bogus checkpoint was cleared and replaced by the real one.
-        assert store.load()["fingerprint"]["seed"] == 3
+        # The other sweep's store was deleted and replaced by this one.
+        store = ResultsStore(path)
+        try:
+            assert store.fingerprint()["seed"] == 3
+            assert store.counts()["committed"] == 2
+        finally:
+            store.close()
 
     def test_checkpoint_requires_int_seed(self, tmp_path):
         with pytest.raises(ValueError, match="integer seed"):
             complexity_sweep(
                 "n", self.VALUES[:2], rng=None,
-                checkpoint=tmp_path / "s.json", **self.KWARGS,
+                checkpoint=tmp_path / "s.sqlite", **self.KWARGS,
             )

@@ -23,18 +23,24 @@ class TestParser:
 
     def test_sweep_command_parses(self):
         args = build_parser().parse_args(
-            ["sweep", "n", "--values", "800,1600", "--checkpoint", "ck.json",
+            ["sweep", "n", "--values", "800,1600", "--store", "ck.sqlite",
              "--resume"]
         )
         assert args.axis == "n"
         assert args.values == "800,1600"
-        assert args.checkpoint == "ck.json"
+        assert args.store == "ck.sqlite"
         assert args.resume is True
 
     def test_sweep_resume_defaults_off(self):
         args = build_parser().parse_args(["sweep", "eps", "--values", "0.4,0.2"])
         assert args.resume is False
-        assert args.checkpoint is None
+        assert args.store is None
+
+    def test_sweep_checkpoint_option_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["sweep", "n", "--values", "800", "--checkpoint", "ck.json"]
+            )
 
     def test_kernel_option_is_gone(self):
         with pytest.raises(SystemExit):
@@ -94,13 +100,14 @@ class TestCommands:
         assert rc == 0
         assert "selected k : 1" in out
 
+    SWEEP_ARGV = [
+        "sweep", "n", "--values", "800,1600", "--k", "3", "--eps", "0.35",
+        "--trials", "3", "--bisection-steps", "2", "--seed", "3",
+    ]
+
     def test_sweep_writes_checkpoint(self, capsys, tmp_path):
-        path = tmp_path / "ck.json"
-        argv = [
-            "sweep", "n", "--values", "800,1600", "--k", "3", "--eps", "0.35",
-            "--trials", "3", "--bisection-steps", "2", "--seed", "3",
-            "--checkpoint", str(path),
-        ]
+        path = tmp_path / "ck.sqlite"
+        argv = self.SWEEP_ARGV + ["--store", str(path), "--worker-procs", "1"]
         rc = main(argv)
         out = capsys.readouterr().out
         assert rc == 0
@@ -109,7 +116,39 @@ class TestCommands:
         # Resuming a finished sweep recomputes nothing and prints the same table.
         rc = main(argv + ["--resume"])
         assert rc == 0
+        assert capsys.readouterr().out == out
+
+    def test_sweep_in_process_store_honours_workers(self, capsys, tmp_path, monkeypatch):
+        import repro.cli as cli
+
+        seen = {}
+        real = cli.complexity_sweep
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "complexity_sweep", spy)
+        path = tmp_path / "ck.sqlite"
+        rc = main(
+            self.SWEEP_ARGV
+            + ["--store", str(path), "--worker-procs", "1", "--workers", "2"]
+        )
+        assert rc == 0
+        assert seen["workers"] == 2
+        assert seen["checkpoint"] == str(path)
         assert "fitted exponent" in capsys.readouterr().out
+
+    def test_sweep_fleet_rejects_workers(self, tmp_path):
+        path = tmp_path / "ck.sqlite"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                self.SWEEP_ARGV
+                + ["--store", str(path), "--worker-procs", "2", "--workers", "2"]
+            )
+        message = str(exc.value.code)
+        assert "--worker-procs 1" in message and "\n" not in message
+        assert not path.exists()
 
 
 class TestTraceCli:

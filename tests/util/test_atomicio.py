@@ -1,7 +1,7 @@
 """Tests for the shared durable atomic-write path (repro.util.atomicio).
 
-Every JSON artifact the repo writes — sweep checkpoints, BENCH_*.json,
-trace JSONL, serve reports, the distributed store's sidecar files — goes
+Every JSON artifact the repo writes — BENCH_*.json, trace JSONL, serve
+reports, the distributed store's sidecar files — goes
 through this one module, so its contract (atomic replace, no torn files,
 tmp cleanup on failure) is load-bearing for crash consistency everywhere.
 """
@@ -88,14 +88,6 @@ class TestAtomicWriteJson:
 class TestCallersUseAtomicPath:
     """The artifact writers named by the bug report all route through
     atomicio (no bare open(..., 'w') left on these paths)."""
-
-    def test_checkpoint_store(self, tmp_path):
-        from repro.robustness.checkpoint import CheckpointStore
-
-        store = CheckpointStore(tmp_path / "ck.json")
-        store.save({"fingerprint": {"x": 1}, "rows": [1, 2]})
-        assert store.load() == {"fingerprint": {"x": 1}, "rows": [1, 2]}
-        assert os.listdir(tmp_path) == ["ck.json"]
 
     def test_trace_write_jsonl(self, tmp_path):
         from repro.observability.trace import RecordingTracer, read_jsonl, write_jsonl
