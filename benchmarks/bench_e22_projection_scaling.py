@@ -15,8 +15,10 @@ The dense engine builds the full O(n²) cost matrix (O(n³) work), so it is
 only timed up to ``--dense-cap`` (default 2048; smoke 512); its time is
 input-independent, which makes the cubic extrapolation safe.
 
-Emits ``BENCH_e22.json`` (see :func:`_common.write_bench_json`) for the CI
-perf-regression gate (``benchmarks/check_perf_regression.py``).
+Emits ``BENCH_e22.json`` (see :func:`_common.write_bench_json`) with
+``fast_seconds_by_n`` and ``dense_seconds_by_n`` for the CI perf-regression
+gate (``benchmarks/check_perf_regression.py``), which holds both engines'
+times against the committed baseline.
 
 Usage::
 
@@ -114,6 +116,7 @@ def main(argv: list[str] | None = None) -> int:
 
     fast_by_n = {row[0]: row[1] for row in rows}
     dense_rows = [row for row in rows if not math.isnan(row[2])]
+    dense_by_n = {row[0]: row[2] for row in dense_rows}
     slope = loglog_slope([r[0] for r in rows], [r[1] for r in rows])
 
     # Speedup at the acceptance point: measured if dense ran there, else the
@@ -154,6 +157,7 @@ def main(argv: list[str] | None = None) -> int:
             "accept_speedup_mode": accept_mode,
             "max_engine_diff": max_diff,
             "fast_seconds_by_n": {str(n): t for n, t in fast_by_n.items()},
+            "dense_seconds_by_n": {str(n): t for n, t in dense_by_n.items()},
         },
         path=args.json,
     )

@@ -5,9 +5,11 @@ Compares a freshly produced ``BENCH_e22.json`` (see
 ``benchmarks/baselines/BENCH_e22_baseline.json``.  Two gates:
 
 * **throughput** — for every domain size the baseline covers, the fresh
-  fast-engine time must stay within ``--factor`` (default 2.0) of the
-  baseline's; the baseline already carries headroom for slower CI hosts
-  (see the note inside the baseline file);
+  fast-engine time (``fast_seconds_by_n``) and dense cost-matrix time
+  (``dense_seconds_by_n``) must each stay within ``--factor`` (default
+  2.0) of the baseline's.  The dense times are a real smoke run (see the
+  note inside the baseline file), so the per-piece cost fold cannot be
+  quietly undone;
 * **correctness** — wherever the fresh run compared engines, the max
   fast-vs-dense discrepancy must stay <= 1e-12 (this one has no factor:
   golden equivalence never regresses).
@@ -58,21 +60,22 @@ def main(argv: list[str] | None = None) -> int:
             f"bench mismatch: fresh={fresh['bench']!r} baseline={base['bench']!r}"
         )
 
-    base_times = base["metrics"].get("fast_seconds_by_n", {})
-    fresh_times = fresh["metrics"].get("fast_seconds_by_n", {})
-    shared = sorted(set(base_times) & set(fresh_times), key=int)
-    if not shared:
-        raise SystemExit("no shared domain sizes between fresh run and baseline")
-
     failures = []
-    print(f"perf gate: fresh <= {factor:g}x baseline ({len(shared)} sizes)")
-    for n in shared:
-        allowed = factor * base_times[n]
-        got = fresh_times[n]
-        verdict = "ok" if got <= allowed else "REGRESSION"
-        print(f"  n={n:>6}: {got:8.3f}s vs allowed {allowed:8.3f}s  {verdict}")
-        if got > allowed:
-            failures.append(n)
+    for engine in ("fast", "dense"):
+        key = f"{engine}_seconds_by_n"
+        base_times = base["metrics"].get(key, {})
+        fresh_times = fresh["metrics"].get(key, {})
+        shared = sorted(set(base_times) & set(fresh_times), key=int)
+        if not shared:
+            raise SystemExit(f"no shared {engine} domain sizes between fresh run and baseline")
+        print(f"{engine} perf gate: fresh <= {factor:g}x baseline ({len(shared)} sizes)")
+        for n in shared:
+            allowed = factor * base_times[n]
+            got = fresh_times[n]
+            verdict = "ok" if got <= allowed else "REGRESSION"
+            print(f"  n={n:>6}: {got:8.3f}s vs allowed {allowed:8.3f}s  {verdict}")
+            if got > allowed:
+                failures.append(f"{engine}-{n}")
 
     diff = fresh["metrics"].get("max_engine_diff", math.nan)
     if not math.isnan(diff):

@@ -45,6 +45,7 @@ Two interchangeable execution engines back the public API:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -59,11 +60,6 @@ from repro.util.intervals import Partition
 #: applies to explicit ``engine="dense"`` requests (kept high enough that
 #: benchmark comparisons against the fast engine stay possible).
 _MAX_DENSE_N = 8192
-
-#: Backwards-compatible alias for the historical dense cap; ``engine="auto"``
-#: switches to the fast engine above :data:`_AUTO_FAST_THRESHOLD` long before
-#: either cap is reached.
-_MAX_EXACT_N = _MAX_DENSE_N
 
 #: The fast engine is O(n·k) memory but still quadratic in adversarial
 #: cases; refuse absurd domains outright.
@@ -140,34 +136,75 @@ def _point_projection(
     return total, bounds
 
 
+def _fold_costs(
+    mass_prefix: np.ndarray,
+    len_prefix: np.ndarray,
+    pieces: np.ndarray,
+    piece_error: Callable[[int, np.ndarray, np.ndarray], None],
+) -> np.ndarray:
+    """Interval-cost matrix ``cost[a, b] = Σ_{q∈[a,b)} err_q(μ_ab)``, folded
+    one piece at a time.
+
+    ``μ_ab`` is the merged mean ``(mass_prefix[b] − mass_prefix[a]) /
+    (len_prefix[b] − len_prefix[a])``, tabulated once.  For each ``q`` in
+    ``pieces`` (ascending), ``piece_error(q, mu, out)`` writes piece ``q``'s
+    error against every mean of the block ``a ∈ [0, q], b ∈ (q, K]`` into
+    ``out`` (a reused scratch buffer), and the block is added into
+    ``cost[:q+1, q+1:]``.  That is exactly the ``K³/6`` terms the matrix
+    needs, and every entry is the left-to-right sum of its terms in ``q``
+    order.  Pieces left out of ``pieces`` must have zero error (e.g. zero
+    weight): skipping them only drops ``+0.0`` additions, so the result is
+    bit-identical to summing every ``q`` per pair.  ``inf`` below the
+    diagonal, ``0`` on it (the layout :func:`_interval_dp` expects).
+    """
+    size = len(mass_prefix)
+    big_k = size - 1
+    cost = np.zeros((size, size))
+    cost[np.tri(size, k=-1, dtype=bool)] = np.inf
+    mu = mass_prefix[None, :] - mass_prefix[:, None]
+    with np.errstate(invalid="ignore"):  # 0/0 on the unused diagonal
+        mu /= len_prefix[None, :] - len_prefix[:, None]
+    scratch = np.empty((size // 2) * ((size + 1) // 2))
+    for q in pieces:
+        block = scratch[: (q + 1) * (big_k - q)].reshape(q + 1, big_k - q)
+        piece_error(q, mu[: q + 1, q + 1 :], block)
+        cost[: q + 1, q + 1 :] += block
+    return cost
+
+
+def _constant_piece_error(
+    values: np.ndarray, weights: np.ndarray
+) -> Callable[[int, np.ndarray, np.ndarray], None]:
+    """Fold term for a piece of constant height: ``w_q·|v_q − μ|``."""
+
+    def error(q: int, mu: np.ndarray, out: np.ndarray) -> None:
+        np.subtract(values[q], mu, out=out)
+        np.abs(out, out=out)
+        out *= weights[q]
+
+    return error
+
+
 def _flattening_cost_matrix(p: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``C[i, j]`` = masked ℓ1 error of flattening ``p`` on ``[i, j)``.
 
     The flattening constant is the *full* interval mean (masked-out points
     included), so that the assembled piecewise function keeps total mass 1.
+    Each point is a unit-length piece weighted by its mask bit.
     """
     n = len(p)
-    cost = np.full((n + 1, n + 1), np.inf)
     prefix = np.concatenate(([0.0], np.cumsum(p)))
-    for i in range(n):
-        tail = p[i:]
-        tail_mask = mask[i:]
-        lengths = np.arange(1, n - i + 1, dtype=np.float64)
-        means = (prefix[i + 1 :] - prefix[i]) / lengths
-        # err[t, j'] = |p[i+t] - mean over [i, i+j'+1)| for t <= j'; the
-        # triangular column sums are the diagonal of the running cumsum,
-        # which avoids materialising an O((n-i)^2) boolean mask per row.
-        err = np.abs(tail[:, None] - means[None, :])
-        err[~tail_mask, :] = 0.0
-        np.cumsum(err, axis=0, out=err)
-        cost[i, i + 1 :] = err.diagonal()
-    cost[np.arange(n + 1), np.arange(n + 1)] = 0.0
-    return cost
+    return _fold_costs(
+        prefix,
+        np.arange(n + 1, dtype=np.float64),
+        np.flatnonzero(mask),
+        _constant_piece_error(p, mask.astype(np.float64)),
+    )
 
 
 #: Block size (elements) for the per-row prefix matrices of
 #: :func:`_median_cost_matrix` — bounds the transient footprint to a few
-#: hundred MB at the dense cap, matching the sibling flattening build.
+#: hundred MB at the dense cap.
 _MEDIAN_BLOCK_ELEMS = 1 << 24
 
 
@@ -179,8 +216,8 @@ def _prefix_median_costs(mvals: np.ndarray) -> np.ndarray:
     which sorted elements were inserted by time ``s``.  With ``low_sum``
     the sum of the ``⌈s/2⌉`` smallest, the cost is
     ``total_s − 2·low_sum + med·(2·⌈s/2⌉ − s)`` — the below/above split
-    around the median.  O(m²) elementwise work per call (the same shape as
-    the flattening build's per-row triangle), blocked to bound memory.
+    around the median.  O(m²) elementwise work per call, blocked to bound
+    memory.
     """
     m = len(mvals)
     total = np.cumsum(mvals)
@@ -426,6 +463,24 @@ def _coarsen_for_projection(
     return flattened, coarse, coarse_kept, coarsen_err
 
 
+def _sorted_piece_error(
+    p: np.ndarray, base: Partition
+) -> Callable[[int, np.ndarray, np.ndarray], None]:
+    """Fold term for a piece whose values vary: ``Σ_{t∈q} |p_t − μ|`` for a
+    whole block of means at once, via one ``searchsorted`` against the
+    piece's sorted values (below-mean and above-mean parts)."""
+
+    def error(q: int, mu: np.ndarray, out: np.ndarray) -> None:
+        seg = np.sort(p[base[q].slice()])
+        pre = np.concatenate(([0.0], np.cumsum(seg)))
+        pos = np.searchsorted(seg, mu)
+        below = mu * pos - pre[pos]
+        above = (pre[-1] - pre[pos]) - mu * (len(seg) - pos)
+        np.add(below, above, out=out)
+
+    return error
+
+
 def coarse_flattening_projection(
     dist: ArrayLike,
     base: Partition,
@@ -439,12 +494,13 @@ def coarse_flattening_projection(
     ``base``, with TV error counted only on the kept intervals.
 
     ``kept`` is a boolean vector over the ``K`` base intervals (default: all
-    kept).  Runs in ``O(K² k)`` after an ``O(K²)``-per-row cost build,
-    independent of the domain size ``n`` — this is the oracle Step 10 of
-    Algorithm 1 calls.  Bases larger than ``max_base`` are first coarsened
-    (mask-flip + top-jump + quantile borders); the coarsening's own error is
-    *added* to the reported distance, so the result remains a valid upper
-    bound (accepting on it is always sound).
+    kept).  Runs in ``O(K² k)`` after a ``K³/6``-term per-piece cost fold
+    (:func:`_fold_costs`), independent of the domain size ``n`` — this is
+    the oracle Step 10 of Algorithm 1 calls.  Bases larger than
+    ``max_base`` are first coarsened (mask-flip + top-jump + quantile
+    borders); the coarsening's own error is *added* to the reported
+    distance, so the result remains a valid upper bound (accepting on it is
+    always sound).
     """
     p = _as_array(dist)
     if len(p) != base.n:
@@ -492,43 +548,15 @@ def coarse_flattening_projection(
         )
 
     if piecewise_constant:
-        # Vectorised path (the Algorithm 1 case: p = D̂ is constant on each
-        # base piece).  cost[a, b] = Σ_{q∈[a,b), kept} len_q·|val_q − μ_ab|.
+        # The Algorithm 1 case: p = D̂ is constant on each base piece, so
+        # cost[a, b] = Σ_{q∈[a,b), kept} len_q·|val_q − μ_ab|.
         weights = np.where(kept, lengths, 0.0)
-        cost = np.full((big_k + 1, big_k + 1), np.inf)
-        np.fill_diagonal(cost, 0.0)
-        for a in range(big_k):
-            span_len = len_prefix[a + 1 :] - len_prefix[a]
-            mus = (mass_prefix[a + 1 :] - mass_prefix[a]) / span_len  # (big_k - a,)
-            dev = np.abs(first_values[a:, None] - mus[None, :])  # (q', b')
-            dev *= weights[a:, None]
-            # Triangular (q' <= b') column sums via running cumsum diagonal —
-            # no O((big_k - a)^2) boolean mask temporary.
-            np.cumsum(dev, axis=0, out=dev)
-            cost[a, a + 1 :] = dev.diagonal()
+        piece_error = _constant_piece_error(first_values, weights)
     else:
-        # Generic path: within-piece values vary, so evaluate each piece's
-        # deviation from the merged mean through its sorted values.  One
-        # pass per piece: every (a, b) pair with a ≤ q < b needs
-        # piece_error(q, μ_ab), so batch the whole (a, b) block of means
-        # through a single searchsorted against piece q's sorted values and
-        # accumulate the block into the cost matrix.  Accumulation runs q
-        # ascending — the same order as summing q ∈ [a, b) per pair.
-        cost = np.zeros((big_k + 1, big_k + 1))
-        cost[np.tril_indices(big_k + 1, k=-1)] = np.inf
-        for q in range(big_k):
-            if not kept[q]:
-                continue
-            seg = np.sort(p[base[q].slice()])
-            pre = np.concatenate(([0.0], np.cumsum(seg)))
-            # μ_ab for a ∈ [0, q], b ∈ (q, big_k]: shape (q + 1, big_k - q).
-            mus = (mass_prefix[None, q + 1 :] - mass_prefix[: q + 1, None]) / (
-                len_prefix[None, q + 1 :] - len_prefix[: q + 1, None]
-            )
-            pos = np.searchsorted(seg, mus)
-            below = mus * pos - pre[pos]
-            above = (pre[-1] - pre[pos]) - mus * (len(seg) - pos)
-            cost[: q + 1, q + 1 :] += below + above
+        # Generic path: within-piece values vary, so each piece's deviation
+        # from a merged mean comes from its sorted values.
+        piece_error = _sorted_piece_error(p, base)
+    cost = _fold_costs(mass_prefix, len_prefix, np.flatnonzero(kept), piece_error)
 
     l1, coarse_bounds = _interval_dp(cost, k)
     domain_bounds = base.boundaries[coarse_bounds]

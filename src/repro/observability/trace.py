@@ -52,7 +52,7 @@ EVENT_KEYS = frozenset({"kind", "name", "seq", "depth", "attrs", "duration_s"})
 _KINDS = frozenset({"span", "event"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One flattened trace record (a closed span or a point event)."""
 

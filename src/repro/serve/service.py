@@ -53,6 +53,7 @@ from repro.distributions.projection import (
 )
 from repro.distributions.sampling import SampleBudgetExceeded
 from repro.observability.metrics import get_metrics
+from repro.observability.trace import TraceEvent
 from repro.robustness.faults import CorruptSampleError, InjectedStreamFailure
 from repro.robustness.resilience import RetryPolicy, TrialTimeout
 from repro.serve.admission import AdmissionConfig, AdmissionController, Rejection
@@ -213,9 +214,11 @@ class TesterService:
         self._fast_path_failed: set[tuple] = set()
         self.rounds_run = 0
         self._draining = False
-        #: Per-session exported trace events (request_id → event tuple),
+        #: Per-session trace events (request_id → tuple of ``TraceEvent``),
         #: captured at retirement for post-hoc audit (`repro serve --trace-dir`).
-        self.session_traces: dict[str, tuple] = {}
+        #: The events themselves, not ``export()`` dicts: every retired
+        #: session stays resident, so its history should cost no copies.
+        self.session_traces: dict[str, tuple[TraceEvent, ...]] = {}
 
     # -- graceful drain -------------------------------------------------------
 
@@ -488,7 +491,7 @@ class TesterService:
     def _retire(self, session: StreamSession, outcome: SessionOutcome) -> None:
         assert outcome.state in SessionState.TERMINAL
         self._outcomes[outcome.request_id] = outcome
-        self.session_traces[outcome.request_id] = session.tracer.export()
+        self.session_traces[outcome.request_id] = tuple(session.tracer.events)
         self.admission.release(outcome.request_id)
         del self.sessions[outcome.request_id]
         get_metrics().counter("serve.retired", state=outcome.state).inc()

@@ -196,6 +196,36 @@ class TestTraceCli:
         assert rc == 0
         capsys.readouterr()
 
+    def test_serve_trace_dir_matches_exported_events(self, tmp_path, capsys, monkeypatch):
+        # The service retains TraceEvent tuples; the files must be byte-for-
+        # byte what writing the exported dicts of the same events produces.
+        import repro.serve
+        from repro.observability.trace import write_jsonl
+
+        services = []
+
+        class RecordingService(repro.serve.TesterService):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                services.append(self)
+
+        monkeypatch.setattr(repro.serve, "TesterService", RecordingService)
+        trace_dir = tmp_path / "traces"
+        rc = main(
+            ["serve", "--sessions", "6", "--n", "4000", "--k", "4", "--eps", "0.3",
+             "--chaos", "--seed", "5", "--trace-dir", str(trace_dir)]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        (service,) = services
+        assert len(service.session_traces) == 6
+        for request_id, events in service.session_traces.items():
+            assert events
+            expected = tmp_path / f"{request_id}.expected.jsonl"
+            write_jsonl(expected, [e.to_json() for e in events])
+            written = trace_dir / f"{request_id}.jsonl"
+            assert written.read_bytes() == expected.read_bytes()
+
 
 class TestStageTable:
     def test_stage_table_uses_key_union(self, capsys):
