@@ -58,10 +58,12 @@ def approx_partition(
     singleton_cut = 3.0 / (4.0 * b)
     close_cut = 1.0 / b
 
+    # Zero weights never move ``acc`` and are never heavy, so the scan
+    # visits only the nonzero ones; the boundaries are the per-point scan's.
     boundaries = [0]
     acc = 0.0
-    for i in range(n):
-        w = float(weights[i])
+    nonzero = np.flatnonzero(weights)
+    for i, w in zip(nonzero.tolist(), weights[nonzero].tolist()):
         if w >= singleton_cut:
             if boundaries[-1] != i:
                 boundaries.append(i)  # close the (possibly light) run before

@@ -18,6 +18,8 @@ from repro.distributions.projection import (
     project_pmf,
     unconstrained_l1_distance,
 )
+from repro.experiments.workloads import make
+from repro.observability.metrics import get_metrics
 from repro.util.intervals import Partition
 
 
@@ -254,3 +256,35 @@ class TestExistsClose:
             exists_close_histogram(
                 np.ones(4) / 4, Partition.trivial(4), 1, np.array([True]), -0.1
             )
+
+
+class TestCheckDecidedCounter:
+    """Which path decided each Step-10 check, on bench-scale inputs
+    (n = 100000, k = 8, ε = 0.2 gives a base of a few hundred pieces)."""
+
+    @staticmethod
+    def decided_by(family):
+        # Imported here: a module-level ``test_histogram`` would be collected.
+        from repro.core.tester import test_histogram
+
+        def counts():
+            return {
+                by: get_metrics().counter("projection.check_decided", by=by).value
+                for by in ("upper", "lower", "exact")
+            }
+
+        before = counts()
+        dist = make(family, 100_000, 8, 0.2, rng=np.random.default_rng(1))
+        verdict = test_histogram(dist, 8, 0.2, rng=1, backend="pods16")
+        after = counts()
+        return {by: after[by] - before[by] for by in after}, verdict
+
+    def test_complete_staircase_accepts_by_upper_bound(self):
+        decided, verdict = self.decided_by("staircase")
+        assert decided == {"upper": 1, "lower": 0, "exact": 0}
+        assert verdict.accept
+
+    def test_zipf_rejects_by_lower_bound(self):
+        decided, verdict = self.decided_by("zipf")
+        assert decided == {"upper": 0, "lower": 1, "exact": 0}
+        assert not verdict.accept and verdict.stage == "check"

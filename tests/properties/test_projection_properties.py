@@ -6,10 +6,12 @@ unconstrained ℓ1 relaxation lower-bounds the flattening projection, the
 flattening over-shoots it by at most a factor of two, both shrink as ``k``
 grows, and genuine k-histograms project to distance zero.  Histogram
 round-trips pin the succinct representation against the explicit pmf.
+The Step-10 check's certified bounds bracket the exact coarse projection,
+and the check they short-circuit returns the exact path's answer.
 """
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.distributions.histogram import (
@@ -17,7 +19,10 @@ from repro.distributions.histogram import (
     is_k_histogram,
     num_pieces,
 )
+from repro.distributions import projection
 from repro.distributions.projection import (
+    coarse_flattening_projection,
+    exists_close_histogram,
     flattening_distance,
     flattening_profile,
     histogram_distance_bounds,
@@ -150,3 +155,61 @@ class TestHistogramRepresentation:
         partition = Partition(sorted({0, n} | inner))
         hist = Histogram.flattening(DiscreteDistribution(pmf), partition)
         np.testing.assert_allclose(hist.to_pmf(), partition.flatten(pmf), atol=1e-12)
+
+
+@st.composite
+def step10_inputs(draw, min_k, max_k):
+    """A piecewise-constant pmf on a ``K``-piece base (a noisy step function
+    with runs of unkept pieces), with the ``k`` to check it against."""
+    big_k = draw(st.integers(min_value=min_k, max_value=max_k))
+    k = draw(st.integers(min_value=1, max_value=12))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    base = Partition(np.concatenate(([0], np.cumsum(gen.integers(1, 4, size=big_k)))))
+    steps = np.sort(gen.choice(np.arange(1, big_k), size=min(big_k - 1, 9), replace=False))
+    levels = np.repeat(gen.random(len(steps) + 1) + 0.05, np.diff(np.r_[0, steps, big_k]))
+    noise = 10.0 ** gen.uniform(-6, 0)
+    heights = levels * (1.0 + noise * gen.random(big_k))
+    kept = np.ones(big_k, dtype=bool)
+    for start in gen.integers(0, big_k, size=draw(st.integers(min_value=0, max_value=4))):
+        kept[start : start + int(gen.integers(1, 30))] = False
+    pmf = np.repeat(heights, base.lengths())
+    return pmf / pmf.sum(), base, k, kept
+
+
+def margin(tolerance):
+    return projection._CHECK_MARGIN_REL * tolerance + projection._CHECK_MARGIN_ABS
+
+
+class TestStep10Bounds:
+    """``LB ≤ exact ≤ UB`` on both sides of the coarsening cap: below it the
+    bounds price the base itself, above it ``extra_error`` joins both."""
+
+    def check_bracket(self, case):
+        pmf, base, k, kept = case
+        inp = projection._coarse_input(pmf, base, k, kept, projection._MAX_PROJECTION_BASE)
+        exact = coarse_flattening_projection(pmf, base, k, kept).distance
+        # The upper bound is the fold's own arithmetic on one feasible
+        # split, so it brackets the dense DP exactly, not just to rounding.
+        assert exact <= projection._upper_bound(inp, k)
+        assert projection._lower_bound(inp, k) <= exact + margin(exact)
+
+    @given(step10_inputs(min_k=2, max_k=512))
+    def test_bracket_below_the_coarsening_cap(self, case):
+        self.check_bracket(case)
+
+    @settings(max_examples=10)
+    @given(step10_inputs(min_k=513, max_k=600))
+    def test_bracket_on_a_coarsened_base(self, case):
+        self.check_bracket(case)
+
+    @settings(max_examples=40)
+    @given(step10_inputs(min_k=projection._CHECK_BOUNDS_MIN_BASE + 1, max_k=400))
+    def test_check_matches_exact_distance(self, case):
+        pmf, base, k, kept = case
+        exact = coarse_flattening_projection(pmf, base, k, kept).distance
+        tolerances = [exact, np.nextafter(exact, np.inf), np.nextafter(exact, -np.inf)]
+        tolerances += [0.5 * exact, 2.0 * exact, 10.0 * exact]
+        for tolerance in tolerances:
+            if tolerance >= 0.0:
+                got = exists_close_histogram(pmf, base, k, kept, tolerance)
+                assert got == (exact <= tolerance), tolerance
