@@ -2,7 +2,7 @@
 
 Runs the same complexity sweep twice: serially through
 ``complexity_sweep``, and distributed over a supervised fleet of worker
-subprocesses coordinating through the crash-consistent sqlite results
+processes coordinating through the crash-consistent sqlite results
 store (:mod:`repro.distributed`) while a deterministic
 :class:`~repro.distributed.chaos.ChaosSchedule` kills workers after they
 compute but before they commit, stalls them past their lease deadlines,

@@ -13,8 +13,8 @@ Compares a freshly produced ``BENCH_e27.json`` (see
   and been absorbed (≥1 expiry or duplicate recorded) — a green run in
   which no fault ever happened proves nothing;
 * **wall clock** — fresh ``wall_distributed_seconds`` must stay below
-  ``factor ×`` the baseline (default factor 2.0; the baseline already
-  carries headroom for CI hosts).
+  ``factor ×`` the baseline (default factor 2.0; the baseline is a real
+  smoke run, not padded, so a slower host raises the factor).
 
 ``REPRO_PERF_FACTOR`` overrides ``--factor`` (e.g. a known-slow runner).
 

@@ -29,7 +29,7 @@ Six subcommands mirroring the library's main entry points:
 
 ``sweep --store`` persists the sweep in a crash-consistent sqlite store:
 shards are enqueued into it and drained by ``--worker-procs`` supervised
-subprocesses (or by separately launched ``repro worker`` processes on
+worker processes forked from this one (or by separately launched ``repro worker`` processes on
 other terminals/hosts sharing the file), or in-process with
 ``--worker-procs 1``; the assembled output is byte-identical to the
 serial run.
@@ -622,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="commit every point to this sqlite results store, drained by "
-        "supervised worker subprocesses (byte-identical to the serial run; "
+        "supervised worker processes (byte-identical to the serial run; "
         "inspect with `repro report`)",
     )
     p_sweep.add_argument(
@@ -630,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="worker subprocesses for --store mode (1 runs in-process and "
+        help="worker processes for --store mode (1 runs in-process and "
         "honours --workers)",
     )
     p_sweep.add_argument(

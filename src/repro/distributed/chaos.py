@@ -97,28 +97,6 @@ class ChaosSchedule:
             return None
         return self.actions[int(rng.integers(len(self.actions)))]
 
-    # -- CLI round trip ------------------------------------------------------
-
-    def to_args(self) -> list[str]:
-        """Serialise the seeded part as ``repro worker`` CLI flags.
-
-        Scripts don't cross the CLI boundary (tests inject them in-process);
-        subprocess chaos is always the seeded-rate flavour.
-        """
-        argv = [
-            "--chaos-seed",
-            str(self.seed),
-            "--chaos-rate",
-            str(self.rate),
-            "--chaos-actions",
-            ",".join(self.actions),
-            "--chaos-stall",
-            str(self.stall_seconds),
-        ]
-        if self.max_actions is not None:
-            argv += ["--chaos-max-actions", str(self.max_actions)]
-        return argv
-
 
 @dataclass
 class ChaosState:

@@ -5,11 +5,11 @@ The coordinator owns three things and nothing else:
 1. **Store setup** — bind the store to the sweep's fingerprint and enqueue
    one shard per point (idempotent, so re-running a crashed coordinator
    against the same store resumes instead of restarting).
-2. **Worker supervision** — spawn ``repro worker`` subprocesses against the
-   store, expire stale leases eagerly, and replace workers that die (each
-   replacement gets a fresh worker id: restarted processes must not replay
-   a dead sibling's chaos stream).  The coordinator holds no work state —
-   killing *it* and re-running is also safe.
+2. **Worker supervision** — fork worker processes against the store, wake
+   on their exits, expire stale leases eagerly, and replace workers that
+   die (each replacement gets a fresh worker id: restarted processes must
+   not replay a dead sibling's chaos stream).  The coordinator holds no
+   work state — killing *it* and re-running is also safe.
 3. **Assembly** — once every shard is committed, read results in shard
    index order and rebuild the exact :class:`SweepResult` (and, span for
    span, the exact trace) the serial :func:`complexity_sweep` would have
@@ -23,18 +23,18 @@ of the latter.
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.connection
 import os
-import subprocess
-import sys
+import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 from repro.distributed.chaos import ChaosSchedule
 from repro.distributed.spec import SweepSpec
 from repro.distributed.store import ResultsStore, StoreError, open_store
-from repro.distributed.worker import Worker, WorkerOptions, WorkerSummary
+from repro.distributed.worker import Worker, WorkerOptions, WorkerSummary, worker_main
 from repro.experiments.sweeps import SweepResult, _point_from_json
 from repro.observability.trace import Tracer
 
@@ -111,7 +111,7 @@ def run_local(
     """Drain the store in-process: the thin local special case.
 
     A plain :class:`Worker` run against the store from this process — the
-    exact code path subprocess workers take, minus the process boundary.
+    exact code path fleet workers take, minus the process boundary.
     """
     options = WorkerOptions(
         worker_id=worker_id,
@@ -123,47 +123,30 @@ def run_local(
 
 
 # ---------------------------------------------------------------------------
-# Subprocess supervision
+# Fleet supervision
 # ---------------------------------------------------------------------------
 
-
-def _worker_argv(
-    store_path: "str | os.PathLike",
-    worker_id: str,
-    *,
-    lease_seconds: float,
-    chaos: "ChaosSchedule | None",
-) -> list[str]:
-    argv = [
-        sys.executable,
-        "-m",
-        "repro",
-        "worker",
-        "--store",
-        str(store_path),
-        "--worker-id",
-        worker_id,
-        "--lease-seconds",
-        str(lease_seconds),
-    ]
-    if chaos is not None:
-        argv += chaos.to_args()
-    return argv
+#: Workers are forks of the coordinator, so they start with every module
+#: already imported.  Spawn and forkserver starts re-import the caller's
+#: ``__main__`` in each child (and raise on an unguarded one), which costs
+#: more than a small shard's compute (DESIGN § Distributed execution).
+_FORK = multiprocessing.get_context("fork")
 
 
-def _worker_env() -> dict[str, str]:
-    """Subprocess env with this repro package importable (CI runs from a
-    source tree; workers must resolve the same build the coordinator did)."""
-    import repro
-
-    src_root = str(Path(repro.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    if src_root not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = (
-            src_root + (os.pathsep + existing if existing else "")
+def _require_single_thread() -> None:
+    """Refuse to fork while other threads run: a forked child inherits
+    their locks in whatever state they were, held by threads it lacks."""
+    others = [t.name for t in threading.enumerate() if t is not threading.current_thread()]
+    if others:
+        raise RuntimeError(
+            f"run_fleet forks its workers and cannot while other threads are "
+            f"alive: {', '.join(others)}"
         )
-    return env
+
+
+def _discard(line: str) -> None:
+    """Drop a forked worker's summary line: the coordinator's stdout
+    carries the sweep's own output (``repro worker`` prints the line)."""
 
 
 @dataclass
@@ -187,42 +170,53 @@ def run_fleet(
     max_restarts: int = 20,
     timeout: float = 600.0,
 ) -> FleetReport:
-    """Drive subprocess workers against ``store`` until the sweep finishes.
+    """Drive forked workers against ``store`` until the sweep finishes.
 
     Crash-tolerant by construction: a worker that dies (chaos kill, OOM,
     operator SIGKILL) is replaced with a fresh id — up to ``max_restarts``
-    times fleet-wide — and its abandoned lease expires on schedule.  The
-    loop also expires stale leases eagerly so stragglers re-dispatch without
-    waiting for the next claim to trip over them.
+    times fleet-wide — and its abandoned lease expires on schedule.  A
+    worker that exits 0 mid-sweep drained on request and is not replaced;
+    once every worker has drained with shards outstanding, this raises
+    :class:`StoreError` rather than idle until ``timeout``.
+
+    The loop sleeps until a worker exits, or at most ``poll_seconds``, which
+    is thus the longest gap between eager lease-expiry sweeps (stragglers
+    re-dispatch without waiting for a claim to trip over them).
+
+    Workers are ``fork()``s of this process, so it must have no other
+    thread alive (:class:`RuntimeError` otherwise); the store's connection
+    is closed before each fork and reopened on next use.
     """
     if processes < 1:
         raise ValueError(f"processes must be >= 1, got {processes}")
     report = FleetReport()
-    env = _worker_env()
-    procs: dict[str, subprocess.Popen] = {}
-    spawned = 0
+    procs: dict[str, multiprocessing.Process] = {}
 
     def _spawn() -> None:
-        nonlocal spawned
-        worker_id = f"w{spawned}"
-        spawned += 1
-        report.workers_spawned += 1
-        procs[worker_id] = subprocess.Popen(
-            _worker_argv(
-                store.path,
-                worker_id,
-                lease_seconds=lease_seconds,
-                chaos=chaos,
-            ),
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
+        _require_single_thread()
+        worker_id = f"w{report.workers_spawned}"
+        options = WorkerOptions(
+            worker_id=worker_id, lease_seconds=lease_seconds, chaos=chaos
         )
+        store.close()
+        proc = _FORK.Process(
+            target=worker_main,
+            args=(store.path, options),
+            kwargs={"emit": _discard},
+            name=worker_id,
+        )
+        proc.start()
+        procs[worker_id] = proc
+        report.workers_spawned += 1
+
+    def _reap(worker_id: str, code: int) -> None:
+        report.exit_codes[worker_id] = code
+        procs.pop(worker_id).close()
 
     start = time.monotonic()
-    for _ in range(processes):
-        _spawn()
     try:
+        for _ in range(processes):
+            _spawn()
         while not store.finished():
             if time.monotonic() - start > timeout:
                 raise StoreError(
@@ -231,37 +225,45 @@ def run_fleet(
                 )
             report.leases_expired += len(store.expire_leases())
             for worker_id, proc in list(procs.items()):
-                code = proc.poll()
+                code = proc.exitcode
                 if code is None:
                     continue
-                report.exit_codes[worker_id] = code
-                del procs[worker_id]
-                if store.finished():
+                _reap(worker_id, code)
+                # Exit code 0 means the worker drained (operator SIGTERM)
+                # or saw the sweep finished; only crashes are replaced.
+                if code == 0 or store.finished():
                     continue
-                if code != 0 and report.restarts >= max_restarts:
+                if report.restarts >= max_restarts:
                     raise StoreError(
                         f"worker {worker_id} exited with {code} and the "
                         f"restart budget ({max_restarts}) is spent"
                     )
-                # Exit code 0 mid-sweep means the worker drained (operator
-                # SIGTERM) or saw the sweep finished; only replace crashes.
-                if code != 0:
-                    report.restarts += 1
-                    _spawn()
-            time.sleep(poll_seconds)
+                report.restarts += 1
+                _spawn()
+            if not procs:
+                if store.finished():
+                    break
+                drained = [w for w, code in report.exit_codes.items() if code == 0]
+                raise StoreError(
+                    f"every worker has drained ({', '.join(drained)}) with the "
+                    f"sweep unfinished ({store.counts()}); exit codes: "
+                    f"{report.exit_codes}"
+                )
+            multiprocessing.connection.wait(
+                [proc.sentinel for proc in procs.values()], timeout=poll_seconds
+            )
     finally:
         # Graceful drain for survivors, escalating only if they ignore it.
         for proc in procs.values():
-            if proc.poll() is None:
+            if proc.exitcode is None:
                 proc.terminate()
         deadline = time.monotonic() + 10.0
-        for worker_id, proc in procs.items():
-            remaining = max(0.1, deadline - time.monotonic())
-            try:
-                report.exit_codes[worker_id] = proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
+        for worker_id, proc in list(procs.items()):
+            proc.join(max(0.1, deadline - time.monotonic()))
+            if proc.exitcode is None:
                 proc.kill()
-                report.exit_codes[worker_id] = proc.wait()
+                proc.join()
+            _reap(worker_id, proc.exitcode)
     report.wall_seconds = time.monotonic() - start
     return report
 

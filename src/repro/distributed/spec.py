@@ -11,7 +11,9 @@ A **shard** is one sweep point.  Its id is the sha256 of the canonical JSON
 of ``{sweep fingerprint, point index, point value}``, which makes commits
 idempotent by construction: however many times a shard is re-dispatched,
 every completion computes the same id and only the first writer's result
-row lands.
+row lands.  Each shard's payload also carries its ``cost``: the task's
+closed-form sample budget at that point, by which the store hands out the
+costliest shard first (the id does not depend on it).
 
 :func:`run_shard` is the determinism keystone.  It runs the serial sweep's
 own per-point function (:func:`~repro.experiments.sweeps.measure_point`)
@@ -34,6 +36,7 @@ from repro.experiments.sweeps import (
     _point_from_json,
     _point_to_json,
     measure_point,
+    point_instance,
     sweep_fingerprint,
     sweep_task,
 )
@@ -125,13 +128,23 @@ class SweepSpec:
         ).hexdigest()
         return digest[:32]
 
+    def point_cost(self, index: int) -> float:
+        """The closed-form sample budget of point ``index`` (its claim rank)."""
+        n, k, eps = point_instance(self.axis, self.values[index], self.n, self.k, self.eps)
+        return float(sweep_task(self.task).budget(n, k, eps, self.config, self.backend))
+
     def shards(self) -> list[Shard]:
-        """One shard per sweep point, in point order."""
+        """One shard per sweep point, in point order, each priced by
+        :meth:`point_cost` so the store can claim the costliest first."""
         return [
             Shard(
                 shard_id=self.shard_id(index),
                 index=index,
-                payload={"index": index, "value": float(value)},
+                payload={
+                    "index": index,
+                    "value": float(value),
+                    "cost": self.point_cost(index),
+                },
             )
             for index, value in enumerate(self.values)
         ]

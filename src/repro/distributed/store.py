@@ -19,8 +19,9 @@ Crash-consistency contract
   worker whose lease expired finishing anyway — is recorded as a
   ``duplicate`` audit event and changes nothing.
 * A lease is a row with a deadline.  Claiming is atomic (the transaction
-  selects the lowest-index claimable shard and writes the lease in one
-  step); a crashed or stalled worker's lease simply expires, after which
+  selects the costliest claimable shard — lowest index among equal or
+  missing costs — and writes the lease in one step); a crashed or stalled
+  worker's lease simply expires, after which
   the shard is claimable again.  Nothing is ever lost: work is re-run from
   its deterministic seed, and idempotent commit guarantees re-runs cannot
   double-count.
@@ -223,7 +224,11 @@ class ResultsStore:
         return conn
 
     def close(self) -> None:
-        """Close this thread's connection (other threads' stay open)."""
+        """Close this thread's connection (other threads' stay open).
+
+        The next call on this thread reopens it.  Close before ``fork()``:
+        SQLite forbids using a connection in a child it was inherited by.
+        """
         conn = getattr(self._local, "conn", None)
         if conn is not None:
             conn.close()
@@ -332,7 +337,13 @@ class ResultsStore:
     # -- the lease state machine ---------------------------------------------
 
     def claim(self, worker_id: str, lease_seconds: float) -> "Lease | None":
-        """Atomically claim the lowest-index claimable shard.
+        """Atomically claim the costliest claimable shard.
+
+        Shards are ranked by the ``cost`` in their payload, highest first,
+        so the longest shard starts first and the fleet's makespan is not
+        set by a large shard claimed last.  Ties go to the lowest index;
+        payloads without a cost (a store enqueued before shards were
+        priced) rank after every priced shard, in index order.
 
         Claimable = pending with no lease, or pending whose lease deadline
         has passed (the previous holder crashed or stalled; its expiry is
@@ -350,7 +361,8 @@ class ResultsStore:
                 FROM shards s LEFT JOIN leases l ON l.shard_id = s.shard_id
                 WHERE s.status = 'pending'
                   AND (l.shard_id IS NULL OR l.deadline <= ?)
-                ORDER BY s.idx LIMIT 1
+                ORDER BY json_extract(s.payload, '$.cost') DESC, s.idx
+                LIMIT 1
                 """,
                 (now,),
             ).fetchone()

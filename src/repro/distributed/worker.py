@@ -1,9 +1,10 @@
 """The shard worker: claim → run → heartbeat → idempotently commit.
 
-A worker is a plain process (``repro worker --store sweep.sqlite``) holding
-no state the store doesn't also hold.  Its loop:
+A worker is a plain process (``repro worker --store sweep.sqlite``, or a
+fork of the coordinator) holding no state the store doesn't also hold.
+Its loop:
 
-1. claim the lowest-index claimable shard (atomic lease with a deadline);
+1. claim the costliest claimable shard (atomic lease with a deadline);
 2. start a heartbeat thread extending the lease while the shard computes;
 3. run the shard through the deterministic trial engine
    (:func:`repro.distributed.spec.run_shard`);
@@ -19,7 +20,8 @@ the store itself is persistently unhealthy rather than hammering it.
 
 SIGTERM/SIGINT request a **graceful drain**: the in-flight shard finishes
 and commits (work already paid for is not thrown away), no further shards
-are claimed, and the worker exits with a reconciled
+are claimed, an idle worker leaves its wait at once, and the worker exits
+with a reconciled
 :class:`~repro.observability.ledger.SampleLedger` — one stage per committed
 shard, integer-exact, proving the worker accounted for every sample it
 drew.  SIGKILL needs no handling at all: the lease expires, the shard is
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import queue
 import signal
 import sqlite3
 import threading
@@ -128,6 +131,8 @@ class WorkerOptions:
     lease_seconds: float = 30.0
     #: Beat interval; default ``lease_seconds / 3`` (several beats per lease).
     heartbeat_interval: "float | None" = None
+    #: Longest wait between store polls while nothing is claimable or the
+    #: store is failing (:meth:`Worker.request_drain` ends it early).
     poll_seconds: float = 0.2
     #: Stop after this many commits (``None`` = run until the sweep finishes).
     max_shards: "int | None" = None
@@ -197,6 +202,10 @@ class Worker:
         )
         self._chaos = ChaosState(options.chaos) if options.chaos else None
         self._drain_requested = False
+        # Wakes pause().  A SimpleQueue, not a threading.Event: put() is
+        # reentrant, so the signal handler cannot deadlock on a lock the
+        # interrupted main thread holds inside Event.wait().
+        self._wake: "queue.SimpleQueue[None]" = queue.SimpleQueue()
         self._spec: "SweepSpec | None" = None
 
     # -- drain ---------------------------------------------------------------
@@ -204,6 +213,16 @@ class Worker:
     def request_drain(self) -> None:
         """Finish the in-flight shard, commit it, then exit the loop."""
         self._drain_requested = True
+        self._wake.put(None)
+
+    def pause(self, seconds: float) -> bool:
+        """The loop's wait between store polls: up to ``seconds``, ended at
+        once by :meth:`request_drain`.  Returns whether a drain is pending."""
+        try:
+            self._wake.get(timeout=seconds)
+        except queue.Empty:
+            pass
+        return self._drain_requested
 
     def install_signal_handlers(self) -> None:
         """SIGTERM/SIGINT → graceful drain (main thread only)."""
@@ -251,7 +270,7 @@ class Worker:
         while not self._drain_requested:
             self._breaker.tick()
             if not self._breaker.allow():
-                self._sleep(opts.poll_seconds)
+                self.pause(opts.poll_seconds)
                 continue
             try:
                 if self._guarded("finished", self.store.finished):
@@ -261,12 +280,12 @@ class Worker:
                     lambda: self.store.claim(opts.worker_id, opts.lease_seconds),
                 )
             except STORE_TRANSIENT:
-                self._sleep(opts.poll_seconds)
+                self.pause(opts.poll_seconds)
                 continue
             if lease is None:
                 # Everything claimable is leased out; wait for commits or
                 # expiries (a crashed holder's shard becomes claimable again).
-                self._sleep(opts.poll_seconds)
+                self.pause(opts.poll_seconds)
                 continue
             summary.claimed += 1
             action = self._chaos.draw(opts.worker_id, claim_ordinal) if self._chaos else None

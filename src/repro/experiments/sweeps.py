@@ -16,8 +16,8 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.backends import DEFAULT_BACKEND, validate_backend
-from repro.core.closeness import test_closeness
+from repro.core.backends import DEFAULT_BACKEND, backend_budget, validate_backend
+from repro.core.closeness import closeness_budget, test_closeness
 from repro.core.config import TesterConfig
 from repro.core.tester import test_histogram
 from repro.distributions import families
@@ -205,16 +205,23 @@ class SweepTask(NamedTuple):
     workloads: Callable  # (n, k, eps) -> (complete, far) default factories
     family: Callable  # (k, eps, config, backend) -> tester family
     label: Callable  # (instance, k) -> (lower, upper) ground-truth distance
+    budget: Callable  # (n, k, eps, config, backend) -> closed-form sample budget
 
 
 #: Identity sweeps label each side with certified ``dTV(·, H_k)`` bounds;
 #: closeness sweeps with the pair's exact, closed-form ``dTV(p, q)``.
 TASKS = {
-    "identity": SweepTask(_default_workloads, HistogramTesterFamily, ground_truth_bounds),
+    "identity": SweepTask(
+        _default_workloads,
+        HistogramTesterFamily,
+        ground_truth_bounds,
+        lambda n, k, eps, config, backend: backend_budget(backend, n, k, eps, config),
+    ),
     "closeness": SweepTask(
         _default_paired_workloads,
         lambda k, eps, config, backend: ClosenessTesterFamily(k, eps, config),
         lambda pair, k: (pair_ground_truth(*pair),) * 2,
+        lambda n, k, eps, config, backend: closeness_budget(n, k, eps, config),
     ),
 }
 
@@ -345,6 +352,17 @@ def _point_from_json(data: dict[str, Any]) -> SweepPoint:
     )
 
 
+def point_instance(
+    axis: str, value: float, n: int, k: int, eps: float
+) -> tuple[int, int, float]:
+    """The ``(n, k, ε)`` instance of the sweep point with ``axis`` at ``value``."""
+    if axis == "n":
+        return int(value), k, eps
+    if axis == "k":
+        return n, int(value), eps
+    return n, k, float(value)
+
+
 def measure_point(
     axis: str,
     value: float,
@@ -371,13 +389,7 @@ def measure_point(
     tracer, so a point and its ``point`` sub-trace are byte-identical
     whichever executor computed them.
     """
-    cur_n, cur_k, cur_eps = n, k, eps
-    if axis == "n":
-        cur_n = int(value)
-    elif axis == "k":
-        cur_k = int(value)
-    else:
-        cur_eps = float(value)
+    cur_n, cur_k, cur_eps = point_instance(axis, value, n, k, eps)
     spec = sweep_task(task)
     make_workloads = workloads if workloads is not None else spec.workloads
     complete, far = make_workloads(cur_n, cur_k, cur_eps)

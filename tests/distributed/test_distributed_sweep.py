@@ -10,6 +10,7 @@ exactly (zero drift).
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 
@@ -18,15 +19,20 @@ import pytest
 from repro.distributed import (
     ChaosSchedule,
     ResultsStore,
+    Shard,
+    StoreError,
     SweepSpec,
     Worker,
     WorkerOptions,
     assemble,
     create_store,
+    run_fleet,
     run_local,
     run_shard,
     summarize,
 )
+from repro.distributed import coordinator
+from repro.distributed.store import open_store
 from repro.experiments.sweeps import complexity_sweep, sweep_fingerprint
 from repro.observability.trace import RecordingTracer, canonical_jsonl
 
@@ -98,6 +104,45 @@ class TestSpec:
             trials=SPEC.trials, bisection_steps=SPEC.bisection_steps, seed=8,
         )
         assert other.shard_id(0) != SPEC.shard_id(0)
+
+    @pytest.mark.parametrize("backend", ["pods16", "cdkl22"])
+    @pytest.mark.parametrize("task", ["identity", "closeness"])
+    @pytest.mark.parametrize(
+        "axis, values, direction",
+        [
+            ("n", (512.0, 2048.0, 8192.0, 65536.0), 1),
+            ("k", (2.0, 4.0, 8.0, 16.0), 1),
+            ("eps", (0.1, 0.2, 0.3, 0.4), -1),
+        ],
+    )
+    def test_shard_costs_are_monotone_along_each_axis(
+        self, task, backend, axis, values, direction
+    ):
+        """A shard's price is its point's budget: it grows with n and k and
+        shrinks with ε, so the store claims the longest shard first."""
+        spec = SweepSpec(
+            axis=axis, values=values, n=4096, k=4, eps=0.3, trials=2,
+            bisection_steps=1, seed=7, task=task, backend=backend,
+        )
+        costs = [shard.payload["cost"] for shard in spec.shards()]
+        steps = [direction * (b - a) for a, b in zip(costs, costs[1:])]
+        assert all(step > 0 for step in steps), costs
+
+    def test_store_without_costs_resumes_lowest_index_first(self, tmp_path):
+        """A store enqueued before shards were priced keeps its payloads on
+        resume (enqueue is insert-or-ignore) and is drained in index order;
+        a fresh store of the same sweep goes costliest first."""
+        unpriced = [
+            Shard(shard.shard_id, shard.index, {"index": shard.index, "value": shard.payload["value"]})
+            for shard in SPEC3.shards()
+        ]
+        old = tmp_path / "old.sqlite"
+        open_store(old, SPEC3.fingerprint(), SPEC3.to_json(), unpriced).close()
+        resumed = create_store(old, SPEC3)
+        fresh = create_store(tmp_path / "fresh.sqlite", SPEC3)
+        for store, expected in ((resumed, [0, 1, 2]), (fresh, [2, 1, 0])):
+            assert [store.claim("w0", 10.0).shard.index for _ in range(3)] == expected
+            store.close()
 
     def test_malformed_spec_rejected(self):
         data = SPEC.to_json()
@@ -261,3 +306,63 @@ class TestChaosMatrix:
             assert not thread.is_alive()
         assert_matches_serial(store, serial3)
         assert store.event_tally()["commit"] == 3
+
+
+class TestFleet:
+    def test_fleet_fails_fast_once_every_worker_has_drained(self, tmp_path, monkeypatch):
+        """Workers exiting 0 mid-sweep drained on request and are not
+        replaced; with none left the fleet raises at once, naming them,
+        instead of idling until its timeout."""
+        monkeypatch.setattr(coordinator, "worker_main", lambda path, options, emit: None)
+        store = create_store(tmp_path / "s.sqlite", SPEC)
+        start = time.monotonic()
+        with pytest.raises(StoreError, match=r"every worker has drained \(w0, w1\)"):
+            run_fleet(store, processes=2, timeout=60.0)
+        assert time.monotonic() - start < 30.0
+        assert store.counts()["pending"] == len(SPEC.values)
+        store.close()
+
+    def test_fork_refused_while_other_threads_run(self, tmp_path):
+        store = create_store(tmp_path / "s.sqlite", SPEC)
+        release = threading.Event()
+        bystander = threading.Thread(target=release.wait, name="bystander")
+        bystander.start()
+        try:
+            with pytest.raises(RuntimeError, match="bystander"):
+                run_fleet(store, processes=2)
+        finally:
+            release.set()
+            bystander.join(timeout=10.0)
+        assert not bystander.is_alive()
+        assert multiprocessing.active_children() == []
+        assert store.event_tally()["claim"] == 0
+        store.close()
+
+    def test_request_drain_ends_an_idle_wait(self, tmp_path):
+        """An idle worker (every shard leased elsewhere) leaves its wait as
+        soon as a drain is requested, not when its poll interval ends."""
+        store = create_store(tmp_path / "s.sqlite", SPEC)
+        for _ in SPEC.values:
+            store.claim("holder", 3600.0)
+        waiting = threading.Event()
+        woken = []
+
+        class Probe(Worker):
+            def pause(self, seconds):
+                waiting.set()
+                woken.append(super().pause(seconds))
+                return woken[-1]
+
+        worker = Probe(store, WorkerOptions(worker_id="idle", poll_seconds=3600.0))
+        slot = {}
+        thread = threading.Thread(
+            target=lambda: slot.update(summary=worker.run()), daemon=True
+        )
+        thread.start()
+        assert waiting.wait(timeout=30.0)
+        worker.request_drain()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert woken == [True]
+        assert slot["summary"].drained
+        store.close()

@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +29,6 @@ from repro.distributed import (
     run_local,
     summarize,
 )
-from repro.distributed.coordinator import _worker_env
 from repro.experiments.sweeps import complexity_sweep
 from repro.observability.trace import RecordingTracer, canonical_jsonl
 
@@ -42,6 +42,21 @@ HEAVY = SweepSpec(
     axis="n", values=(176.0, 192.0, 208.0, 224.0), n=224, k=4, eps=0.25,
     trials=12, bisection_steps=6, seed=9,
 )
+
+
+def _worker_env() -> dict[str, str]:
+    """Subprocess env with this repro package importable (CI runs from a
+    source tree; workers must resolve the same build the coordinator did)."""
+    import repro
+
+    src_root = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH", "")
+    if src_root not in existing.split(os.pathsep):
+        env["PYTHONPATH"] = (
+            src_root + (os.pathsep + existing if existing else "")
+        )
+    return env
 
 
 def serial_pair(spec: SweepSpec):

@@ -79,6 +79,19 @@ class TestLeaseLifecycle:
         assert lease.shard.index == 0
         assert lease.worker_id == "w0"
 
+    def test_priced_shards_claimed_costliest_first(self, tmp_path, clock):
+        """Payload ``cost`` ranks claims, highest first; ties go to the
+        lowest index."""
+        costs = [1.0, 5.0, 3.0, 5.0]
+        priced = ResultsStore(tmp_path / "priced.sqlite", clock=clock)
+        priced.initialise(FP, SPEC, [
+            Shard(shard_id=f"s{i:02d}", index=i, payload={"index": i, "cost": cost})
+            for i, cost in enumerate(costs)
+        ])
+        order = [priced.claim("w0", 10.0).shard.index for _ in costs]
+        assert order == [1, 3, 2, 0]
+        priced.close()
+
     def test_claims_are_exclusive(self, store):
         store.claim("w0", 10.0)
         lease = store.claim("w1", 10.0)
