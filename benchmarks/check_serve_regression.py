@@ -5,8 +5,8 @@ Compares a freshly produced ``BENCH_e24.json`` (see
 ``benchmarks/baselines/BENCH_e24_baseline.json``.  Three gates:
 
 * **throughput** — fresh ``sessions_per_second`` must stay above
-  ``baseline / factor`` (default factor 2.0; the baseline already carries
-  ~1.5x headroom for slower CI hosts);
+  ``baseline / factor`` (default factor 2.0; the baseline is the
+  unpadded median of nine real ``--smoke`` runs);
 * **tail latency** — fresh ``p99_latency_seconds`` must stay below
   ``factor × baseline``;
 * **determinism** — the fresh run's ``replay_identical`` flag must be

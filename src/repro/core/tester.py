@@ -68,14 +68,15 @@ STAGE_ORDER = ("partition", "learn", "sieve", "check", "chi2", "plugin")
 
 #: Signature of the Step-10 check oracle: ``(pmf, partition, k, kept,
 #: tolerance, engine=...) -> bool``.  The default is the DP of
-#: :func:`~repro.distributions.projection.exists_close_histogram`; the serve
-#: layer injects a caching/fallback wrapper with the same signature.
+#: :func:`~repro.distributions.projection.exists_close_histogram`; a serve
+#: session with a declared projection fault injects a dense-once wrapper
+#: with the same signature.
 CheckOracle = Callable[..., bool]
 
 #: Signature of the cdkl22 projection oracle: ``(pmf, partition, k, kept,
 #: engine=...) -> Projection``.  The default is
-#: :func:`~repro.distributions.projection.coarse_flattening_projection`; the
-#: serve layer injects a caching/fallback wrapper with the same signature.
+#: :func:`~repro.distributions.projection.coarse_flattening_projection`;
+#: the serve layer's fault wrapper has the same signature.
 ProjectOracle = Callable[..., Projection]
 
 

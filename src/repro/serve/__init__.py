@@ -15,7 +15,8 @@ k-histogram?" queries over the batch-first tester core
 * :mod:`repro.serve.batch` — the vectorized final-test executor
   (streams × repeats × domain matrices through one χ² kernel call);
 * :mod:`repro.serve.service` — the round-driven event loop tying the above
-  together, with a shared projection-check cache and graceful degradation;
+  together, with retry, circuit breaking and graceful degradation (each
+  session calls the projection oracles directly);
 * :mod:`repro.serve.chaos` — deterministic fault-schedule replay for the
   ``repro serve --chaos`` drill and the E24 soak benchmark.
 

@@ -19,8 +19,9 @@ Fault kinds cycle deterministically over the faulty sessions:
   exercises retry and eviction);
 * ``timeout``       — a deadline in virtual ticks too tight for the final
   test (exercises eviction and the partial-pipeline degradation);
-* ``projection``    — an injected fast-engine failure in the check stage
-  (exercises the dense fallback → DEGRADED path).
+* ``projection``    — a declared fault on the session's first check-stage
+  projection, which reruns on the dense engine (exercises the
+  ``projection-dense-fallback`` → DEGRADED path; no engine actually fails).
 """
 
 from __future__ import annotations

@@ -16,13 +16,17 @@ Degradation policy (in order of preference):
 1. **retry** — transient stream faults (injected failures, corrupt
    batches) get a fresh attempt after a seeded, jittered backoff in
    virtual time, up to the retry policy's attempt limit;
-2. **fallback** — a projection-oracle error during the check stage falls
-   back from the requested engine to the exact-but-slower dense DP and
-   flags the verdict ``projection-dense-fallback``;
+2. **fallback** — a session carrying the chaos drill's declared
+   ``projection`` fault runs its first check-stage projection on the
+   dense engine and flags the verdict ``projection-dense-fallback``
+   (:meth:`StreamSession.start_attempt
+   <repro.serve.session.StreamSession.start_attempt>`); nothing else
+   falls back — an exception from the projection is a bug and propagates;
 3. **partial-pipeline** — a deadline or budget death *after* the check
    stage passed accepts on the prefix evidence with an explicit confidence
    downgrade (2/3 → 1/2);
-4. **evict** — anything else retires the session with a reason string.
+4. **evict** — any other session failure (:data:`SESSION_FAILURES`)
+   retires the session with a reason string.
 
 Time is virtual (a step clock advanced one tick per round plus one per
 deadline check), retry jitter is seeded per session, and attempt RNG
@@ -40,17 +44,10 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-import numpy as np
-
 from repro.baselines.learn_offline import learn_offline_budget_practical
 from repro.core.backends import backend_budget
 from repro.core.config import TesterConfig
 from repro.core.tester import TesterPipeline, Verdict
-from repro.distributions.projection import (
-    Projection,
-    coarse_flattening_projection,
-    exists_close_histogram,
-)
 from repro.distributions.sampling import SampleBudgetExceeded
 from repro.observability.metrics import get_metrics
 from repro.observability.trace import TraceEvent
@@ -60,10 +57,6 @@ from repro.serve.admission import AdmissionConfig, AdmissionController, Rejectio
 from repro.serve.batch import FinalBatchItem, compute_final_statistics
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.session import SessionOutcome, SessionState, StreamRequest, StreamSession
-
-
-class ProjectionOracleError(RuntimeError):
-    """An injected (or real) failure of the fast projection engine."""
 
 
 #: Failures the service absorbs per session; anything else is a bug and
@@ -129,7 +122,6 @@ class ServiceConfig:
     #: Per-attempt sample caps are ``slack ×`` the Algorithm 1 budget
     #: (mirrors :func:`repro.core.budget.capped_source`).
     budget_slack: float = 1.5
-    check_cache_size: int = 128
     #: Worker processes for the batched final-test statistics (None=serial).
     workers: Optional[int] = None
     #: Hard stop for the round loop — a liveness backstop, not a tunable.
@@ -205,13 +197,6 @@ class TesterService:
         self._outcomes: dict[str, SessionOutcome] = {}
         self._rejections: list[Rejection] = []
         self._session_counter = 0
-        self._check_cache: "OrderedDict[tuple, bool]" = OrderedDict()
-        self._project_cache: "OrderedDict[tuple, Projection]" = OrderedDict()
-        #: Cache keys whose fast projection engine failed *deterministically*:
-        #: later calls (any session) go straight to the dense DP instead of
-        #: re-driving the fast path into the same failure.  Injected chaos
-        #: faults are transient and deliberately never land here.
-        self._fast_path_failed: set[tuple] = set()
         self.rounds_run = 0
         self._draining = False
         #: Per-session trace events (request_id → tuple of ``TraceEvent``),
@@ -377,8 +362,6 @@ class TesterService:
             clock=self.clock,
             admitted_round=round_index,
         )
-        session.check_oracle = self._make_check_oracle(session)
-        session.project_oracle = self._make_project_oracle(session)
         session.admitted_wall = time.perf_counter()
         self.sessions[request_id] = session
         get_metrics().counter("serve.admitted").inc()
@@ -499,7 +482,7 @@ class TesterService:
     def _wall(self, session: StreamSession) -> float:
         return time.perf_counter() - session.admitted_wall
 
-    # -- shared check oracle --------------------------------------------------
+    # -- per-source breakers -------------------------------------------------
 
     def _breaker(self, source_id: str) -> CircuitBreaker:
         breaker = self.breakers.get(source_id)
@@ -510,129 +493,3 @@ class TesterService:
             )
             self.breakers[source_id] = breaker
         return breaker
-
-    @staticmethod
-    def _array_key(values) -> tuple:
-        """Byte key of one array operand: raw bytes *plus* shape and dtype.
-
-        Bytes alone are ambiguous — a float32 pmf whose buffer coincides
-        with half of a float64 one, or a (2, n) stack sharing bytes with a
-        (2n,) vector, must never collide — so every byte-keyed cache here
-        keys on ``(tobytes, shape, dtype.str)``.
-        """
-        arr = np.ascontiguousarray(values)
-        return (arr.tobytes(), arr.shape, arr.dtype.str)
-
-    def _project_key(self, pmf, partition, k, kept, engine) -> tuple:
-        return (
-            self._array_key(pmf),
-            int(k),
-            self._array_key(partition.boundaries),
-            self._array_key(kept),
-            engine,
-        )
-
-    def _check_key(self, pmf, partition, k, kept, tolerance, engine) -> tuple:
-        return self._project_key(pmf, partition, k, kept, engine) + (float(tolerance),)
-
-    def _cached(self, cache: OrderedDict, metric: str, key: tuple, compute):
-        """One shared oracle cache: an LRU over exact byte keys."""
-        metrics = get_metrics()
-        if key in cache:
-            cache.move_to_end(key)
-            metrics.counter(metric, result="hit").inc()
-            return cache[key]
-        metrics.counter(metric, result="miss").inc()
-        value = compute()
-        cache[key] = value
-        while len(cache) > self.config.check_cache_size:
-            cache.popitem(last=False)
-        return value
-
-    def _check_cached(self, pmf, partition, k, kept, tolerance, engine) -> bool:
-        """The shared projection-check cache."""
-        return self._cached(
-            self._check_cache,
-            "serve.check_cache",
-            self._check_key(pmf, partition, k, kept, tolerance, engine),
-            lambda: bool(
-                exists_close_histogram(pmf, partition, k, kept, tolerance, engine=engine)
-            ),
-        )
-
-    def _project_cached(self, pmf, partition, k, kept, engine) -> Projection:
-        """The shared cdkl22 projection cache.
-
-        Caches the full :class:`Projection` (distance *and* reference
-        histogram): repeated sessions on the same learned pmf skip the DP
-        entirely.  Entries are immutable, so sharing across sessions is safe.
-        """
-        return self._cached(
-            self._project_cache,
-            "serve.project_cache",
-            self._project_key(pmf, partition, k, kept, engine),
-            lambda: coarse_flattening_projection(pmf, partition, k, kept, engine=engine),
-        )
-
-    def _note_fallback(self, session: StreamSession) -> None:
-        """Account one *observed* fast-path fault and degrade the session.
-
-        ``serve.projection_fallbacks`` counts faults — actual fast-engine
-        failures as they happen — never the cheap dense re-routes of a
-        memoized known-bad key; :meth:`StreamSession.degrade` is
-        first-mode-sticks, so a session degrades at most once per reason
-        however many oracle calls it makes.
-        """
-        get_metrics().counter("serve.projection_fallbacks").inc()
-        session.degrade("projection-dense-fallback")
-
-    def _make_check_oracle(self, session: StreamSession):
-        """The per-session pods16 check oracle (see :meth:`_make_oracle`)."""
-        return self._make_oracle(session, self._check_cached, self._check_key)
-
-    def _make_project_oracle(self, session: StreamSession):
-        """The per-session cdkl22 projection oracle (see :meth:`_make_oracle`)."""
-        return self._make_oracle(session, self._project_cached, self._project_key)
-
-    def _make_oracle(self, session: StreamSession, cached, key):
-        """A per-session oracle: shared cache + dense-engine fallback.
-
-        A failure of the requested engine (injected by chaos, or a real
-        fast-path error) falls back to the exact dense DP and marks the
-        session's verdict ``projection-dense-fallback`` — degraded but
-        correct beats crashed.  A dense-path failure propagates: there is
-        no further fallback, and masking it would hide a real bug.
-
-        A *deterministic* fast-path failure is memoized by cache key: later
-        calls on the same inputs route straight to the dense DP (still
-        degrading their session, exactly once) without re-failing the fast
-        engine or inflating the fallback counter.
-        """
-
-        def oracle(*args, engine="auto"):
-            if session.projection_fault_pending:
-                # Injected chaos fault: transient, so it counts as a fault
-                # and is never memoized against the key.
-                session.projection_fault_pending = False
-                if engine == "dense":
-                    raise ProjectionOracleError(
-                        "injected projection-oracle fault (chaos schedule)"
-                    )
-                self._note_fallback(session)
-                return cached(*args, "dense")
-            failure_key = key(*args, engine)
-            if engine != "dense" and failure_key in self._fast_path_failed:
-                session.degrade("projection-dense-fallback")
-                return cached(*args, "dense")
-            try:
-                return cached(*args, engine)
-            except SESSION_FAILURES:
-                raise  # stream faults are not oracle faults
-            except Exception:
-                if engine == "dense":
-                    raise
-                self._fast_path_failed.add(failure_key)
-                self._note_fallback(session)
-                return cached(*args, "dense")
-
-        return oracle

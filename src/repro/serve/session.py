@@ -34,9 +34,14 @@ import numpy as np
 
 from repro.core.backends import DEFAULT_BACKEND, validate_backend
 from repro.core.config import TesterConfig
-from repro.core.tester import CheckOracle, ProjectOracle, TesterPipeline, Verdict
+from repro.core.tester import TesterPipeline, Verdict
 from repro.distributions.discrete import DiscreteDistribution
+from repro.distributions.projection import (
+    coarse_flattening_projection,
+    exists_close_histogram,
+)
 from repro.distributions.sampling import SampleSource
+from repro.observability.metrics import get_metrics
 from repro.observability.trace import RecordingTracer
 from repro.robustness.faults import FaultConfig, FaultInjectingSource
 from repro.robustness.resilience import Deadline, DeadlineSource
@@ -86,10 +91,9 @@ class StreamRequest:
     #: Per-attempt hard sample cap (``None`` → the service derives one from
     #: the Algorithm 1 budget formula with its configured slack).
     max_samples: Optional[int] = None
-    #: Projection DP engine for the check stage.
-    engine: str = "auto"
-    #: Chaos knob: make the fast projection engine fail once for this
-    #: session, exercising the dense-fallback degradation path.
+    #: Chaos knob: a declared projection fault — the session's first
+    #: check-stage projection runs on the dense engine and the session
+    #: retires DEGRADED (``projection-dense-fallback``).
     projection_fault: bool = False
     #: Tester backend for this session ("pods16" | "cdkl22").  Part of the
     #: admission cost formula; mixed-backend rounds still batch same-shape
@@ -161,8 +165,6 @@ class StreamSession:
         budget_cap: Optional[int],
         clock: Callable[[], float],
         admitted_round: int,
-        check_oracle: Optional[CheckOracle] = None,
-        project_oracle: Optional[ProjectOracle] = None,
     ) -> None:
         self.index = index
         self.request = request
@@ -177,8 +179,6 @@ class StreamSession:
         self.attempt_samples: list[int] = []
         self.degraded_mode: Optional[str] = None
         self.projection_fault_pending = request.projection_fault
-        self.check_oracle = check_oracle
-        self.project_oracle = project_oracle
         self.tracer = RecordingTracer()
         self.pipeline: Optional[TesterPipeline] = None
         self._test_span = None
@@ -221,18 +221,43 @@ class StreamSession:
             backend=req.backend,
         )
         self._test_span.__enter__()
+        check_oracle, project_oracle = self._projection_oracles()
         self.pipeline = TesterPipeline(
             source,
             req.k,
             req.eps,
             config=self.config,
             backend=req.backend,
-            projection_engine=req.engine,
-            check_oracle=self.check_oracle,
-            project_oracle=self.project_oracle,
+            check_oracle=check_oracle,
+            project_oracle=project_oracle,
             trace=self.tracer,
         )
         return self.pipeline
+
+    def _projection_oracles(self) -> tuple:
+        """The check-stage oracles (pods16 check, cdkl22 projection).
+
+        The plain projection functions, unless the request's declared
+        ``projection`` fault is still pending: then the session's first
+        projection call counts one ``serve.projection_fallbacks``, degrades
+        the session (``projection-dense-fallback``) and runs on the dense
+        engine; later calls go straight through.
+        """
+        if not self.projection_fault_pending:
+            return exists_close_histogram, coarse_flattening_projection
+
+        def dense_once(project):
+            def oracle(*args, engine="auto"):
+                if self.projection_fault_pending:
+                    self.projection_fault_pending = False
+                    get_metrics().counter("serve.projection_fallbacks").inc()
+                    self.degrade("projection-dense-fallback")
+                    engine = "dense"
+                return project(*args, engine=engine)
+
+            return oracle
+
+        return dense_once(exists_close_histogram), dense_once(coarse_flattening_projection)
 
     def close_attempt(self, reconciled_samples: int) -> None:
         """Record one finished (or aborted-and-reconciled) attempt."""

@@ -94,3 +94,16 @@ class TestGroundTruthBounds:
         assert upper_c <= 1e-9
         assert lower_f >= EPS - 1e-9
         assert lower_c <= upper_c + 1e-12
+
+    def test_ground_truth_bounds_key_carries_shape_and_dtype(self):
+        """The memo key must disambiguate identical buffers: raw bytes plus
+        shape and dtype, so a float32 pmf bit-identical to half a float64
+        one never shares an entry with it."""
+        from repro.experiments import workloads
+
+        pmf = np.full(8, 0.125)
+        workloads.ground_truth_bounds(pmf, K)
+        key = next(
+            k for k in workloads._GROUND_TRUTH_CACHE if k[0] == pmf.tobytes()
+        )
+        assert key == (pmf.tobytes(), pmf.shape, pmf.dtype.str, K)

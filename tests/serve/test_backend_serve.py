@@ -17,6 +17,10 @@ import pytest
 from repro.core.backends import BACKENDS
 from repro.core.config import TesterConfig
 from repro.distributions.discrete import DiscreteDistribution
+from repro.distributions.projection import (
+    coarse_flattening_projection,
+    exists_close_histogram,
+)
 from repro.observability.metrics import get_metrics
 from repro.serve import ChaosConfig, ServiceConfig, TesterService, build_requests
 from repro.serve.batch import FinalBatchItem, compute_final_statistics
@@ -149,10 +153,70 @@ class TestProjectionFallback:
         """A cdkl22 session with an injected fast-engine failure must land
         DEGRADED via the dense projection fallback, not crash the round."""
         service = TesterService(ServiceConfig(tester=CONFIG))
-        service.submit(
-            _request(backend="cdkl22", engine="fast", projection_fault=True)
-        )
+        service.submit(_request(backend="cdkl22", projection_fault=True))
         (outcome,) = service.run().outcomes
         assert outcome.state == SessionState.DEGRADED
         assert outcome.degraded_mode == "projection-dense-fallback"
         assert outcome.accept is not None  # still reached a verdict
+
+    @staticmethod
+    def _fallbacks():
+        return get_metrics().counter("serve.projection_fallbacks").value
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_declared_fault_counts_once_and_degrades(self, backend):
+        """The fault is one event: the session's first projection call counts
+        it and degrades the session; later calls (same attempt or a new
+        one) go straight to the plain projection."""
+        session = _session(_request(backend=backend, projection_fault=True))
+        pipeline = session.start_attempt()
+        before = self._fallbacks()
+        verdict = pipeline.run()
+        assert self._fallbacks() - before == 1
+        session.close_attempt(verdict.samples_used)
+        outcome = session.retire_verdict(verdict, 1, 0.0)
+        assert outcome.state == SessionState.DEGRADED
+        assert outcome.degraded_mode == "projection-dense-fallback"
+
+        args = (
+            pipeline.learned.to_pmf(),
+            pipeline.partition,
+            pipeline.k,
+            pipeline.sieve.kept,
+        )
+        if backend == "pods16":
+            args += (CONFIG.check_tolerance(EPS),)
+            expected = exists_close_histogram(*args)
+            for _ in range(2):
+                assert pipeline.check_oracle(*args) == expected
+        else:
+            expected = coarse_flattening_projection(*args)
+            for _ in range(2):
+                got = pipeline.project_oracle(*args)
+                assert got.distance == expected.distance
+                np.testing.assert_array_equal(got.boundaries, expected.boundaries)
+        retry = session.start_attempt()
+        assert retry.check_oracle is exists_close_histogram
+        assert retry.project_oracle is coarse_flattening_projection
+        session.abort_attempt()
+        assert self._fallbacks() - before == 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_projection_exception_propagates_out_of_run(self, backend, monkeypatch):
+        """No request field reaches the projection's engine and nothing
+        catches its exceptions: a failing projection is a bug, so it must
+        crash ``run()`` rather than degrade the session."""
+        from repro.distributions import projection
+
+        real = projection._resolve_engine
+
+        def dense_only(engine, n):
+            if engine != "dense":
+                raise RuntimeError("non-dense projection failure")
+            return real(engine, n)
+
+        monkeypatch.setattr(projection, "_resolve_engine", dense_only)
+        service = TesterService(ServiceConfig(tester=CONFIG))
+        service.submit(_request(backend=backend))
+        with pytest.raises(RuntimeError, match="non-dense projection failure"):
+            service.run()

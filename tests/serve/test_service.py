@@ -239,28 +239,3 @@ class TestChaosMatrix:
         for events in service.session_traces.values():
             assert len(events) > 0
 
-
-class TestCheckCache:
-    def test_shared_cache_hits_on_identical_keys(self):
-        from repro.util.intervals import Partition
-
-        service = TesterService()
-        pmf = np.full(16, 1.0 / 16)
-        partition = Partition.equal_width(16, 4)
-        kept = np.ones(len(partition), dtype=bool)
-        first = service._check_cached(pmf, partition, 2, kept, 0.1, "auto")
-        second = service._check_cached(pmf, partition, 2, kept, 0.1, "auto")
-        assert first == second
-        assert len(service._check_cache) == 1
-
-    def test_cache_evicts_past_capacity(self):
-        service = TesterService(ServiceConfig(check_cache_size=2))
-        from repro.util.intervals import Partition
-
-        partition = Partition.equal_width(16, 4)
-        kept = np.ones(len(partition), dtype=bool)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            pmf = rng.dirichlet(np.ones(16))
-            service._check_cached(pmf, partition, 2, kept, 0.1, "auto")
-        assert len(service._check_cache) == 2
