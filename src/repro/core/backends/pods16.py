@@ -53,9 +53,7 @@ class Pods16:
         """``(ε', reference pmf, active mask)``: ``D̂`` restricted to the
         kept domain at ``ε' = 13ε/30``."""
         eps_final = pipeline.config.final_eps(pipeline.eps)
-        kept_points = pipeline.partition.restrict_mask(
-            list(np.flatnonzero(pipeline.sieve.kept))
-        )
+        kept_points = pipeline.partition.restrict_mask(np.flatnonzero(pipeline.sieve.kept))
         ref = pipeline.reference.to_pmf()
         mask = active_mask(ref, eps_final, pipeline.config.chi2_truncation, kept_points)
         return eps_final, ref, mask

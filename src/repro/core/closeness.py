@@ -279,7 +279,7 @@ class ClosenessPipeline(SteppedPipeline):
         under the promise, so ``p = q`` implies a learned distance ≈ ε/20,
         far below the 0.5ε gate; clearly-far pairs exit here sample-free.
         """
-        kept_points = self.partition.restrict_mask(list(np.flatnonzero(self.kept_intervals)))
+        kept_points = self.partition.restrict_mask(np.flatnonzero(self.kept_intervals))
         tolerance = self.config.closeness_check_tolerance(self.eps)
         diff = np.abs(self.learned_p.to_pmf() - self.learned_q.to_pmf())
         distance = 0.5 * float(diff[kept_points].sum())

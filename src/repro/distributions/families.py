@@ -136,27 +136,30 @@ def paired_perturbation(
     where ``P`` is the number of perturbed pairs.  The second return value
     is ``P·δ`` — callers subtract ``(k−1)·δ`` for their ``k`` via
     :func:`certified_distance_to_hk`.
+
+    Draw contract: one ``gen.random()`` uniform per perturbed pair, piece
+    by piece left to right; a piece below ``δ`` (skipped) draws nothing.
+    A uniform ``< 0.5`` (``deterministic``: an even ``q``, no draws) puts
+    ``+δ`` on the pair's left point, otherwise ``−δ``.
     """
     hist = base if isinstance(base, Histogram) else Histogram.from_pmf(base.pmf)
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     gen = ensure_rng(rng)
-    pmf = hist.to_pmf().copy()
+    pmf = hist.to_pmf()
     n = len(pmf)
     delta = 2.0 * epsilon / n
     pairs = 0
-    for interval in hist.partition:
-        value = pmf[interval.start]
-        if value < delta:
+    bounds = hist.partition.boundaries.tolist()
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if pmf[start] < delta:
             continue  # cannot perturb without going negative
-        start, stop = interval.start, interval.stop
         usable = (stop - start) // 2
-        for q in range(usable):
-            left = start + 2 * q
-            sign = 1.0 if (q % 2 == 0 if deterministic else gen.random() < 0.5) else -1.0
-            pmf[left] += sign * delta
-            pmf[left + 1] -= sign * delta
-            pairs += 1
+        flip = np.arange(usable) % 2 == 1 if deterministic else gen.random(usable) >= 0.5
+        step = np.where(flip, -delta, delta)
+        pmf[start : stop - 1 : 2] += step
+        pmf[start + 1 : stop : 2] -= step
+        pairs += usable
     if pairs == 0:
         raise ValueError("base histogram too concentrated to perturb at this epsilon")
     return DiscreteDistribution(pmf), pairs * delta
@@ -189,18 +192,20 @@ def far_from_hk(
         base = Histogram.from_pmf(np.full(n, 1.0 / n))
     if base.n != n:
         raise ValueError("base histogram has the wrong domain size")
-    usable_pairs = sum((len(iv) // 2) for iv in base.partition)
+    lengths = base.partition.lengths()
+    usable_pairs = int((lengths // 2).sum())
     if usable_pairs <= k - 1:
         raise ValueError(f"not enough perturbable pairs ({usable_pairs}) for k={k}")
     # Certified distance is (P − (k − 1))·δ, so pick δ to land exactly on
     # epsilon, then check every piece can absorb that amplitude.
     delta = epsilon / (usable_pairs - (k - 1))
-    for j, interval in enumerate(base.partition):
-        if len(interval) >= 2 and base.values[j] < delta:
-            raise ValueError(
-                f"piece {j} has per-point mass {base.values[j]:.3g} < delta "
-                f"{delta:.3g}; epsilon too large for this base/k"
-            )
+    too_light = np.flatnonzero((lengths >= 2) & (base.values < delta))
+    if len(too_light):
+        j = int(too_light[0])
+        raise ValueError(
+            f"piece {j} has per-point mass {base.values[j]:.3g} < delta "
+            f"{delta:.3g}; epsilon too large for this base/k"
+        )
     target = delta * n / 2.0
     perturbed, pair_mass = paired_perturbation(base, target, rng)
     certified = certified_distance_to_hk(pair_mass, delta, k)

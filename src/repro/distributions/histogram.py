@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.distributions.discrete import DiscreteDistribution
-from repro.util.intervals import Interval, Partition
+from repro.util.intervals import Partition
 
 #: Two adjacent pmf values are considered equal (no breakpoint) when they
 #: differ by less than this relative-ish tolerance.  Exact synthetic
@@ -165,12 +165,9 @@ def breakpoint_intervals(dist: DiscreteDistribution | np.ndarray, partition: Par
     if len(pmf) != partition.n:
         raise ValueError("distribution and partition cover different domains")
     bps = breakpoints(pmf)
-    hits: set[int] = set()
-    for bp in bps:
-        j = partition.locate(int(bp))
-        if int(bp) + 1 < partition[j].stop:
-            hits.add(j)
-    return sorted(hits)
+    bounds = partition.boundaries
+    j = np.searchsorted(bounds, bps, side="right") - 1
+    return np.unique(j[bps + 1 < bounds[j + 1]]).tolist()
 
 
 def flatten_outside(
@@ -184,8 +181,7 @@ def flatten_outside(
     """
     if dist.n != partition.n:
         raise ValueError("distribution and partition cover different domains")
-    flat = partition.flatten(dist.pmf).copy()
-    for j in keep_exact:
-        iv: Interval = partition[j]
-        flat[iv.slice()] = dist.pmf[iv.slice()]
+    flat = partition.flatten(dist.pmf)
+    exact = partition.restrict_mask(keep_exact)
+    flat[exact] = dist.pmf[exact]
     return DiscreteDistribution(flat, validate=False)

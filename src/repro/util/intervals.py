@@ -192,11 +192,11 @@ class Partition:
         return bool(np.isin(coarser._boundaries, self._boundaries).all())
 
     def restrict_mask(self, keep: Sequence[int]) -> np.ndarray:
-        """Boolean domain mask selecting the union of intervals in ``keep``."""
-        mask = np.zeros(self.n, dtype=bool)
-        for j in keep:
-            mask[self[j].slice()] = True
-        return mask
+        """Boolean domain mask selecting the union of intervals in ``keep``
+        (indexed like ``self[j]``: negative from the end, else ``IndexError``)."""
+        selected = np.zeros(len(self), dtype=bool)
+        selected[np.asarray(keep, dtype=np.intp)] = True
+        return np.repeat(selected, self.lengths())
 
 
 def cover(indices: Iterable[int], n: int | None = None) -> int:

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distributions import families
+from repro.distributions.discrete import DiscreteDistribution
 from repro.distributions.histogram import Histogram, is_k_histogram, num_pieces
 from repro.distributions.projection import unconstrained_l1_distance
+from repro.util.intervals import Partition
 
 
 class TestCompletenessFamilies:
@@ -133,6 +135,15 @@ class TestFarnessCertificates:
         with pytest.raises(ValueError):
             families.far_from_hk(20, 2, 0.9)
 
+    def test_far_from_hk_names_first_too_light_piece(self):
+        # Pieces 2 and 4 are below delta = 0.1 / 19; the light length-1
+        # piece 0 has no pair to perturb, so it is not the one named.
+        base = Histogram.from_masses(
+            Partition([0, 1, 11, 21, 31, 41]), np.array([1e-4, 0.49, 0.005, 0.4899, 0.015])
+        )
+        with pytest.raises(ValueError, match=r"^piece 2 has per-point mass 0\.0005 < delta"):
+            families.far_from_hk(41, 2, 0.1, base=base)
+
     def test_perturbation_too_concentrated_raises(self):
         base = Histogram.from_pmf(
             np.array([0.97] + [0.03 / 9] * 9)
@@ -152,3 +163,65 @@ class TestFarnessCertificates:
         assert families.certified_distance_to_hk(0.1, 0.05, 100) == 0.0
         with pytest.raises(ValueError):
             families.certified_distance_to_hk(0.5, 0.01, 0)
+
+
+def _reference_paired_perturbation(hist, epsilon, gen, deterministic):
+    """The scalar one-draw-per-pair loop ``paired_perturbation`` must match
+    bit for bit: pmf bytes, pair mass and the generator state after."""
+    pmf = hist.to_pmf().copy()
+    delta = 2.0 * epsilon / len(pmf)
+    pairs = 0
+    for interval in hist.partition:
+        if pmf[interval.start] < delta:
+            continue
+        for q in range(len(interval) // 2):
+            left = interval.start + 2 * q
+            sign = 1.0 if (q % 2 == 0 if deterministic else gen.random() < 0.5) else -1.0
+            pmf[left] += sign * delta
+            pmf[left + 1] -= sign * delta
+            pairs += 1
+    return DiscreteDistribution(pmf), pairs * delta
+
+
+def _mixed_pieces():
+    # A length-1 piece, odd lengths, and a piece (index 2) whose value
+    # 0.031 / 31 = 0.001 is below delta = 2 * 0.2 / 61 with pieces after it.
+    partition = Partition([0, 1, 8, 39, 40, 61])
+    return Histogram.from_masses(partition, np.array([0.05, 0.3, 0.031, 0.05, 0.569]))
+
+
+_BASES = {
+    "uniform-odd-n": lambda: Histogram.from_pmf(np.full(4097, 1 / 4097)),
+    "staircase": lambda: families.staircase(1001, 5, ratio=1.6),
+    "random": lambda: families.random_histogram(2000, 7, rng=3),
+    "mixed-pieces": _mixed_pieces,
+}
+
+
+class TestPairedPerturbationBitIdentity:
+    @pytest.mark.parametrize("deterministic", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("name", sorted(_BASES))
+    def test_matches_scalar_reference(self, name, seed, deterministic):
+        base = _BASES[name]()
+        expected_gen = np.random.default_rng(seed)
+        actual_gen = np.random.default_rng(seed)
+        expected, expected_mass = _reference_paired_perturbation(
+            base, 0.2, expected_gen, deterministic
+        )
+        actual, mass = families.paired_perturbation(
+            base, 0.2, actual_gen, deterministic=deterministic
+        )
+        assert actual.pmf.tobytes() == expected.pmf.tobytes()
+        assert mass == expected_mass
+        assert actual_gen.random() == expected_gen.random()
+
+    def test_mixed_pieces_skips_the_light_piece(self):
+        base = _mixed_pieces()
+        gen = np.random.default_rng(5)
+        d, mass = families.paired_perturbation(base, 0.2, gen)
+        # Pairs: 0 + 3 + skipped + 0 + 10, one uniform each.
+        assert mass == 13 * (2 * 0.2 / 61)
+        np.testing.assert_array_equal(d.pmf[8:39], base.to_pmf()[8:39])
+        assert d.pmf[0] == base.to_pmf()[0] and d.pmf[39] == base.to_pmf()[39]
+        assert gen.random() == np.random.default_rng(5).random(14)[-1]

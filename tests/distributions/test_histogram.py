@@ -122,6 +122,22 @@ class TestBreakpoints:
             part = Partition.equal_width(60, 9)
             assert len(breakpoint_intervals(h.to_pmf(), part)) <= 4
 
+    @given(
+        st.lists(st.integers(0, 3), min_size=2, max_size=40),
+        st.lists(st.integers(1, 39), max_size=12),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_breakpoint_intervals_matches_per_breakpoint_reference(self, levels, cuts):
+        pmf = np.asarray(levels, dtype=np.float64) + 1.0
+        n = len(pmf)
+        part = Partition([0, *sorted({c for c in cuts if c < n}), n])
+        hits = set()
+        for bp in breakpoints(pmf):
+            j = part.locate(int(bp))
+            if int(bp) + 1 < part[j].stop:
+                hits.add(j)
+        assert breakpoint_intervals(pmf, part) == sorted(hits)
+
 
 class TestFlattenOutside:
     def test_keeps_exact_on_selected(self):
@@ -133,6 +149,16 @@ class TestFlattenOutside:
         assert np.allclose(result.pmf[4:8], pmf[4:8])
         # Others are flattened.
         assert np.allclose(result.pmf[0:4], pmf[0:4].mean())
+
+    def test_matches_per_interval_reference(self):
+        d = DiscreteDistribution.from_weights(np.random.default_rng(4).random(30))
+        part = Partition([0, 3, 4, 11, 20, 30])
+        keep = [3, 0, -1, 3]
+        expected = part.flatten(d.pmf)
+        for j in keep:
+            expected[part[j].slice()] = d.pmf[part[j].slice()]
+        result = flatten_outside(d, part, keep)
+        assert result.pmf.tobytes() == DiscreteDistribution(expected, validate=False).pmf.tobytes()
 
     def test_total_mass_preserved(self):
         pmf = staircase_pmf(12)

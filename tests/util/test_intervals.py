@@ -137,6 +137,37 @@ class TestPartitionOps:
         mask = p.restrict_mask([0, 2])
         assert mask.tolist() == [True, True, False, False, False, True, True, True]
 
+    @staticmethod
+    def _reference_mask(p, keep):
+        mask = np.zeros(p.n, dtype=bool)
+        for j in keep:
+            mask[p[j].slice()] = True
+        return mask
+
+    @given(
+        st.lists(st.integers(1, 6), min_size=1, max_size=12),
+        st.lists(st.integers(-12, 11), max_size=15),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_restrict_mask_matches_per_interval_reference(self, lengths, keep):
+        p = Partition(np.concatenate(([0], np.cumsum(lengths))))
+        keep = [j for j in keep if -len(p) <= j < len(p)]
+        mask = p.restrict_mask(keep)
+        assert mask.dtype == bool
+        np.testing.assert_array_equal(mask, self._reference_mask(p, keep))
+
+    @pytest.mark.parametrize(
+        "keep", [[], [2, 0], [1, 1, 1], [-1], [-3, 2, -3], np.array([0, 2])], ids=repr
+    )
+    def test_restrict_mask_edge_keeps(self, keep):
+        p = Partition([0, 2, 5, 8])
+        np.testing.assert_array_equal(p.restrict_mask(keep), self._reference_mask(p, keep))
+
+    @pytest.mark.parametrize("bad", [3, -4])
+    def test_restrict_mask_out_of_range_raises(self, bad):
+        with pytest.raises(IndexError):
+            Partition([0, 2, 5, 8]).restrict_mask([0, bad])
+
     def test_getitem_negative_index(self):
         p = Partition([0, 2, 5])
         assert p[-1] == Interval(2, 5)
