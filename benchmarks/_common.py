@@ -98,9 +98,9 @@ def write_bench_json(
 ) -> Path:
     """Persist a benchmark's table as machine-readable ``BENCH_<name>.json``.
 
-    The schema is deliberately small and stable — perf-regression tooling
-    (``benchmarks/check_perf_regression.py``) diffs these files across
-    commits, so keys here are a compatibility surface:
+    The schema is deliberately small and stable — the regression gate
+    (``benchmarks/gate.py``) compares these files with the committed
+    baselines, so keys here are a compatibility surface:
 
     * ``bench``: the experiment tag ("e21", "e22", …);
     * ``params``: the grid/profile the run used;

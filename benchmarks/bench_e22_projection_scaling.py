@@ -9,16 +9,21 @@ engine's contract:
   cubic** (near-linear in practice: ~1.1–1.6 on this family);
 * fast and dense agree to ≤ 1e-12 wherever both run (golden equivalence);
 * ≥ 20× speedup at n = 4096, k = 32 (the tentpole acceptance bar; the dense
-  time there is cubic-extrapolated unless ``--full-dense`` measures it).
+  time there is cubic-extrapolated unless ``--full-dense`` measures it);
+* the tracemalloc peak of one fast run per n grows near-linearly (log-log
+  slope ≤ 1.5: the O(n·k) preallocation contract of the sparse-table and
+  block kernels — a quadratic table would show a slope of ≈ 2).
 
 The dense engine builds the full O(n²) cost matrix (O(n³) work), so it is
 only timed up to ``--dense-cap`` (default 2048; smoke 512); its time is
 input-independent, which makes the cubic extrapolation safe.
 
 Emits ``BENCH_e22.json`` (see :func:`_common.write_bench_json`) with
-``fast_seconds_by_n`` and ``dense_seconds_by_n`` for the CI perf-regression
-gate (``benchmarks/check_perf_regression.py``), which holds both engines'
-times against the committed baseline.
+``fast_seconds_by_n``, ``dense_seconds_by_n``, ``max_engine_diff``,
+``peak_bytes_by_n`` and ``peak_memory_slope`` for the regression gate
+(``python benchmarks/gate.py BENCH_e22.json``), which holds both engines'
+times against the committed baseline and the engine agreement and memory
+slope to their absolute bars.
 
 Usage::
 
@@ -30,6 +35,7 @@ import argparse
 import math
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +69,17 @@ def time_engine(pmf: np.ndarray, k: int, engine: str) -> tuple[float, float]:
         dist = distance_to_histogram(pmf, k, engine=engine)
         best = min(best, time.perf_counter() - start)
     return best, dist
+
+
+def peak_memory(pmf: np.ndarray, k: int) -> int:
+    """tracemalloc peak (bytes) of one fast-engine run."""
+    tracemalloc.start()
+    try:
+        distance_to_histogram(pmf, k, engine="fast")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return int(peak)
 
 
 def run_grid(sizes: list[int], k: int, dense_cap: int):
@@ -133,8 +150,14 @@ def main(argv: list[str] | None = None) -> int:
             accept_speedup = dense_est / fast_by_n[ACCEPT_N]
             accept_mode = f"extrapolated from n={top[0]}"
 
+    # Measured after the timings, so tracemalloc's overhead never enters them.
+    peaks_by_n = {n: peak_memory(make_pmf(n, args.k), args.k) for n in sizes}
+    mem_slope = loglog_slope(sizes, [float(peaks_by_n[n]) for n in sizes])
+    print(f"  peak-memory log-log slope: {mem_slope:.2f} (O(n*k) => ~1)")
+
     max_diff = max((r[4] for r in dense_rows), default=math.nan)
     check("fast log-log slope < 2.0 (sub-quadratic)", slope < 2.0)
+    check("memory near-linear in n (slope <= 1.5)", mem_slope <= 1.5)
     if dense_rows:
         check("engines agree <= 1e-12", max_diff <= 1e-12)
     if not math.isnan(accept_speedup):
@@ -158,6 +181,8 @@ def main(argv: list[str] | None = None) -> int:
             "max_engine_diff": max_diff,
             "fast_seconds_by_n": {str(n): t for n, t in fast_by_n.items()},
             "dense_seconds_by_n": {str(n): t for n, t in dense_by_n.items()},
+            "peak_bytes_by_n": {str(n): b for n, b in peaks_by_n.items()},
+            "peak_memory_slope": mem_slope,
         },
         path=args.json,
     )

@@ -15,12 +15,14 @@ Shape checks encode the accounting contract:
 * one trace file is written and re-validated against the JSONL schema.
 
 Also measures the tracer-off wall-clock of one standard tester call
-(median of ``--reps``), which ``check_trace_overhead.py`` gates against the
-committed baseline (``baselines/BENCH_e23_baseline.json``): the no-op
-tracer must keep the instrumented pipeline within 5% of the PR-3-era
-timing (× ``REPRO_PERF_FACTOR`` headroom for slower hosts).
+(median of ``--reps``), which the regression gate holds against the
+committed baseline (``baselines/BENCH_e23_baseline.json``, the median of
+nine real ``--smoke`` runs): the no-op tracer must keep the instrumented
+pipeline within 5% of it (× ``REPRO_PERF_FACTOR`` headroom for slower
+hosts).
 
-Emits ``BENCH_e23.json`` and ``TRACE_e23.jsonl``.
+Emits ``BENCH_e23.json`` and ``TRACE_e23.jsonl``, gated by
+``PYTHONPATH=src python benchmarks/gate.py BENCH_e23.json``.
 
 Usage::
 

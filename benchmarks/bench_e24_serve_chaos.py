@@ -18,8 +18,8 @@ crashed sessions (the run completing *is* the check — session failures are
 absorbed, programming errors propagate), every session terminal, every
 ledger reconciling exactly, and two same-seed runs byte-identical.
 
-Emits ``BENCH_e24.json`` (gated by ``check_serve_regression.py`` against
-``baselines/BENCH_e24_baseline.json``).
+Emits ``BENCH_e24.json`` (gated by ``python benchmarks/gate.py
+BENCH_e24.json`` against ``baselines/BENCH_e24_baseline.json``).
 
 Usage::
 

@@ -17,8 +17,9 @@ The headline metric is the **sample-complexity crossover**: the
 cdkl22/pods16 mean-sample ratio at the largest grid point.  The cdkl22
 schedule drops the sieve (the pods16 budget's dominant √n/ε² × batches
 term) in favour of the trimmed final statistic, so the ratio must be well
-below 1 and shrink as n grows — ``check_backend_regression.py`` gates both
-the error bounds and this ratio against ``BENCH_e25_baseline.json``.
+below 1 and shrink as n grows — ``python benchmarks/gate.py
+BENCH_e25.json`` gates both the error bounds and this ratio against
+``BENCH_e25_baseline.json``.
 
 Emits ``BENCH_e25.json``.  The grid iterates through
 :func:`checkpointed_loop`, so a killed run resumes per cell.  Note this

@@ -20,8 +20,8 @@ watches:
   ``REPRO_PERF_FACTOR×`` of the committed baseline (the one hardware-
   dependent number here).
 
-Emits ``BENCH_e27.json`` (gated by ``check_distributed_regression.py``
-against ``baselines/BENCH_e27_baseline.json``).
+Emits ``BENCH_e27.json`` (gated by ``python benchmarks/gate.py
+BENCH_e27.json`` against ``baselines/BENCH_e27_baseline.json``).
 
 Usage::
 

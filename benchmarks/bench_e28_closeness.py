@@ -20,10 +20,10 @@ Per domain size the benchmark measures:
 * **samples/trial** for both testers and their ratio;
 * **wall seconds** per cell.
 
-``check_closeness_regression.py`` gates the binomial error bounds and the
-baseline's blindness absolutely (correctness never takes a hardware
-factor) and the wall clock against ``BENCH_e28_baseline.json`` with
-``REPRO_PERF_FACTOR`` headroom.
+``python benchmarks/gate.py BENCH_e28.json`` gates the binomial error
+bounds and the baseline's blindness absolutely (correctness never takes a
+hardware factor) and the wall clock against ``BENCH_e28_baseline.json``
+with ``REPRO_PERF_FACTOR`` headroom.
 
 Emits ``BENCH_e28.json``.  The grid iterates through
 :func:`checkpointed_loop`, so a killed run resumes per cell.

@@ -14,7 +14,7 @@ Design constraints, in order of importance:
    nothing per span: ``span()`` returns one shared, stateless context
    manager and ``event()`` is a constant-time no-op, so instrumented code
    paths stay within noise of un-instrumented ones (gated in CI by
-   ``benchmarks/check_trace_overhead.py``).
+   ``benchmarks/gate.py`` on ``BENCH_e23.json``).
 3. **Schema stability.**  Every event serialises to exactly the keys of
    :data:`EVENT_KEYS`; :func:`validate_event` rejects anything else, and CI
    validates every trace file a benchmark writes.
