@@ -77,7 +77,10 @@ _AUTO_FAST_THRESHOLD = 512
 #: 1.3–2.2 ms at K = 96, 2.1–3.3 ms at K = 128 and 3.3–5.0 ms at K = 160,
 #: while the two bounds take 0.7–1.6 ms at every K ≤ 256.  Above 128 a
 #: decided check saves at least half the exact cost and an undecided one
-#: pays at most about half again.
+#: pays at most about half again.  Re-measured with the certified
+#: rank-prefix split as the exact path (same inputs, best of 7): exact
+#: 0.9–1.3 ms at K = 96, 1.1–1.5 ms at K = 128, 1.1–2.0 ms at K = 160 and
+#: 1.9–3.5 ms at K = 256, bounds 0.7–1.4 ms; the crossover stays near 128.
 _CHECK_BOUNDS_MIN_BASE = 128
 
 _ENGINES = ("auto", "fast", "dense")
@@ -275,6 +278,39 @@ def _median_cost_matrix(p: np.ndarray, mask: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _dp_layers(cost: np.ndarray, pieces: int) -> tuple[np.ndarray, np.ndarray]:
+    """The interval DP's layers and backtracked path.
+
+    Returns ``f`` (``f[r, j]`` = best cost of ``[0, j)`` in at most ``r``
+    pieces, ``r = 0..pieces``) and ``path`` (``path[r]`` = the border the
+    optimiser's ``r``-th piece ends on, ``path[0] = 0``, ``path[-1] = n``;
+    an "empty" piece repeats its border).  Step ``r`` takes
+    ``path[r] = argmin_i f[r, i] + cost[i, path[r + 1]]``.
+    """
+    n = cost.shape[0] - 1
+    pieces = min(pieces, n)
+    if pieces < 1:
+        raise ValueError(f"need at least one piece, got {pieces}")
+    columns = np.arange(n + 1)
+    f = np.full((pieces + 1, n + 1), np.inf)
+    f[0, 0] = 0.0
+    parent = np.zeros((pieces, n + 1), dtype=np.int64)
+    # Column j of the step is row j of the transpose: a contiguous argmin.
+    cost_t = np.ascontiguousarray(cost.T)
+    stacked = np.empty_like(cost_t)
+    for r in range(pieces):
+        np.add(cost_t, f[r], out=stacked)
+        parent[r] = np.argmin(stacked, axis=1)
+        f[r + 1] = stacked[columns, parent[r]]
+    path = np.empty(pieces + 1, dtype=np.int64)
+    path[pieces] = n
+    for r in range(pieces - 1, -1, -1):
+        path[r] = parent[r][path[r + 1]]
+    if path[0] != 0:
+        raise AssertionError("DP backtrack did not reach the origin")
+    return f, path
+
+
 def _interval_dp(cost: np.ndarray, pieces: int) -> tuple[float, np.ndarray]:
     """Minimise total cost of splitting ``[0, n)`` into at most ``pieces``
     intervals; returns (optimal cost, boundary array of an optimiser).
@@ -284,27 +320,8 @@ def _interval_dp(cost: np.ndarray, pieces: int) -> tuple[float, np.ndarray]:
     pieces are free, so the DP with exactly ``pieces`` splits covers every
     count up to ``pieces``.
     """
-    n = cost.shape[0] - 1
-    pieces = min(pieces, n)
-    if pieces < 1:
-        raise ValueError(f"need at least one piece, got {pieces}")
-    columns = np.arange(n + 1)
-    f = np.full(n + 1, np.inf)
-    f[0] = 0.0
-    parent = np.zeros((pieces, n + 1), dtype=np.int64)
-    for r in range(pieces):
-        stacked = f[:, None] + cost
-        parent[r] = np.argmin(stacked, axis=0)
-        f = stacked[parent[r], columns]
-    bounds = [n]
-    j = n
-    for r in range(pieces - 1, -1, -1):
-        j = int(parent[r][j])
-        bounds.append(j)
-    if bounds[-1] != 0:
-        raise AssertionError("DP backtrack did not reach the origin")
-    boundary = np.unique(np.asarray(bounds, dtype=np.int64))
-    return float(f[n]), boundary
+    f, path = _dp_layers(cost, pieces)
+    return float(f[-1, -1]), np.unique(path)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +438,9 @@ def histogram_distance_bounds(
 
 
 #: Above this many base intervals the projection first coarsens the base
-#: (see ``_coarsen_for_projection``); the cost build is O(K³)-ish otherwise.
+#: (see ``_coarsen_for_projection``).  The certified build is O(K² log K)
+#: with a (K+1)² matrix, but its fallback fold is K³/6 terms and the
+#: generic sorted-piece fold costs more per term.
 _MAX_PROJECTION_BASE = 512
 
 
@@ -563,9 +582,174 @@ def _coarse_input(
     )
 
 
+#: Rows of the rank-prefix cost triangle built per block.  Measured on a
+#: 2-vCPU Xeon (numpy 2.4, best of 7) on the ten check inputs of one bench
+#: identity round (K = 340–474), build time summed over the ten and peak
+#: traced memory at K = 474: 16 rows 137 ms, 5.9 MB; 32 rows 132 ms, 6.3 MB;
+#: 64 rows 133 ms, 7.0 MB; 128 rows 138 ms, 8.4 MB; unblocked 231 ms,
+#: 16.2 MB.  The fold and DP it replaces peak at 5.6 MB there.
+_RANK_BLOCK_ROWS = 32
+
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _split_l1(inp: _CoarseInput, split: np.ndarray) -> float:
+    """Raw ℓ1 flattening error of one split (base-border indices) in O(K).
+
+    Every term and every sum is formed exactly as :func:`_fold_costs` and
+    :func:`_interval_dp` form them (same mean, same left-to-right order;
+    zero-weight terms add ``+0.0``), so the result is the fold's price of
+    this split bit for bit; float addition is monotone, so it is never
+    below the dense DP's optimum.
+    """
+    total = 0.0
+    for a, b in zip(split[:-1].tolist(), split[1:].tolist()):
+        mu = inp.mass_prefix[b] - inp.mass_prefix[a]
+        mu /= inp.len_prefix[b] - inp.len_prefix[a]
+        terms = np.subtract(inp.values[a:b], mu)
+        np.abs(terms, out=terms)
+        terms *= inp.weights[a:b]
+        total += float(np.cumsum(terms)[-1])
+    return total
+
+
+def _rank_costs(inp: _CoarseInput) -> tuple[np.ndarray, float]:
+    """The piecewise-constant interval-cost matrix from rank-prefix tables,
+    and ``δ``, the most one DP step on it can drift from the same step on
+    :func:`_fold_costs`' matrix.
+
+    With the fold's own mean ``μ = μ_ab`` and ``W``, ``S`` the sums of
+    ``w_q`` and ``w_q·v_q`` over ``q ∈ [a, b)``, ``W_<`` and ``S_<`` the same
+    sums over the pieces with ``v_q < μ``::
+
+        Σ_{q∈[a,b)} w_q·|v_q − μ| = μ·(2W_< − W) + (S − 2S_<).
+
+    Sorting the ``K`` values once, ``v_q < μ`` iff ``rank(q) < t`` with
+    ``t = searchsorted(sorted_values, μ)``, and two ``(K+1)²`` tables
+    ``P[t, b] = Σ_{q<b, rank(q)<t} x_q`` (``x = w`` and ``x = w·v``) give
+    ``W_<``, ``S_<`` as ``P[t, b] − P[t, a]`` (``t = K`` gives ``W``, ``S``).
+    That is one ``searchsorted`` per entry, O(K² log K), instead of the
+    fold's ``K³/6`` terms; the triangle is built :data:`_RANK_BLOCK_ROWS`
+    rows at a time.
+
+    **δ.**  With ``u = 2⁻⁵³``, ``M`` the total mass and ``U = M + Σ_q w_q·v_q``
+    (to first order in ``K·u``):
+
+    * the exact cost ``T = Σ w_q·|v_q − μ| ≤ S + μ·W ≤ U``, because ``μ·W``
+      is at most the interval's mass;
+    * the fold sums at most ``K`` terms left to right, each rounded twice,
+      so its entry is within ``(K + 1)·u·U`` of ``T``;
+    * the ``w`` table sums integer lengths, so ``W_<`` and ``W`` are exact;
+      a ``w·v`` table entry sums at most ``K`` rounded products in order, so
+      it is within ``K·u·U`` of exact, and ``S``, ``S_<`` (one more rounding
+      each) within ``(2K + 1)·u·U``; ``S − 2S_<`` is then within
+      ``(6K + 4)·u·U``, the product ``μ·(2W_< − W)`` (at most ``M``) adds
+      ``u·U`` and the final sum ``u·U``: within ``(6K + 6)·u·U`` of ``T``;
+    * entrywise, then, ``|rank − fold| ≤ (7K + 7)·u·U``, and one DP step
+      adds one rounding on each side, each at most ``u·U`` (a DP value is at
+      most the one-piece cost of ``[0, i)`` plus that of ``[i, j)``).
+
+    ``δ = (8K + 16)·u·U`` covers the ``(7K + 9)·u·U`` of a step with room
+    for the second-order terms.  A step takes the minimum of the previous
+    layer (which moves by at most the previous drift) plus one entry, so
+    after ``r + 1`` steps every DP value of the two matrices differs by at
+    most ``(r + 1)·δ``.
+    """
+    values, weights = inp.values, inp.weights
+    size = len(values) + 1
+    order = np.argsort(values, kind="stable")
+    sorted_values = values[order]
+    rank = np.empty(size - 1, dtype=np.intp)
+    rank[order] = np.arange(size - 1)
+    below = rank[None, :] < np.arange(size)[:, None]  # below[t, q]: rank(q) < t
+    tables = []
+    for x in (weights, weights * values):
+        table = np.zeros((size, size))
+        np.multiply(below, x, out=table[:, 1:])
+        np.cumsum(table, axis=1, out=table)
+        tables.append(table.ravel())
+    del below
+    w_table, s_table = tables
+    w_total, s_total = w_table[-size:], s_table[-size:]  # row t = K
+
+    mass_prefix, len_prefix = inp.mass_prefix, inp.len_prefix
+    cost = np.empty((size, size))
+    rows = min(_RANK_BLOCK_ROWS, size - 1)
+    mu_buf, lo_buf, hi_buf = (np.empty(rows * size) for _ in range(3))
+    idx_buf = np.empty(rows * size, dtype=np.intp)
+    for a0 in range(0, size - 1, rows):
+        a1 = min(a0 + rows, size - 1)
+        shape = (a1 - a0, size - a0 - 1)  # rows a ∈ [a0, a1), columns b > a0
+        used = shape[0] * shape[1]
+        mu, lo, hi = (buf[:used].reshape(shape) for buf in (mu_buf, lo_buf, hi_buf))
+        idx = idx_buf[:used].reshape(shape)
+        a = np.arange(a0, a1)[:, None]
+        b = np.arange(a0 + 1, size)
+        # μ_ab exactly as the fold forms it (0/0 and b < a are overwritten).
+        np.subtract(mass_prefix[None, a0 + 1 :], mass_prefix[a0:a1, None], out=mu)
+        with np.errstate(invalid="ignore"):
+            mu /= len_prefix[None, a0 + 1 :] - len_prefix[a0:a1, None]
+        start = np.searchsorted(sorted_values, mu)
+        start *= size
+        # hi = μ·(2W_< − W), in exact integers until the product.
+        np.add(start, b, out=idx)
+        np.take(w_table, idx, out=hi)
+        np.add(start, a, out=idx)
+        np.take(w_table, idx, out=lo)
+        hi -= lo
+        hi *= 2.0
+        hi -= w_total[b]
+        hi += w_total[a]
+        hi *= mu
+        # lo = S − 2S_<.
+        np.add(start, b, out=idx)
+        np.take(s_table, idx, out=lo)
+        np.add(start, a, out=idx)
+        np.take(s_table, idx, out=mu)
+        lo -= mu
+        lo *= 2.0
+        np.subtract(s_total[None, a0 + 1 :], s_total[a0:a1, None], out=mu)
+        np.subtract(mu, lo, out=lo)
+        np.add(hi, lo, out=cost[a0:a1, a0 + 1 :])
+    cost[np.tri(size, k=-1, dtype=bool)] = np.inf
+    np.fill_diagonal(cost, 0.0)
+    delta = (8 * (size - 1) + 16) * _UNIT_ROUNDOFF * float(mass_prefix[-1] + s_total[-1])
+    return cost, delta
+
+
+def _certified_split(inp: _CoarseInput, k: int) -> np.ndarray | None:
+    """The fold DP's optimal split, found on :func:`_rank_costs`' matrix,
+    or ``None`` when the gap certificate cannot prove it is the fold's.
+
+    At step ``r`` the DP takes ``argmin_i f[r, i] + cost[i, j]`` for the
+    path's column ``j``; on both matrices those values are within
+    ``(r + 1)·δ`` of each other.  If the rank column's runner-up exceeds its
+    minimum by more than ``2(r + 2)·δ`` (two drifts, plus ``2δ`` that
+    dominates the rounding of the gap itself), the fold column's minimum
+    is strict at the same row, so ``np.argmin`` picks it there too.  When
+    that holds at every step of the path, the fold's backtrack follows the
+    same path, and :func:`_split_l1` prices it with the fold's bits.
+    """
+    cost, delta = _rank_costs(inp)
+    f, path = _dp_layers(cost, k)
+    columns = f[:-1] + cost[:, path[1:]].T  # step r's column of f[r] + cost
+    lowest = np.partition(columns, 1, axis=1)
+    gaps = lowest[:, 1] - lowest[:, 0]
+    if np.all(gaps > 2.0 * (np.arange(len(gaps)) + 2) * delta):
+        return np.unique(path)
+    return None
+
+
 def _coarse_l1(inp: _CoarseInput, k: int, engine: str) -> tuple[float, np.ndarray]:
     """The exact coarse DP: optimal raw ℓ1 total and its base-border
-    indices."""
+    indices.
+
+    A piecewise-constant input takes the fold's split from
+    :func:`_certified_split` when the certificate holds (priced by
+    :func:`_split_l1`, so the total is the fold's bit for bit) and runs the
+    fold and DP otherwise; outcomes are counted in
+    ``projection.split_certified{by=rank|fold}``.
+    """
     eng = _resolve_engine(engine, len(inp.base))
     if inp.piecewise_constant and eng == "fast":
         # Fast-engine path: pieces become weighted points (weight = length,
@@ -578,6 +762,11 @@ def _coarse_l1(inp: _CoarseInput, k: int, engine: str) -> tuple[float, np.ndarra
     if inp.piecewise_constant:
         # The Algorithm 1 case: p = D̂ is constant on each base piece, so
         # cost[a, b] = Σ_{q∈[a,b), kept} len_q·|val_q − μ_ab|.
+        split = _certified_split(inp, k)
+        by = "fold" if split is None else "rank"
+        get_metrics().counter("projection.split_certified", by=by).inc()
+        if split is not None:
+            return _split_l1(inp, split), split
         piece_error = _constant_piece_error(inp.values, inp.weights)
     else:
         # Generic path: within-piece values vary, so each piece's deviation
@@ -600,8 +789,11 @@ def coarse_flattening_projection(
     ``base``, with TV error counted only on the kept intervals.
 
     ``kept`` is a boolean vector over the ``K`` base intervals (default: all
-    kept).  Runs in ``O(K² k)`` after a ``K³/6``-term per-piece cost fold
-    (:func:`_fold_costs`), independent of the domain size ``n`` — this is
+    kept).  A piecewise-constant ``dist`` (the Step-10 case) runs in
+    ``O(K² log K + K² k)`` when the rank-prefix split certifies
+    (:func:`_certified_split`), and after the ``K³/6``-term per-piece fold
+    (:func:`_fold_costs`) otherwise, with the same answer bit for bit;
+    either way the cost is independent of the domain size ``n`` — this is
     the oracle Step 10 of Algorithm 1 calls.  Bases larger than
     ``max_base`` are first coarsened (mask-flip + top-jump + quantile
     borders); the coarsening's own error is *added* to the reported
@@ -632,25 +824,6 @@ _UPPER_SPLIT_BASE = 64
 #: own rounding (≲ k·K·2⁻⁵³ of the unit mass, under 3e-11 at k = K = 512).
 _CHECK_MARGIN_REL = 1e-9
 _CHECK_MARGIN_ABS = 1e-10
-
-
-def _split_l1(inp: _CoarseInput, split: np.ndarray) -> float:
-    """Raw ℓ1 flattening error of one split (base-border indices) in O(K).
-
-    Every term and every sum is formed exactly as :func:`_fold_costs` and
-    :func:`_interval_dp` form them (same mean, same left-to-right order;
-    zero-weight terms add ``+0.0``), and float addition is monotone, so the
-    result is never below the dense DP's optimum — bit for bit.
-    """
-    total = 0.0
-    for a, b in zip(split[:-1].tolist(), split[1:].tolist()):
-        mu = inp.mass_prefix[b] - inp.mass_prefix[a]
-        mu /= inp.len_prefix[b] - inp.len_prefix[a]
-        terms = np.subtract(inp.values[a:b], mu)
-        np.abs(terms, out=terms)
-        terms *= inp.weights[a:b]
-        total += float(np.cumsum(terms)[-1])
-    return total
 
 
 def _upper_bound(inp: _CoarseInput, k: int) -> float:
@@ -729,7 +902,8 @@ def exists_close_histogram(
     sound on both sides.  Piecewise-constant inputs on more than
     :data:`_CHECK_BOUNDS_MIN_BASE` pieces are first tried against a
     certified upper bound (accept) and lower bound (reject), each with a
-    small margin; only an undecided check pays for the exact fold and DP.
+    small margin; only an undecided check pays for the exact split
+    (:func:`_coarse_l1`).
     Outcomes are counted in ``projection.check_decided{by=…}``.
     """
     if tolerance < 0:

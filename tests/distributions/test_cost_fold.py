@@ -1,8 +1,9 @@
 """Bit-exactness of the per-piece interval-cost fold (``_fold_costs``).
 
-Every cost matrix the dense DPs consume — the Step-10 coarse build on a
-piecewise-constant ``D̂``, the point-granularity flattening build and the
-generic sorted-piece build — is folded one piece at a time.  Each entry must
+Every fold-built cost matrix — the Step-10 coarse build on a
+piecewise-constant ``D̂`` (the fallback of the certified rank-prefix split),
+the point-granularity flattening build and the generic sorted-piece build —
+is folded one piece at a time.  Each entry must
 be the *same* left-to-right sum of the *same* float terms as a per-pair sum,
 so these tests compare raw bits (``view(np.uint64)``), never tolerances: a
 later change to the fold that reorders or re-associates any sum fails here
@@ -22,6 +23,7 @@ from repro.distributions.projection import (
     _interval_dp,
     coarse_flattening_projection,
 )
+from repro.observability.metrics import get_metrics
 from repro.util.intervals import Partition
 
 
@@ -133,6 +135,19 @@ def prefixes(p: np.ndarray, base: Partition) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def coarse_fold(pmf: np.ndarray, base: Partition, kept: np.ndarray) -> np.ndarray:
+    """The piecewise-constant coarse build, folded from the inputs
+    ``_coarse_input`` prepares (the certified split's fallback)."""
+    inp = projection._coarse_input(pmf, base, 1, kept, projection._MAX_PROJECTION_BASE)
+    assert inp.piecewise_constant
+    return _fold_costs(
+        inp.mass_prefix,
+        inp.len_prefix,
+        np.flatnonzero(inp.kept),
+        _constant_piece_error(inp.values, inp.weights),
+    )
+
+
 def projected_cost(monkeypatch, *args, **kwargs):
     """Run ``coarse_flattening_projection`` and return (result, the cost
     matrix it handed to the interval DP)."""
@@ -154,13 +169,13 @@ SEEDS = range(12)
 
 class TestAgainstPerPairSum:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_coarse_piecewise_constant_build(self, seed, monkeypatch):
+    def test_coarse_piecewise_constant_build(self, seed):
         gen = np.random.default_rng([15, seed])
         big_k = int(gen.integers(1, 41))
         base = random_base(gen, big_k)
         pmf = piecewise_constant_pmf(gen, base)
         kept = with_unkept_runs(gen, big_k)
-        _, cost = projected_cost(monkeypatch, pmf, base, 3, kept)
+        cost = coarse_fold(pmf, base, kept)
 
         mass_prefix, len_prefix = prefixes(pmf, base)
         values = pmf[base.boundaries[:-1]]
@@ -213,15 +228,20 @@ class TestAgainstPerPairSum:
 
 class TestAgainstPerRowBuilder:
     """At the sizes Step 10 runs (K up to ``_MAX_PROJECTION_BASE``) the
-    projection must return the very bits the per-row build produced."""
+    fold must build, and the projection (certified split or fold) return,
+    the very bits the per-row build produced."""
 
     @pytest.mark.parametrize("big_k, k", [(300, 6), (417, 12), (512, 9)])
-    def test_projection_distance_and_boundaries(self, big_k, k, monkeypatch):
+    def test_projection_distance_and_boundaries(self, big_k, k):
         gen = np.random.default_rng([19, big_k])
         base = random_base(gen, big_k, max_len=8)
         pmf = piecewise_constant_pmf(gen, base)
         kept = with_unkept_runs(gen, big_k)
-        result, cost = projected_cost(monkeypatch, pmf, base, k, kept)
+        cost = coarse_fold(pmf, base, kept)
+        certified = get_metrics().counter("projection.split_certified", by="rank")
+        before = certified.value
+        result = coarse_flattening_projection(pmf, base, k, kept)
+        assert certified.value == before + 1  # the rank-prefix split, not the fold
 
         mass_prefix, len_prefix = prefixes(pmf, base)
         values = pmf[base.boundaries[:-1]]

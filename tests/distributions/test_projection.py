@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.distributions import projection
 from repro.distributions.families import random_histogram
 from repro.distributions.histogram import is_k_histogram
 from repro.distributions.projection import (
@@ -288,3 +289,95 @@ class TestCheckDecidedCounter:
         decided, verdict = self.decided_by("zipf")
         assert decided == {"upper": 0, "lower": 1, "exact": 0}
         assert not verdict.accept and verdict.stage == "check"
+
+    def test_bimodal_falls_through_to_the_certified_split(self):
+        (decided, verdict), by = counted(self.decided_by, "bimodal")
+        assert decided == {"upper": 0, "lower": 0, "exact": 1}
+        assert by == {"rank": 1, "fold": 0}
+        assert not verdict.accept and verdict.stage == "check"
+
+
+def split_counts() -> dict:
+    return {
+        by: get_metrics().counter("projection.split_certified", by=by).value
+        for by in ("rank", "fold")
+    }
+
+
+def counted(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the ``split_certified`` increments it
+    made."""
+    before = split_counts()
+    result = fn(*args, **kwargs)
+    after = split_counts()
+    return result, {by: after[by] - before[by] for by in after}
+
+
+def forced_fold(monkeypatch, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with the certificate disabled: the fold path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(projection, "_certified_split", lambda inp, k: None)
+        return fn(*args, **kwargs)
+
+
+class TestSplitCertified:
+    """The rank-prefix split must be the path Step 10 actually takes at
+    bench scale, and must give way to the fold on a near-tie."""
+
+    #: The nine bench identity families.
+    FAMILIES = (
+        "uniform",
+        "staircase",
+        "random-histogram",
+        "spiky-histogram",
+        "sawtooth-uniform",
+        "sawtooth-staircase",
+        "paninski",
+        "zipf",
+        "bimodal",
+    )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bench_identity_families_certify(self, family):
+        # Imported here: a module-level ``test_histogram`` would be collected.
+        from repro.core.tester import test_histogram
+
+        dist = make(family, 100_000, 8, 0.2, rng=np.random.default_rng(1))
+        _, by = counted(test_histogram, dist, 8, 0.2, rng=1, backend="cdkl22")
+        assert by == {"rank": 1, "fold": 0}
+
+    def test_near_tie_takes_the_fold(self, monkeypatch):
+        # A palindrome on an odd number of unit pieces: the best 2-piece
+        # split and its mirror image cost the same in exact arithmetic, so
+        # in floats they differ by rounding alone (within δ), and no gap
+        # can tell the fold's argmin apart.
+        gen = np.random.default_rng(5)
+        half = gen.random(20) + 0.1
+        heights = np.concatenate((half, [0.05], half[::-1]))
+        pmf = heights / heights.sum()
+        base = Partition.singletons(len(pmf))
+        kept = np.ones(len(pmf), dtype=bool)
+
+        inp = projection._coarse_input(pmf, base, 2, kept, projection._MAX_PROJECTION_BASE)
+        _, delta = projection._rank_costs(inp)
+        fold = projection._fold_costs(
+            inp.mass_prefix,
+            inp.len_prefix,
+            np.arange(len(pmf)),
+            projection._constant_piece_error(inp.values, inp.weights),
+        )
+        l1, split = projection._interval_dp(fold, 2)
+        mirror = len(pmf) - split[::-1]
+        assert not np.array_equal(mirror, split)
+        assert abs(projection._split_l1(inp, mirror) - l1) <= delta
+
+        got, by = counted(coarse_flattening_projection, pmf, base, 2, kept)
+        assert by == {"rank": 0, "fold": 1}
+        want = forced_fold(monkeypatch, coarse_flattening_projection, pmf, base, 2, kept)
+        assert np.float64(got.distance).view(np.uint64) == np.float64(want.distance).view(np.uint64)
+        assert np.array_equal(got.boundaries, want.boundaries)
+        assert np.array_equal(got.boundaries, split)
+        for tolerance in (want.distance, np.nextafter(want.distance, -np.inf)):
+            decided, by = counted(exists_close_histogram, pmf, base, 2, kept, tolerance)
+            assert by == {"rank": 0, "fold": 1}
+            assert decided == (want.distance <= tolerance)

@@ -7,8 +7,12 @@ flattening over-shoots it by at most a factor of two, both shrink as ``k``
 grows, and genuine k-histograms project to distance zero.  Histogram
 round-trips pin the succinct representation against the explicit pmf.
 The Step-10 check's certified bounds bracket the exact coarse projection,
-and the check they short-circuit returns the exact path's answer.
+and the check they short-circuit returns the exact path's answer.  The
+rank-prefix cost matrix stays within its derived ``δ`` of the fold's, and
+the certified split returns a forced-fold run's bits.
 """
+
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -213,3 +217,72 @@ class TestStep10Bounds:
             if tolerance >= 0.0:
                 got = exists_close_histogram(pmf, base, k, kept, tolerance)
                 assert got == (exact <= tolerance), tolerance
+
+
+@st.composite
+def certificate_inputs(draw):
+    """A piecewise-constant Step-10 input on ``K ≤ 512`` pieces for the
+    rank-prefix certificate: length-1 pieces (every piece, when the drawn
+    maximum length is 1), runs of equal neighbours, runs of unkept pieces
+    and heights spread over six orders of magnitude."""
+    big_k = draw(st.integers(min_value=1, max_value=512))
+    k = draw(st.integers(min_value=1, max_value=12))
+    max_len = draw(st.integers(min_value=1, max_value=4))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    base = Partition(np.concatenate(([0], np.cumsum(gen.integers(1, max_len + 1, size=big_k)))))
+    heights = 10.0 ** gen.uniform(-6, 0, size=big_k)
+    for start in gen.integers(0, big_k, size=draw(st.integers(min_value=0, max_value=6))):
+        heights[start : start + int(gen.integers(2, 20))] = heights[start]
+    kept = np.ones(big_k, dtype=bool)
+    for start in gen.integers(0, big_k, size=draw(st.integers(min_value=0, max_value=4))):
+        kept[start : start + int(gen.integers(1, 30))] = False
+    pmf = np.repeat(heights, base.lengths())
+    return pmf / pmf.sum(), base, k, kept
+
+
+def fold_only(fn, *args):
+    """``fn(*args)`` with the certificate disabled, so every piecewise-
+    constant split comes from the fold."""
+    with patch.object(projection, "_certified_split", lambda inp, k: None):
+        return fn(*args)
+
+
+def bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+class TestRankCertificate:
+    """The rank-prefix cost matrix stays within ``δ`` of the fold's, and
+    the certified split returns the fold's answer bit for bit."""
+
+    @settings(max_examples=40)
+    @given(certificate_inputs())
+    def test_every_entry_within_delta_of_the_fold(self, case):
+        pmf, base, k, kept = case
+        inp = projection._coarse_input(pmf, base, k, kept, projection._MAX_PROJECTION_BASE)
+        assert inp.piecewise_constant
+        rank, delta = projection._rank_costs(inp)
+        fold = projection._fold_costs(
+            inp.mass_prefix,
+            inp.len_prefix,
+            np.flatnonzero(inp.kept),
+            projection._constant_piece_error(inp.values, inp.weights),
+        )
+        finite = np.isfinite(fold)
+        assert np.array_equal(finite, np.isfinite(rank))
+        assert np.array_equal(np.diag(rank), np.zeros(len(rank)))
+        assert np.all(np.abs(rank[finite] - fold[finite]) <= delta)
+
+    @settings(max_examples=30)
+    @given(certificate_inputs())
+    def test_matches_a_forced_fold_run(self, case):
+        pmf, base, k, kept = case
+        got = coarse_flattening_projection(pmf, base, k, kept)
+        want = fold_only(coarse_flattening_projection, pmf, base, k, kept)
+        assert bits(got.distance) == bits(want.distance)
+        assert np.array_equal(got.boundaries, want.boundaries)
+        for tolerance in (want.distance, np.nextafter(want.distance, -np.inf)):
+            if tolerance >= 0.0:
+                decided = exists_close_histogram(pmf, base, k, kept, tolerance)
+                assert decided == fold_only(exists_close_histogram, pmf, base, k, kept, tolerance)
+                assert decided == (want.distance <= tolerance)
