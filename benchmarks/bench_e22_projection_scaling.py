@@ -2,17 +2,20 @@
 
 Wall-clock time of :func:`repro.distributions.projection.distance_to_histogram`
 on a noisy staircase (the tester's realistic near-histogram regime) as the
-domain grows, n ∈ {2^8 … 2^15}, at fixed k.  Three shape checks encode the
-engine's contract:
+domain grows, n ∈ {2^8 … 2^13} (the point-granularity cap), at fixed k.
+The shape checks encode the engine's contract:
 
-* the fast engine's log-log slope stays **well below the dense engine's
-  cubic** (near-linear in practice: ~1.1–1.6 on this family);
+* the fast engine's log-log slope against the sub-quadratic bar 2.0.  The
+  engine prices each of the n(n+1)/2 intervals once (O(n² log n) oracle
+  work plus an O(k·n²) DP), so it reads about 1.9–2.1 on this grid and
+  this check can print FAIL; like the speedup check it is reported only,
+  and the exit status follows the engine-agreement check;
 * fast and dense agree to ≤ 1e-12 wherever both run (golden equivalence);
 * ≥ 20× speedup at n = 4096, k = 32 (the tentpole acceptance bar; the dense
   time there is cubic-extrapolated unless ``--full-dense`` measures it);
-* the tracemalloc peak of one fast run per n grows near-linearly (log-log
-  slope ≤ 1.5: the O(n·k) preallocation contract of the sparse-table and
-  block kernels — a quadratic table would show a slope of ≈ 2).
+* the tracemalloc peak of one fast run per n grows at most near-linearly
+  (log-log slope ≤ 1.5: the O(n·k) layers plus one bounded column block —
+  a quadratic table would show a slope of ≈ 2).
 
 The dense engine builds the full O(n²) cost matrix (O(n³) work), so it is
 only timed up to ``--dense-cap`` (default 2048; smoke 512); its time is
@@ -117,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", default=None, help="output path for BENCH_e22.json")
     args = parser.parse_args(argv)
 
-    sizes = [1 << e for e in (range(8, 12) if args.smoke else range(8, 16))]
+    sizes = [1 << e for e in (range(8, 12) if args.smoke else range(8, 14))]
     dense_cap = args.dense_cap if args.dense_cap is not None else (
         512 if args.smoke else 2048
     )
@@ -153,11 +156,11 @@ def main(argv: list[str] | None = None) -> int:
     # Measured after the timings, so tracemalloc's overhead never enters them.
     peaks_by_n = {n: peak_memory(make_pmf(n, args.k), args.k) for n in sizes}
     mem_slope = loglog_slope(sizes, [float(peaks_by_n[n]) for n in sizes])
-    print(f"  peak-memory log-log slope: {mem_slope:.2f} (O(n*k) => ~1)")
+    print(f"  peak-memory log-log slope: {mem_slope:.2f} (O(n*k) => <= ~1)")
 
     max_diff = max((r[4] for r in dense_rows), default=math.nan)
     check("fast log-log slope < 2.0 (sub-quadratic)", slope < 2.0)
-    check("memory near-linear in n (slope <= 1.5)", mem_slope <= 1.5)
+    check("memory at most near-linear in n (slope <= 1.5)", mem_slope <= 1.5)
     if dense_rows:
         check("engines agree <= 1e-12", max_diff <= 1e-12)
     if not math.isnan(accept_speedup):

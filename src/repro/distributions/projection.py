@@ -29,17 +29,21 @@ case, where the unknown histogram is constant on every kept interval, and
 safe in the soundness case, where searching a subclass can only make the
 check stricter).
 
-Two interchangeable execution engines back the public API:
+Two interchangeable execution engines back the public API, and both run
+the one layered DP (:func:`~repro.distributions.projection_engine._dp_layers`):
 
-* ``engine="dense"`` — the original O(n²)-memory cost-matrix build plus
-  ``_interval_dp``; simple, the golden reference, but cubic-ish time in
-  ``n`` for the flattening build.
+* ``engine="dense"`` — the original O(n²)-memory cost-matrix build;
+  simple, the golden reference, but cubic-ish time in ``n`` for the
+  flattening build.
 * ``engine="fast"`` — :mod:`repro.distributions.projection_engine`, a lazy
-  interval-cost oracle with a two-pass verified divide-and-conquer DP;
-  O(n·k) memory, near-linear oracle work per layer on structured inputs,
-  and equivalent to the dense result to ≤ 1e-12 in cost.
+  interval-cost oracle that prices each interval exactly once, block by
+  block of right endpoints; O(n²·log n) time, O(n·k) memory, and
+  equivalent to the dense result to ≤ 1e-12 in cost.
 * ``engine="auto"`` (default) — dense for small domains where the matrix
   build is instant, fast above :data:`_AUTO_FAST_THRESHOLD`.
+
+Both engines refuse point-granularity domains above :data:`_MAX_DENSE_N`;
+larger domains go through :func:`coarse_flattening_projection`.
 """
 
 from __future__ import annotations
@@ -52,19 +56,20 @@ import numpy as np
 from repro.distributions.discrete import DiscreteDistribution
 from repro.distributions.distances import ArrayLike, _as_array
 from repro.distributions.histogram import Histogram
-from repro.distributions.projection_engine import project_intervals
+from repro.distributions.projection_engine import (
+    _dp_layers,
+    matrix_columns,
+    project_intervals,
+)
 from repro.observability.metrics import get_metrics
 from repro.util.intervals import Partition
 
-#: Dense point-granularity DPs are O(n² k) time and O(n²) memory; refuse
-#: domains where that is plainly infeasible rather than hanging.  The cap
-#: applies to explicit ``engine="dense"`` requests (kept high enough that
-#: benchmark comparisons against the fast engine stay possible).
+#: Point-granularity DPs on either engine refuse domains above this size
+#: rather than hang: the dense build is O(n³) time and O(n²) memory, and
+#: the fast engine prices all n(n+1)/2 intervals (E22's noisy staircase at
+#: k = 32 on a 2-vCPU container: 1.2–2.1 s at n = 2048, 5–6 s at
+#: n = 4096, 22 s at n = 8192).
 _MAX_DENSE_N = 8192
-
-#: The fast engine is O(n·k) memory but still quadratic in adversarial
-#: cases; refuse absurd domains outright.
-_MAX_FAST_N = 1 << 20
 
 #: ``engine="auto"`` uses the dense build below this domain size (matrix
 #: build is microseconds there and has no oracle/bookkeeping overhead).
@@ -108,14 +113,12 @@ class Projection:
 # ---------------------------------------------------------------------------
 
 
-def _check_point_inputs(
-    p: np.ndarray, mask: np.ndarray | None, limit: int = _MAX_DENSE_N
-) -> np.ndarray:
+def _check_point_inputs(p: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     n = len(p)
-    if n > limit:
+    if n > _MAX_DENSE_N:
         raise ValueError(
-            f"point-granularity DP limited to n <= {limit} (got {n}); "
-            "use the coarse variant on a base partition instead"
+            f"point-granularity DP limited to n <= {_MAX_DENSE_N} (got {n}); "
+            "use coarse_flattening_projection on a base partition instead"
         )
     if mask is None:
         return np.ones(n, dtype=bool)
@@ -123,10 +126,6 @@ def _check_point_inputs(
     if mask.shape != (n,):
         raise ValueError("mask shape does not match the domain")
     return mask
-
-
-def _point_limit(resolved_engine: str) -> int:
-    return _MAX_DENSE_N if resolved_engine == "dense" else _MAX_FAST_N
 
 
 def _point_projection(
@@ -278,39 +277,6 @@ def _median_cost_matrix(p: np.ndarray, mask: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _dp_layers(cost: np.ndarray, pieces: int) -> tuple[np.ndarray, np.ndarray]:
-    """The interval DP's layers and backtracked path.
-
-    Returns ``f`` (``f[r, j]`` = best cost of ``[0, j)`` in at most ``r``
-    pieces, ``r = 0..pieces``) and ``path`` (``path[r]`` = the border the
-    optimiser's ``r``-th piece ends on, ``path[0] = 0``, ``path[-1] = n``;
-    an "empty" piece repeats its border).  Step ``r`` takes
-    ``path[r] = argmin_i f[r, i] + cost[i, path[r + 1]]``.
-    """
-    n = cost.shape[0] - 1
-    pieces = min(pieces, n)
-    if pieces < 1:
-        raise ValueError(f"need at least one piece, got {pieces}")
-    columns = np.arange(n + 1)
-    f = np.full((pieces + 1, n + 1), np.inf)
-    f[0, 0] = 0.0
-    parent = np.zeros((pieces, n + 1), dtype=np.int64)
-    # Column j of the step is row j of the transpose: a contiguous argmin.
-    cost_t = np.ascontiguousarray(cost.T)
-    stacked = np.empty_like(cost_t)
-    for r in range(pieces):
-        np.add(cost_t, f[r], out=stacked)
-        parent[r] = np.argmin(stacked, axis=1)
-        f[r + 1] = stacked[columns, parent[r]]
-    path = np.empty(pieces + 1, dtype=np.int64)
-    path[pieces] = n
-    for r in range(pieces - 1, -1, -1):
-        path[r] = parent[r][path[r + 1]]
-    if path[0] != 0:
-        raise AssertionError("DP backtrack did not reach the origin")
-    return f, path
-
-
 def _interval_dp(cost: np.ndarray, pieces: int) -> tuple[float, np.ndarray]:
     """Minimise total cost of splitting ``[0, n)`` into at most ``pieces``
     intervals; returns (optimal cost, boundary array of an optimiser).
@@ -320,7 +286,7 @@ def _interval_dp(cost: np.ndarray, pieces: int) -> tuple[float, np.ndarray]:
     pieces are free, so the DP with exactly ``pieces`` splits covers every
     count up to ``pieces``.
     """
-    f, path = _dp_layers(cost, pieces)
+    f, path = _dp_layers(matrix_columns(cost), cost.shape[0] - 1, pieces)
     return float(f[-1, -1]), np.unique(path)
 
 
@@ -335,7 +301,7 @@ def project_flattening(
     """Best-flattening projection of a pmf onto ``H_k`` (masked TV error)."""
     p = _as_array(dist)
     eng = _resolve_engine(engine, len(p))
-    mask_arr = _check_point_inputs(p, mask, _point_limit(eng))
+    mask_arr = _check_point_inputs(p, mask)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     l1, bounds = _point_projection(p, mask_arr, k, "flattening", eng)
@@ -381,18 +347,14 @@ def flattening_profile(
     """
     p = _as_array(dist)
     eng = _resolve_engine(engine, len(p))
-    mask_arr = _check_point_inputs(p, mask, _point_limit(eng))
+    mask_arr = _check_point_inputs(p, mask)
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     n = len(p)
     if eng == "dense":
         cost = _flattening_cost_matrix(p, mask_arr)
-        f = np.full(n + 1, np.inf)
-        f[0] = 0.0
-        profile = np.empty(min(k_max, n), dtype=np.float64)
-        for r in range(len(profile)):
-            f = np.min(f[:, None] + cost, axis=0)
-            profile[r] = 0.5 * f[n]
+        f, _ = _dp_layers(matrix_columns(cost), n, k_max)
+        profile = 0.5 * f[1:, n]
     else:
         _, _, raw = project_intervals(
             p, np.ones(n), mask_arr, min(k_max, n), return_profile=True
@@ -413,7 +375,7 @@ def unconstrained_l1_distance(
     """
     p = _as_array(dist)
     eng = _resolve_engine(engine, len(p))
-    mask_arr = _check_point_inputs(p, mask, _point_limit(eng))
+    mask_arr = _check_point_inputs(p, mask)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     l1, _ = _point_projection(p, mask_arr, k, "median", eng)
@@ -731,7 +693,7 @@ def _certified_split(inp: _CoarseInput, k: int) -> np.ndarray | None:
     same path, and :func:`_split_l1` prices it with the fold's bits.
     """
     cost, delta = _rank_costs(inp)
-    f, path = _dp_layers(cost, k)
+    f, path = _dp_layers(matrix_columns(cost), len(inp.values), k)
     columns = f[:-1] + cost[:, path[1:]].T  # step r's column of f[r] + cost
     lowest = np.partition(columns, 1, axis=1)
     gaps = lowest[:, 1] - lowest[:, 0]
@@ -820,8 +782,10 @@ _UPPER_SPLIT_BASE = 64
 
 #: Slack between a bound and the tolerance before the bound decides:
 #: relative to the tolerance, plus an absolute floor.  The floor covers the
-#: fast engine's ≤ 1e-12 cost agreement with the dense fold and the fold's
-#: own rounding (≲ k·K·2⁻⁵³ of the unit mass, under 3e-11 at k = K = 512).
+#: fast engine's ≤ 1e-12 cost agreement with the dense fold (it prices
+#: every interval and prunes nothing, so the gap is only its prefix-sum
+#: and rank-tree rounding) and the fold's own rounding (≲ k·K·2⁻⁵³ of the
+#: unit mass, under 3e-11 at k = K = 512).
 _CHECK_MARGIN_REL = 1e-9
 _CHECK_MARGIN_ABS = 1e-10
 

@@ -1,10 +1,10 @@
-"""Near-linear ``H_k`` projection engine: lazy cost oracles + verified D&C DP.
+"""Matrix-free ``H_k`` projection engine: a lazy cost oracle + a
+column-blocked layered DP.
 
 The dense path in :mod:`repro.distributions.projection` materialises an
 ``(n+1)×(n+1)`` interval-cost matrix (Θ(n³) work for the flattening build)
-and runs the classic layered DP over it.  This module replaces both halves
-for large domains while reproducing the dense results to within an
-explicit tolerance:
+and runs the layered DP over it.  This module keeps the DP and replaces
+the matrix:
 
 **Interval cost oracle** (:class:`IntervalCostOracle`).  Costs are over
 weighted values ``(v_q, w_q)`` with a boolean "don't-care" mask — one
@@ -20,140 +20,67 @@ the elements below/above ``μ`` can be aggregated:
 where ``W_{<c}(a, b)`` / ``S_{<c}(a, b)`` are the masked weight / masked
 weight·value totals of elements with value below ``c``.  Those are served
 by a Fenwick-block rank tree (the ``rank_tree.*`` ops of
-:mod:`repro.kernels`): prefix ``[0, x)`` decomposes into the blocks given
-by the set bits of ``x``; each level stores its blocks sorted by
+:mod:`repro.kernels`): each level stores its aligned blocks sorted by
 **integer global value rank** (a float "offset" key would lose low-order
 bits and misclassify values within a few ulp of ``μ``) together with
-running sums of the masked weights in that order.  The tree is stored as
+running sums of the masked weights in that order, and ``[a, b)``
+decomposes into its canonical segment-tree cover.  The tree is stored as
 flat arrays with per-level key offsets so a batched query across *all*
-levels of *all* queries is a single ``searchsorted`` — O(log n) amortised
-per interval after an O(n log² n) preprocess.  The
-median (unconstrained ℓ1) variant binary-searches the weighted lower
-median over global value ranks with the same primitive, matching the
-dense two-heap tracker's lower-median convention.
+levels of *all* queries is a single ``searchsorted`` — O(log n) per
+interval after an O(n log² n) preprocess.  The median (unconstrained ℓ1)
+variant binary-searches the weighted lower median over global value ranks
+with the same primitive, matching the dense two-heap tracker's
+lower-median convention.
 
-**Verified divide-and-conquer DP** (:func:`project_intervals`).  The
-textbook D&C argmin-splitting optimisation is *not exact* here: the
-flattening cost violates the quadrangle inequality (``p = [0, 10, 0, 0]``
-gives ``C(0,2)+C(1,4) > C(0,4)+C(1,2)``), and the median cost is only
-Monge on sorted data — empirically plain D&C mislabels ~15% of random
-instances.  Each layer therefore runs two passes:
-
-1. a breadth-first D&C pass producing upper bounds ``g_ub(j)`` and
-   candidate parents with O(n log n) oracle calls;
-2. a verification pass that re-examines every candidate ``i`` whose
-   admissible lower bound is below ``g_ub(j) − tol``.  The bound must be
-   *length-aware* — the masked value range ``R(i, j)`` alone prunes almost
-   nothing on noise-like inputs because it does not grow with ``|j − i|``.
-   The engine therefore precomputes, for every level ``b``, the optimal
-   masked ℓ1 cost of each aligned block ``[m·2^b, (m+1)·2^b)`` against its
-   own best constant.  Costs are superadditive (a single constant over a
-   union can only do worse than per-block optima), so any disjoint aligned
-   cover of ``[i, j)`` sums to a lower bound on both objectives.  Two uses:
-
-   * **candidate generation** — at one fixed small level ``s`` the bound
-     separates into ``φ(i) = f_prev(i) − PB[⌈i/s⌉]`` versus
-     ``ψ(j) = T(j) − PB[⌊j/s⌋]`` (``PB`` = prefix sums of block costs), so
-     the exact set ``{i : φ(i) < ψ(j)}`` falls out of one argsort of ``φ``
-     and a ``searchsorted`` per layer — no monotonicity assumption on
-     ``f_prev`` (which is *not* monotone under masks) is needed;
-   * **per-pair refinement** — surviving pairs are filtered again with the
-     canonical segment-tree cover (mixed levels, no edge slack) and with
-     ``R(i, j)`` (valid since both call sites have weights ≥ 1; the
-     general form scales by the minimum masked weight), before the
-     remaining few are batch-evaluated through the oracle.
-
-Missed candidates provably cost at least ``g_ub − tol``, so each layer is
-exact to ``tol`` (default 1e-14) and a k-layer run to ``k·tol`` — far
-inside the 1e-12 budget of the golden-equivalence suite.  Ties between
-verified candidates resolve to the smallest ``i``, matching the dense
-``np.argmin`` convention.  Memory is O(n·k) for the parent table plus
-O(n log n) for the tree and tables.
-
-The hot primitives — rank-tree build/query, aligned-block cost tables, the
-canonical cover walk, per-segment first-minima — live in
-:mod:`repro.kernels`, which meters each op's calls and seconds.
+**Column-blocked layered DP** (:func:`_dp_layers`).  The recurrence
+``f_r(j) = min_i f_{r−1}(i) + C(i, j)`` runs over blocks of right
+endpoints ``J = [j0, j1)``: the block's costs ``C(i, J)`` for every
+``i < j1`` are produced once, then every layer ``r = 1..pieces`` is
+advanced on ``J`` before the next block (``f_{r−1}`` on ``J`` itself is
+final by then, since ``i ≤ j``).  The oracle path
+(:func:`project_intervals`) therefore evaluates each interval exactly
+once — ``n(n+1)/2`` evaluations for every input, so the worst case is the
+typical case — with O(n·k) memory for the layers and parents plus one
+block of at most :data:`_DP_BLOCK_CELLS` cells.  The same function runs
+the dense matrices of :mod:`repro.distributions.projection`; below the
+cell budget a matrix is one block, which is exactly the unblocked DP.
+Ties resolve to the smallest ``i`` (``np.argmin``'s first minimum), and
+every ``f_r(j)`` is ``fl(f_{r−1}(i) + C(i, j))`` of the oracle's exact
+``C`` — no pruning, no tolerance.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 from repro.kernels import dispatch
 from repro.observability.metrics import get_metrics
 
-#: Per-layer exactness slack of the verification pass; total error over a
-#: k-layer run is at most k times this.
-DEFAULT_TOL = 1e-14
-
-#: Cap on simultaneously evaluated (i, j) candidate pairs.
-_CHUNK = 1 << 18
-
-
 _OBJECTIVES = ("flattening", "median")
+
+#: Cells (right endpoints × left endpoints) in one column block of
+#: :func:`_dp_layers`.  At 2¹⁸ every ``(K+1)²`` matrix with ``K ≤ 511`` is a
+#: single block (the unblocked DP), and a block plus its per-layer scratch
+#: is 4 MB at any ``n``.
+_DP_BLOCK_CELLS = 1 << 18
+
+#: Pairs per oracle call while a block is filled (whole rows, at least
+#: one): bounds the per-call transients of the oracle and its rank-tree
+#: kernel.  Traced peak of one bench ``project`` op (n = 512, k = 16) on a
+#: 2-vCPU container: 7.5 MB at 2¹³, 12.5 MB at 2¹⁴, 20.2 MB at 2¹⁷, with
+#: no measurable difference in time.
+_PAIR_BATCH = 1 << 13
+
+#: ``columns(j0, j1)`` → the ``(j1 − j0, j1)`` array whose row ``j − j0``
+#: holds ``C(i, j)`` for ``i < j1`` (``0`` at ``i = j``, ``inf`` above it).
+ColumnBlocks = Callable[[int, int], np.ndarray]
 
 
 def _count_cost_evals(objective: str, pairs: int) -> None:
     """Meter oracle cost evaluations (one count per (a, b) pair queried)."""
     get_metrics().counter("projection.oracle_cost_evals", objective=objective).inc(pairs)
-
-
-def _count_cache_hits(objective: str, pairs: int) -> None:
-    get_metrics().counter("projection.oracle_cache_hits", objective=objective).inc(pairs)
-
-
-#: Fibonacci-hash multiplier (2⁶⁴/φ as a signed int64 bit pattern).
-_HASH_MULT = np.int64(0x9E3779B97F4A7C15 - (1 << 64))
-
-
-class _PairCostCache:
-    """Direct-mapped exact-value cache for per-pair interval costs.
-
-    The verified DP re-queries the same ``(a, b)`` pairs across layers
-    (~3.5× repetition at the E22 anchor), and interval costs are
-    layer-independent, so a small cache recovers most of that work.
-    Direct-mapped with the stored key as the collision check: a hit
-    returns the *exact* float computed earlier (never an approximation),
-    so results are unchanged; a
-    collision simply overwrites (stale entries cost a re-evaluation, not
-    correctness).  The table is sized O(n) (512 slots per element, capped
-    at 2²⁰ → ≤ 16 MB), which preserves the engine's O(n·k) peak-memory
-    contract — an exhaustive pair map would be Θ(n²).
-    """
-
-    __slots__ = ("keys", "vals", "shift", "mask")
-
-    def __init__(self, n: int):
-        bits = min(20, max(14, (max(int(n), 1) * 512).bit_length() - 1))
-        size = 1 << bits
-        self.keys = np.full(size, -1, dtype=np.int64)
-        self.vals = np.empty(size, dtype=np.float64)
-        self.shift = np.int64(63 - bits)
-        self.mask = np.int64(size - 1)
-
-    def lookup(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(slot, hit-mask, cached values-where-hit) for a key batch."""
-        slot = ((key * _HASH_MULT) >> self.shift) & self.mask
-        hit = self.keys[slot] == key
-        return slot, hit, self.vals[slot]
-
-    def store(self, slot: np.ndarray, key: np.ndarray, vals: np.ndarray) -> None:
-        self.keys[slot] = key
-        self.vals[slot] = vals
-
-
-def _sparse_table(arr: np.ndarray, op) -> np.ndarray:
-    """``st[b, i] = op-reduce(arr[i : i + 2**b])`` for all valid ``i``."""
-    n = len(arr)
-    levels = max(1, int(np.frexp(n)[1]))  # floor(log2 n) + 1, exact
-    st = np.empty((levels, n), dtype=np.float64)
-    st[0] = arr
-    for b in range(1, levels):
-        half = 1 << (b - 1)
-        valid = n - (1 << b) + 1
-        st[b, :valid] = op(st[b - 1, :valid], st[b - 1, half : half + valid])
-        st[b, valid:] = st[b - 1, valid:]  # never queried; keeps shape
-    return st
 
 
 class IntervalCostOracle:
@@ -164,6 +91,7 @@ class IntervalCostOracle:
     optimum over constants (weighted lower median).  ``mean_numerator``
     optionally overrides the per-element numerator of the mean (the coarse
     path passes interval masses so ``μ`` matches the dense build bitwise).
+    Each pair's cost depends only on the pair, never on its batchmates.
     """
 
     def __init__(
@@ -191,74 +119,7 @@ class IntervalCostOracle:
         self._mw_pre = np.concatenate(([0.0], np.cumsum(wm)))
         self._mwv_pre = np.concatenate(([0.0], np.cumsum(wvm)))
         self._tree = dispatch("rank_tree.build")(v, wm, wvm)
-        self._prefix_stats = dispatch("rank_tree.prefix_stats")
         self._interval_stats = dispatch("rank_tree.interval_stats")
-        self._st_hi = _sparse_table(np.where(m, v, -np.inf), np.maximum)
-        self._st_lo = _sparse_table(np.where(m, v, np.inf), np.minimum)
-        masked_w = w[m]
-        self._r_scale = float(min(1.0, masked_w.min())) if masked_w.size else 1.0
-        # Flat per-level aligned-block cost tables (preallocated build; the
-        # padded 2-D prefix lets a per-pair, length-adaptive level be
-        # gathered in one fancy-index).
-        self._bc_flat, self._bc_off, self._block_prefix2d, self._bc_levels = dispatch(
-            "blocks.build"
-        )(v, wm)
-        self._cover_walk = dispatch("blocks.cover_walk")
-        self._cost_cache: dict[str, _PairCostCache] = {}
-
-    # -- admissible lower bound ------------------------------------------
-
-    def range_lower_bound(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``max(0, masked-max − masked-min)`` over ``[a, b)``, scaled by
-        ``min(1, min masked weight)`` — a lower bound on both objectives."""
-        out = np.zeros(len(a), dtype=np.float64)
-        length = b - a
-        nz = length > 0
-        if nz.any():
-            lev = (np.frexp(length[nz].astype(np.float64))[1] - 1).astype(np.int64)
-            aa = a[nz]
-            tail = b[nz] - (np.int64(1) << lev)
-            hi = np.maximum(self._st_hi[lev, aa], self._st_hi[lev, tail])
-            lo = np.minimum(self._st_lo[lev, aa], self._st_lo[lev, tail])
-            out[nz] = np.maximum(hi - lo, 0.0) * self._r_scale
-        return out
-
-    def cover_lower_bound(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Sum of per-block optimal ℓ1 costs over the canonical segment-tree
-        cover of ``[a, b)`` — superadditivity makes it a lower bound on both
-        objectives, with no edge slack."""
-        return self._cover_walk(self._bc_flat, self._bc_off, self._bc_levels, a, b)
-
-    def aligned_lower_bound(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Sum of aligned-block costs fully inside ``[a, b)`` at a per-pair
-        level of roughly a quarter of the interval length — weaker than the
-        canonical cover but only two gathers, so it runs first."""
-        length = b - a
-        lev = np.frexp(np.maximum(length, 1).astype(np.float64))[1] - 2
-        np.clip(lev, 0, self._bc_levels - 1, out=lev)
-        step = np.int64(1) << lev
-        lo_blk = (a + step - 1) >> lev  # ceil(a / step) via shifts, a >= 0
-        hi_blk = b >> lev
-        diff = self._block_prefix2d[lev, hi_blk] - self._block_prefix2d[lev, lo_blk]
-        # lo_blk may land past the last full block (zero padding), which
-        # would overstate the bound — such pairs contribute nothing.
-        return np.where(lo_blk < hi_blk, np.maximum(diff, 0.0), 0.0)
-
-    def window_terms(self, f_prev: np.ndarray, T: np.ndarray, b: int):
-        """Separable candidate test at block level ``b``: candidate ``(i, j)``
-        pairs are exactly ``{φ(i) < ψ(j)}``, an admissible relaxation of
-        ``f_prev(i) + block-cost(i, j) < T(j)``."""
-        prefix = self._block_prefix2d[b]
-        idx = np.arange(self.n + 1, dtype=np.int64)
-        phi = f_prev - prefix[-(idx // -(1 << b))]
-        psi = T - prefix[idx >> b]
-        return phi, psi
-
-    @property
-    def num_levels(self) -> int:
-        return self._bc_levels
-
-    # -- shared helpers ---------------------------------------------------
 
     def _below_above(self, a, b, c, L_lt):
         """Masked ℓ1 error of ``[a, b)`` against per-interval constant ``c``,
@@ -271,40 +132,7 @@ class IntervalCostOracle:
         above = (mwv - wv_lt) - c * (mw - w_lt)
         return np.maximum(below, 0.0) + np.maximum(above, 0.0)
 
-    # -- objectives -------------------------------------------------------
-
-    def _cached(self, objective: str, a, b, raw) -> np.ndarray:
-        """Serve exact per-pair costs through the direct-mapped cache.
-
-        Each query pair is independent of its batchmates (the same
-        argument that lets the kernels chunk queries), so evaluating only
-        the misses and splicing in previously computed values changes
-        nothing but the work done.  Eval order is deterministic, hence so
-        is the cache state — verdicts and traces are byte-identical with
-        or without hits, and across replays.
-        """
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        cache = self._cost_cache.get(objective)
-        if cache is None:
-            cache = self._cost_cache[objective] = _PairCostCache(self.n)
-        key = a * np.int64(self.n + 1) + b  # a, b in [0, n]: injective, >= 0
-        slot, hit, out = cache.lookup(key)
-        miss = np.flatnonzero(~hit)
-        if miss.size:
-            vals = raw(a[miss], b[miss])
-            out[miss] = vals
-            cache.store(slot[miss], key[miss], vals)
-        _count_cache_hits(objective, len(a) - miss.size)
-        return out
-
     def flattening_costs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._cached("flattening", a, b, self._flattening_costs_raw)
-
-    def median_costs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._cached("median", a, b, self._median_costs_raw)
-
-    def _flattening_costs_raw(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         _count_cost_evals("flattening", len(a))
         out = np.zeros(len(a), dtype=np.float64)
         nz = b > a
@@ -318,7 +146,7 @@ class IntervalCostOracle:
         out[nz] = self._below_above(aa, bb, mu, L_lt)
         return out
 
-    def _median_costs_raw(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def median_costs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         _count_cost_evals("median", len(a))
         out = np.zeros(len(a), dtype=np.float64)
         mw = self._mw_pre[b] - self._mw_pre[a]
@@ -349,185 +177,72 @@ class IntervalCostOracle:
 
 
 # ---------------------------------------------------------------------------
-# Verified divide-and-conquer DP
+# The layered DP
 # ---------------------------------------------------------------------------
 
 
-def _dc_upper_bound(f_prev, cost_fn, n, seg_min):
-    """Breadth-first D&C pass: upper bounds + candidate parents per ``j``."""
-    g = np.empty(n + 1, dtype=np.float64)
-    par = np.zeros(n + 1, dtype=np.int64)
-    jlo = np.array([0], dtype=np.int64)
-    jhi = np.array([n], dtype=np.int64)
-    ilo = np.array([0], dtype=np.int64)
-    ihi = np.array([n], dtype=np.int64)
-    while len(jlo):
-        jm = (jlo + jhi) >> 1
-        top = np.minimum(ihi, jm)
-        counts = top - ilo + 1
-        starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        total = int(counts.sum())
-        i_arr = np.repeat(ilo - starts, counts) + np.arange(total, dtype=np.int64)
-        j_arr = np.repeat(jm, counts)
-        vals = f_prev[i_arr] + cost_fn(i_arr, j_arr)
-        mins, argi = seg_min(vals, starts, i_arr)
-        g[jm] = mins
-        par[jm] = argi
-        left = jm - 1 >= jlo
-        right = jm + 1 <= jhi
-        jlo = np.concatenate((jlo[left], jm[right] + 1))
-        jhi = np.concatenate((jm[left] - 1, jhi[right]))
-        ilo = np.concatenate((ilo[left], argi[right]))
-        ihi = np.concatenate((argi[left], ihi[right]))
-    return g, par
+def matrix_columns(cost: np.ndarray) -> ColumnBlocks:
+    """Column blocks of a dense cost matrix (``inf`` below the diagonal,
+    ``0`` on it), transposed so each step's argmin runs along a row."""
+    return lambda j0, j1: np.ascontiguousarray(cost[:j1, j0:j1].T)
 
 
-#: Neighbour-propagation sweeps in the pass-1 polish; one sweep captures
-#: nearly all of the threshold tightening at half the polish cost.
-_POLISH_SWEEPS = 1
+def oracle_columns(cost_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> ColumnBlocks:
+    """Column blocks priced by an oracle objective: one evaluation per
+    pair ``i < j`` of the block, written into a fresh block."""
+
+    def columns(j0: int, j1: int) -> np.ndarray:
+        block = np.full((j1 - j0, j1), np.inf)
+        block[np.arange(j1 - j0), np.arange(j0, j1)] = 0.0
+        step = max(1, _PAIR_BATCH // j1)
+        for g0 in range(j0, j1, step):
+            g1 = min(g0 + step, j1)
+            rows, i = np.nonzero(np.arange(g1) < np.arange(g0, g1)[:, None])
+            block[g0 - j0 + rows, i] = cost_fn(i, g0 + rows)
+        return block
+
+    return columns
 
 
-def _polish_upper_bound(f_prev, g, par, cost_fn, n, seg_min, prev_par=None):
-    """Cheap post-D&C polish of the upper bound: for every ``j`` probe the
-    neighbours' incumbent split points, the previous layer's parent, and
-    geometric offsets around the incumbent, keeping ``g``/``par`` admissible
-    upper bounds throughout.  A tight ``g`` is what makes the verification
-    threshold ``T`` sharp, so this directly shrinks the candidate flood.
+def _dp_layers(columns: ColumnBlocks, n: int, pieces: int) -> tuple[np.ndarray, np.ndarray]:
+    """The interval DP's layers and backtracked path over ``[0, n)``.
 
-    The geometric ``par ± t`` probes clip-saturate to ``0``/``j`` for most
-    ``t``, so the per-``j`` candidate sets are deduplicated before hitting
-    the oracle (identical (i, j) pairs cost the same, and the first-min
-    convention picks the smallest ``i`` either way — the dedup is
-    result-invariant, it only removes redundant evaluations)."""
-    j = np.arange(n + 1, dtype=np.int64)
-    for _ in range(_POLISH_SWEEPS):
-        cand = [
-            np.minimum(np.concatenate(([0], par[:-1])), j),
-            np.minimum(np.concatenate((par[1:], [par[-1]])), j),
-        ]
-        if prev_par is not None:
-            cand.append(np.minimum(prev_par.astype(np.int64), j))
-        t = 1
-        while t <= n:
-            cand.append(np.clip(par - t, 0, j))
-            cand.append(np.clip(par + t, 0, j))
-            t <<= 1
-        # (n+1, m) column-per-j layout; sort within each j's candidate set
-        # and drop repeats, keeping the flattened order j-major/i-ascending.
-        i_mat = np.sort(np.stack(cand, axis=1), axis=1)
-        keep = np.empty(i_mat.shape, dtype=bool)
-        keep[:, 0] = True
-        keep[:, 1:] = i_mat[:, 1:] != i_mat[:, :-1]
-        counts = keep.sum(axis=1)
-        i_arr = i_mat[keep]
-        j_arr = np.repeat(j, counts)
-        starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        vals = f_prev[i_arr] + cost_fn(i_arr, j_arr)
-        val_min, i_min = seg_min(vals, starts, i_arr)
-        better = (val_min < g) | ((val_min == g) & (i_min < par))
-        g[better] = val_min[better]
-        par[better] = i_min[better]
+    Returns ``f`` (``f[r, j]`` = best cost of ``[0, j)`` in at most ``r``
+    pieces, ``r = 0..pieces``) and ``path`` (``path[r]`` = the border the
+    optimiser's ``r``-th piece ends on, ``path[0] = 0``, ``path[-1] = n``;
+    an "empty" piece repeats its border).  Step ``r`` takes
+    ``path[r] = argmin_i f[r, i] + C(i, path[r + 1])``, the first minimum.
 
-
-def _dp_refine_layers(r: int) -> list[int]:
-    """Earlier layers used for per-pair DP-consistency refinement:
-    geometrically spaced steps back from the current layer ``r``."""
-    ms = []
-    step = 1
-    while r - step >= 1:
-        ms.append(r - step)
-        step <<= 1
-    return ms
-
-
-def _verify_layer(fs, g, par, oracle, cost_fn, tol, seg_min):
-    """Exactness pass: evaluate every candidate whose admissible lower bound
-    beats ``g − tol``; updates ``g``/``par`` in place.
-
-    Two separable test families generate candidates, and each ``j`` uses
-    whichever single test admits fewest:
-
-    * block levels — ``f_prev(i) + S_b(i, j) < T(j)`` with ``S_b`` the
-      aligned-block cost sum (noise-like inputs favour small blocks,
-      piecewise-constant inputs piece-scale ones);
-    * DP consistency — ``f_{m+1}(j) ≤ f_m(i) + C(i, j)`` for every earlier
-      layer ``m``, so ``f_r(i) − f_m(i) ≥ T(j) − f_{m+1}(j)`` prunes.
-      Marginal piece gains shrink with ``r``, which makes this the
-      decisive test in early layers where block densities are flat.
+    ``columns`` supplies the costs one block of right endpoints at a time
+    (see :data:`ColumnBlocks`); each block is requested once and every
+    layer is advanced on it before the next.  ``C(0, j)`` is finite and
+    ``f[r, 0] = 0``, so a block's ``inf`` entries (``i > j``) are never a
+    first minimum and blocking leaves every value and argmin unchanged.
     """
-    f_prev = fs[-1]
-    r = len(fs) - 1
-    T = g - tol
-    inactive = T <= 0.0
-    tests = []  # (phi, psi) pairs; all admissible relaxations
-    for b in range(oracle.num_levels):
-        phi, psi = oracle.window_terms(f_prev, T, b)
-        psi[inactive] = -np.inf
-        tests.append((phi, psi))
-    for m in range(1, r):
-        phi = f_prev - fs[m]
-        psi = T - fs[m + 1]
-        psi[inactive] = -np.inf
-        tests.append((phi, psi))
-    orders = []
-    cnts = []
-    for phi, psi in tests:
-        order = np.argsort(phi, kind="stable").astype(np.int64)
-        orders.append(order)
-        cnts.append(np.searchsorted(phi[order], psi, side="left"))
-    cnt_all = np.stack(cnts)
-    best = np.argmin(cnt_all, axis=0)
-    cnt = cnt_all[best, np.arange(cnt_all.shape[1])]
-    refine_ms = _dp_refine_layers(r)
-    for b in range(len(tests)):
-        js = np.flatnonzero((best == b) & (cnt > 0)).astype(np.int64)
-        if js.size == 0:
-            continue
-        order = orders[b]
-        counts = cnt[js]
-        cum = np.cumsum(counts)
-        pos = 0
-        base = 0
-        while pos < len(js):
-            end = int(np.searchsorted(cum, base + _CHUNK, side="right"))
-            end = max(end, pos + 1)
-            group = counts[pos:end]
-            seg_starts = np.concatenate(([0], np.cumsum(group)))[:-1]
-            local = np.arange(int(group.sum()), dtype=np.int64) - np.repeat(
-                seg_starts, group
-            )
-            i_arr = order[local]
-            j_arr = np.repeat(js[pos:end], group)
-            keep = i_arr <= j_arr
-            i_arr, j_arr = i_arr[keep], j_arr[keep]
-            if len(i_arr):
-                # Cheap bounds first (a few gathers each); the pricier
-                # canonical cover and range bounds only see survivors.
-                cost_lb = oracle.aligned_lower_bound(i_arr, j_arr)
-                for m in refine_ms:
-                    np.maximum(
-                        cost_lb,
-                        fs[m + 1][j_arr] - fs[m][i_arr],
-                        out=cost_lb,
-                    )
-                keep = f_prev[i_arr] + cost_lb < T[j_arr]
-                i_arr, j_arr = i_arr[keep], j_arr[keep]
-            if len(i_arr):
-                cost_lb = np.maximum(
-                    oracle.range_lower_bound(i_arr, j_arr),
-                    oracle.cover_lower_bound(i_arr, j_arr),
-                )
-                keep = f_prev[i_arr] + cost_lb < T[j_arr]
-                i_arr, j_arr = i_arr[keep], j_arr[keep]
-            if len(i_arr):
-                vals = f_prev[i_arr] + cost_fn(i_arr, j_arr)
-                ju, starts = np.unique(j_arr, return_index=True)
-                mins, argi = seg_min(vals, starts, i_arr)
-                better = (mins < g[ju]) | ((mins == g[ju]) & (argi < par[ju]))
-                g[ju[better]] = mins[better]
-                par[ju[better]] = argi[better]
-            base = cum[end - 1]
-            pos = end
+    pieces = min(pieces, n)
+    if pieces < 1:
+        raise ValueError(f"need at least one piece, got {pieces}")
+    f = np.full((pieces + 1, n + 1), np.inf)
+    f[0, 0] = 0.0
+    parent = np.zeros((pieces, n + 1), dtype=np.int64)
+    width = max(1, _DP_BLOCK_CELLS // (n + 1))
+    for j0 in range(0, n + 1, width):
+        j1 = min(j0 + width, n + 1)
+        block = columns(j0, j1)
+        stacked = np.empty_like(block)
+        rows = np.arange(j1 - j0)
+        for r in range(pieces):
+            np.add(block, f[r, :j1], out=stacked)
+            best = np.argmin(stacked, axis=1)
+            parent[r, j0:j1] = best
+            f[r + 1, j0:j1] = stacked[rows, best]
+    path = np.empty(pieces + 1, dtype=np.int64)
+    path[pieces] = n
+    for r in range(pieces - 1, -1, -1):
+        path[r] = parent[r][path[r + 1]]
+    if path[0] != 0:
+        raise AssertionError("DP backtrack did not reach the origin")
+    return f, path
 
 
 def project_intervals(
@@ -537,13 +252,12 @@ def project_intervals(
     pieces: int,
     *,
     objective: str = "flattening",
-    tol: float = DEFAULT_TOL,
     return_profile: bool = False,
     mean_numerator=None,
 ):
     """Minimise the total interval cost of splitting ``[0, n)`` into at most
-    ``pieces`` intervals; the fast equivalent of building a dense cost
-    matrix and running ``_interval_dp`` over it.
+    ``pieces`` intervals; the matrix-free equivalent of building a dense
+    cost matrix and running ``_interval_dp`` over it.
 
     Returns ``(total_cost, boundaries)`` — the raw ℓ1 sum (callers halve
     for TV) and the dense-convention boundary array (``np.unique`` of the
@@ -554,38 +268,13 @@ def project_intervals(
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
     v = np.asarray(values, dtype=np.float64)
     n = len(v)
-    pieces = min(int(pieces), n)
-    if pieces < 1:
-        raise ValueError(f"need at least one piece, got {pieces}")
     oracle = IntervalCostOracle(v, weights, mask, mean_numerator=mean_numerator)
     cost_fn = (
         oracle.flattening_costs if objective == "flattening" else oracle.median_costs
     )
-    seg_min = dispatch("dp.segment_first_min")
-    f = np.full(n + 1, np.inf)
-    f[0] = 0.0
-    fs = [f]
-    parents = np.zeros((pieces, n + 1), dtype=np.int32)
-    profile = np.empty(pieces, dtype=np.float64)
-    prev_par = None
-    for r in range(pieces):
-        g, par = _dc_upper_bound(f, cost_fn, n, seg_min)
-        _polish_upper_bound(f, g, par, cost_fn, n, seg_min, prev_par)
-        _verify_layer(fs, g, par, oracle, cost_fn, tol, seg_min)
-        f = g
-        fs.append(f)
-        prev_par = par
-        parents[r] = par
-        profile[r] = f[n]
-    bounds = [n]
-    j = n
-    for r in range(pieces - 1, -1, -1):
-        j = int(parents[r, j])
-        bounds.append(j)
-    if bounds[-1] != 0:
-        raise AssertionError("DP backtrack did not reach the origin")
-    boundary = np.unique(np.asarray(bounds, dtype=np.int64))
-    total = float(f[n])
+    f, path = _dp_layers(oracle_columns(cost_fn), n, int(pieces))
+    total = float(f[-1, -1])
+    boundary = np.unique(path)
     if return_profile:
-        return total, boundary, profile
+        return total, boundary, f[1:, -1].copy()
     return total, boundary

@@ -17,13 +17,17 @@
 * ``blocks.cover_walk`` — the canonical segment-tree cover lower bound,
   evaluated per level from the closed-form walk cursors in cache-resident
   query chunks.
-* ``dp.segment_first_min`` — per-segment (min, first-argmin) used by the
-  D&C DP's candidate evaluation.
+* ``dp.segment_first_min`` — per-segment (min, first-argmin), the
+  ``np.argmin`` first-minimum convention over ragged segments.
 * ``chi2.point_terms`` — the broadcastable χ² point-term kernel.
 * ``serve.aggregate_rows`` — per-partition segment sums over a
   ``(repeats, n)`` count/term matrix (``np.add.reduceat`` semantics:
   strictly sequential in-segment accumulation).
 * ``sampling.counts_from_samples`` — batched sample→histogram counting.
+
+``rank_tree.prefix_stats``, ``blocks.*`` and ``dp.segment_first_min`` have
+no library caller; they stay registered because the benchmark harness pins
+the registry.
 """
 
 from __future__ import annotations

@@ -130,7 +130,10 @@ class ServiceConfig:
 
 @dataclass(frozen=True)
 class ServiceReport:
-    """Everything one service run produced, in submission order."""
+    """Everything one service run produced, in submission order: the
+    outcomes and rejections of the requests submitted since the previous
+    run.  ``rounds`` is the service's round counter at the end of the run
+    (the index ``SessionOutcome.admitted_round`` is counted on)."""
 
     outcomes: tuple
     rejections: tuple
@@ -199,10 +202,10 @@ class TesterService:
         self._session_counter = 0
         self.rounds_run = 0
         self._draining = False
-        #: Per-session trace events (request_id → tuple of ``TraceEvent``),
-        #: captured at retirement for post-hoc audit (`repro serve --trace-dir`).
-        #: The events themselves, not ``export()`` dicts: every retired
-        #: session stays resident, so its history should cost no copies.
+        #: Per-session trace events (request_id → tuple of ``TraceEvent``) of
+        #: the latest :meth:`run`, captured at retirement for post-hoc audit
+        #: (`repro serve --trace-dir`).  Each run starts a fresh dict, so a
+        #: long-lived service holds one run's traces, never its history.
         self.session_traces: dict[str, tuple[TraceEvent, ...]] = {}
 
     # -- graceful drain -------------------------------------------------------
@@ -247,8 +250,15 @@ class TesterService:
     # -- the round loop -------------------------------------------------------
 
     def run(self) -> ServiceReport:
-        """Drive every submitted request to a terminal outcome."""
+        """Drive every submitted request to a terminal outcome.
+
+        The report covers the requests submitted since the previous
+        ``run()``; the service then releases their outcomes and rejections,
+        so a long-lived service retains at most one run's state (plus that
+        run's :attr:`session_traces`).
+        """
         started = time.perf_counter()
+        self.session_traces = {}
         while not self.admission.idle:
             self.rounds_run += 1
             if self.rounds_run > self.config.max_rounds:
@@ -269,6 +279,9 @@ class TesterService:
             wall_seconds=time.perf_counter() - started,
             drained=self._draining,
         )
+        self._submission_order = []
+        self._outcomes = {}
+        self._rejections = []
         metrics = get_metrics()
         for state, count in report.counts().items():
             metrics.gauge("serve.outcomes", state=state).set(count)

@@ -153,12 +153,14 @@ class TestExactDP:
             flattening_distance(np.ones(4) / 4, 2, engine="nope")
 
     def test_size_caps_per_engine(self):
-        # Over the dense cap: explicit dense refuses, auto routes to the
-        # fast engine and succeeds (a uniform pmf is one flat piece).
-        big = np.ones(9000) / 9000
-        with pytest.raises(ValueError):
-            flattening_distance(big, 2, engine="dense")
-        assert flattening_distance(big, 2) == pytest.approx(0.0, abs=1e-12)
+        # One point-granularity cap for every engine: above it each refuses
+        # loudly and names the coarse projection.
+        big = np.ones(projection._MAX_DENSE_N + 1) / (projection._MAX_DENSE_N + 1)
+        for engine in ("auto", "fast", "dense"):
+            with pytest.raises(ValueError, match="coarse_flattening_projection"):
+                flattening_distance(big, 2, engine=engine)
+        with pytest.raises(ValueError, match="coarse_flattening_projection"):
+            histogram_distance_bounds(big, 2)
 
 
 class TestCoarseDP:

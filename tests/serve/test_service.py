@@ -121,6 +121,45 @@ class TestCleanService:
         assert len(report.outcomes) + len(report.rejections) == 4
 
 
+class TestLongLivedService:
+    WAVES, WAVE = 30, 4
+
+    @staticmethod
+    def _pending(service):
+        """Request ids the service holds for its next report."""
+        return (
+            set(service._submission_order)
+            | set(service._outcomes)
+            | {r.request_id for r in service._rejections}
+        )
+
+    def test_each_run_reports_its_wave_then_releases_it(self):
+        # Two of each four-request wave are shed by the queue limit, so
+        # every report carries both outcomes and rejections.
+        config = ServiceConfig(
+            admission=AdmissionConfig(queue_limit=2, max_sessions=2)
+        )
+        service = TesterService(config)
+        for w in range(self.WAVES):
+            wave = [
+                _clean_request(f"w{w}-r{i}", seed=w * self.WAVE + i)
+                for i in range(self.WAVE)
+            ]
+            for request in wave:
+                service.submit(request)
+            assert self._pending(service) == {q.request_id for q in wave}
+            assert len(service.session_traces) <= self.WAVE
+            report = service.run()
+            reported = [o.request_id for o in report.outcomes]
+            shed = [r.request_id for r in report.rejections]
+            assert reported == [f"w{w}-r0", f"w{w}-r1"]
+            assert shed == [f"w{w}-r2", f"w{w}-r3"]
+            assert [o.request_id for o in report.outcomes[-self.WAVE:]] == reported
+            assert sorted(service.session_traces) == reported
+            assert not self._pending(service)
+            assert not service.sessions and not service._requests
+
+
 class TestFaultPaths:
     def test_stream_fault_exhausts_retries_then_evicts_and_trips_breaker(self):
         request = _clean_request(
