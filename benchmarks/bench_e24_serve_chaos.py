@@ -3,7 +3,7 @@
 Drives the always-on tester service (:mod:`repro.serve`) through a chaos
 drill: a population of concurrent stream sessions of which a configured
 fraction carries an injected fault (stream failures, contamination, corrupt
-samples, virtual-time deadlines, projection-engine faults — the full
+samples, virtual-time deadlines, declared projection faults — the full
 :data:`repro.serve.chaos.FAULT_KINDS` cycle).  Measures the service-level
 numbers the regression gate watches:
 
@@ -35,10 +35,10 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _common import WORKERS, check, write_bench_json
+from _common import check, write_bench_json
 
 from repro.experiments.report import print_experiment
-from repro.serve import ChaosConfig, ServiceConfig, TesterService, build_requests
+from repro.serve import ChaosConfig, TesterService, build_requests
 from repro.serve.session import SessionState
 
 SEED = 24
@@ -47,7 +47,7 @@ N, K, EPS = 512, 4, 0.3
 
 def run_drill(config: ChaosConfig) -> tuple:
     """One full service run; returns (report, wall_seconds)."""
-    service = TesterService(ServiceConfig(workers=WORKERS))
+    service = TesterService()
     for request in build_requests(config):
         service.submit(request)
     start = time.perf_counter()
@@ -116,7 +116,6 @@ def main(argv: "list[str] | None" = None) -> int:
         params={
             "sessions": sessions, "n": N, "k": K, "eps": EPS,
             "fault_rate": config.fault_rate, "seed": SEED,
-            "workers": WORKERS,
         },
         columns=["outcome", "count", "rate"],
         rows=rows,

@@ -80,18 +80,11 @@ def _add_common(
         help="constant profile (paper = literal worst-case constants)",
     )
     parser.add_argument(
-        "--engine",
-        choices=["auto", "fast", "dense"],
-        default="auto",
-        help="projection DP engine for the check stage "
-        "(execution knob only; never changes the verdict)",
-    )
-    parser.add_argument(
         "--backend",
         choices=list(backends),
         default=DEFAULT_BACKEND,
         help="tester backend (changes budgets and verdicts; part of sweep "
-        "fingerprints, unlike --engine/--workers)",
+        "fingerprints, unlike --workers)",
     )
 
 
@@ -160,7 +153,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
     tracer = RecordingTracer() if args.trace else NULL_TRACER
     verdict = test_histogram(
         dist, args.k, args.eps, config=_config(args), rng=args.seed + 1,
-        backend=args.backend, projection_engine=args.engine, trace=tracer,
+        backend=args.backend, trace=tracer,
     )
     print(f"workload  : {args.workload} ({REGISTRY[args.workload].nature})")
     print(f"backend   : {args.backend}")
@@ -215,7 +208,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
     result = select_k(
         dist, args.eps, k_max=args.k_max, repeats=args.repeats,
         config=_config(args), rng=args.seed + 1, backend=args.backend,
-        projection_engine=args.engine,
     )
     print(f"workload   : {args.workload}")
     print(f"selected k : {result.k}")
@@ -270,10 +262,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         gen = ensure_rng(args.seed)
         verdict = test_histogram(
             workload(gen), args.k, args.eps, config=_config(args),
-            rng=args.seed, backend=args.backend, projection_engine=args.engine,
+            rng=args.seed, backend=args.backend,
         )
-        print(f"stage timings (1 representative trial, "
-              f"backend={args.backend}, engine={args.engine}):")
+        print(f"stage timings (1 representative trial, backend={args.backend}):")
         _print_stage_table(verdict)
         _print_kernel_table()
     if args.compare_serial:
@@ -381,7 +372,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         backend=args.backend,
     )
-    service = TesterService(ServiceConfig(tester=_config(args), workers=args.workers))
+    service = TesterService(ServiceConfig(tester=_config(args)))
     # SIGTERM/SIGINT drain: in-flight sessions finish, the queue is shed,
     # and the final (reconciled) report below is still written.
     service.install_signal_handlers()
@@ -683,7 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=False,
         help="print the final metrics snapshot",
     )
-    _add_workers(p_serve)
     # Chaos-drill defaults: n=512 keeps the full pipeline (not the plugin
     # regime) in play, so every fault kind actually fires.
     p_serve.set_defaults(func=_cmd_serve, n=512, k=4, eps=0.3)

@@ -28,9 +28,9 @@ why there is no sieve stage); the gate ``check(pipeline, span)`` — via
 prefix)`` with its rule ``escalate(pipeline, plan, statistic, threshold)``
 → an escalated plan, or ``None`` to decide now.
 
-Unlike the projection ``engine`` knob (execution-only, fingerprint-exempt),
+The check itself has one implementation per oracle (no engine choice);
 the backend changes sample budgets and — on marginal inputs — verdicts, so
-it **is** part of experiment checkpoint fingerprints.
+it is part of experiment checkpoint fingerprints.
 """
 
 from __future__ import annotations

@@ -156,7 +156,6 @@ class Cdkl22:
             pipeline.partition,
             pipeline.k,
             pipeline.sieve.kept,
-            engine=pipeline.engine,
         )
         pipeline.reference = projection.histogram
         close = projection.distance <= tolerance

@@ -37,7 +37,6 @@ class Pods16:
             pipeline.k,
             pipeline.sieve.kept,
             tolerance,
-            engine=pipeline.engine,
         )
         span.set(close=bool(close))
         pipeline.reference = pipeline.learned

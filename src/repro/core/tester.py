@@ -67,14 +67,14 @@ from repro.util.rng import RandomState
 STAGE_ORDER = ("partition", "learn", "sieve", "check", "chi2", "plugin")
 
 #: Signature of the Step-10 check oracle: ``(pmf, partition, k, kept,
-#: tolerance, engine=...) -> bool``.  The default is the DP of
+#: tolerance) -> bool``.  The default is
 #: :func:`~repro.distributions.projection.exists_close_histogram`; a serve
-#: session with a declared projection fault injects a dense-once wrapper
+#: session with a declared projection fault injects a counting wrapper
 #: with the same signature.
 CheckOracle = Callable[..., bool]
 
-#: Signature of the cdkl22 projection oracle: ``(pmf, partition, k, kept,
-#: engine=...) -> Projection``.  The default is
+#: Signature of the cdkl22 projection oracle: ``(pmf, partition, k, kept)
+#: -> Projection``.  The default is
 #: :func:`~repro.distributions.projection.coarse_flattening_projection`;
 #: the serve layer's fault wrapper has the same signature.
 ProjectOracle = Callable[..., Projection]
@@ -130,14 +130,12 @@ class TesterPipeline(SteppedPipeline):
         config: TesterConfig | None = None,
         rng: RandomState = None,
         backend: str = DEFAULT_BACKEND,
-        projection_engine: str = "auto",
         check_oracle: CheckOracle | None = None,
         project_oracle: ProjectOracle | None = None,
         trace: Tracer = NULL_TRACER,
     ) -> None:
         self.strategy = backend_strategy(backend)
         self.backend = backend
-        self.engine = projection_engine
         self.check_oracle = (
             check_oracle if check_oracle is not None else exists_close_histogram
         )
@@ -272,7 +270,6 @@ def test_histogram(
     config: TesterConfig | None = None,
     rng: RandomState = None,
     backend: str = DEFAULT_BACKEND,
-    projection_engine: str = "auto",
     trace: Tracer = NULL_TRACER,
 ) -> Verdict:
     """Test whether the unknown distribution is a ``k``-histogram.
@@ -296,13 +293,8 @@ def test_histogram(
         Constant profile; defaults to :meth:`TesterConfig.practical`.
     backend:
         Which decision procedure runs ("pods16" | "cdkl22"; see
-        :mod:`repro.core.backends`).  Unlike ``projection_engine`` this
-        changes budgets and (on marginal inputs) verdicts, so experiment
-        checkpoints fingerprint it.
-    projection_engine:
-        Which DP engine backs the Step-10 check ("auto" | "fast" |
-        "dense"); a pure execution knob that never changes the verdict, so
-        it is a call parameter rather than part of ``TesterConfig``.
+        :mod:`repro.core.backends`).  It changes budgets and (on marginal
+        inputs) verdicts, so experiment checkpoints fingerprint it.
     trace:
         Observability sink (default: the no-op tracer).  A
         :class:`~repro.observability.trace.RecordingTracer` captures one
@@ -322,7 +314,6 @@ def test_histogram(
         config=config,
         rng=rng,
         backend=backend,
-        projection_engine=projection_engine,
         trace=trace,
     ).run_traced()
 

@@ -29,8 +29,9 @@ case, where the unknown histogram is constant on every kept interval, and
 safe in the soundness case, where searching a subclass can only make the
 check stricter).
 
-Two interchangeable execution engines back the public API, and both run
-the one layered DP (:func:`~repro.distributions.projection_engine._dp_layers`):
+The point-granularity API takes an ``engine=`` choice, and both engines
+run the one layered DP
+(:func:`~repro.distributions.projection_engine._dp_layers`):
 
 * ``engine="dense"`` — the original O(n²)-memory cost-matrix build;
   simple, the golden reference, but cubic-ish time in ``n`` for the
@@ -43,7 +44,10 @@ the one layered DP (:func:`~repro.distributions.projection_engine._dp_layers`):
   build is instant, fast above :data:`_AUTO_FAST_THRESHOLD`.
 
 Both engines refuse point-granularity domains above :data:`_MAX_DENSE_N`;
-larger domains go through :func:`coarse_flattening_projection`.
+larger domains go through :func:`coarse_flattening_projection`.  The
+coarse Step-10 path has no engine choice: it has one implementation, the
+certified rank-prefix split with the exact per-piece fold as its
+fallback (:func:`_coarse_l1`).
 """
 
 from __future__ import annotations
@@ -143,10 +147,7 @@ def _point_projection(
         else:
             cost = _median_cost_matrix(p, mask_arr)
         return _interval_dp(cost, pieces)
-    total, bounds = project_intervals(
-        p, np.ones(len(p)), mask_arr, pieces, objective=objective
-    )
-    return total, bounds
+    return project_intervals(p, mask_arr, pieces, objective=objective)
 
 
 def _fold_costs(
@@ -356,9 +357,7 @@ def flattening_profile(
         f, _ = _dp_layers(matrix_columns(cost), n, k_max)
         profile = 0.5 * f[1:, n]
     else:
-        _, _, raw = project_intervals(
-            p, np.ones(n), mask_arr, min(k_max, n), return_profile=True
-        )
+        _, _, raw = project_intervals(p, mask_arr, min(k_max, n), return_profile=True)
         profile = 0.5 * raw
     if k_max > n:
         profile = np.concatenate((profile, np.full(k_max - n, profile[-1])))
@@ -702,7 +701,7 @@ def _certified_split(inp: _CoarseInput, k: int) -> np.ndarray | None:
     return None
 
 
-def _coarse_l1(inp: _CoarseInput, k: int, engine: str) -> tuple[float, np.ndarray]:
+def _coarse_l1(inp: _CoarseInput, k: int) -> tuple[float, np.ndarray]:
     """The exact coarse DP: optimal raw ℓ1 total and its base-border
     indices.
 
@@ -712,15 +711,6 @@ def _coarse_l1(inp: _CoarseInput, k: int, engine: str) -> tuple[float, np.ndarra
     fold and DP otherwise; outcomes are counted in
     ``projection.split_certified{by=rank|fold}``.
     """
-    eng = _resolve_engine(engine, len(inp.base))
-    if inp.piecewise_constant and eng == "fast":
-        # Fast-engine path: pieces become weighted points (weight = length,
-        # value = piece height).  ``mean_numerator`` carries the piece
-        # masses so the interval mean is mass/length exactly as in the
-        # dense build.
-        return project_intervals(
-            inp.values, inp.lengths, inp.kept, k, mean_numerator=inp.masses
-        )
     if inp.piecewise_constant:
         # The Algorithm 1 case: p = D̂ is constant on each base piece, so
         # cost[a, b] = Σ_{q∈[a,b), kept} len_q·|val_q − μ_ab|.
@@ -745,7 +735,6 @@ def coarse_flattening_projection(
     kept: np.ndarray | None = None,
     *,
     max_base: int = _MAX_PROJECTION_BASE,
-    engine: str = "auto",
 ) -> Projection:
     """Best flattening of ``dist`` whose breakpoints lie on borders of
     ``base``, with TV error counted only on the kept intervals.
@@ -763,7 +752,7 @@ def coarse_flattening_projection(
     always sound).
     """
     inp = _coarse_input(dist, base, k, kept, max_base)
-    l1, coarse_bounds = _coarse_l1(inp, k, engine)
+    l1, coarse_bounds = _coarse_l1(inp, k)
     domain_bounds = inp.base.boundaries[coarse_bounds]
     partition = Partition(domain_bounds)
     hist = Histogram.from_masses(partition, partition.aggregate(inp.p))
@@ -782,10 +771,9 @@ _UPPER_SPLIT_BASE = 64
 
 #: Slack between a bound and the tolerance before the bound decides:
 #: relative to the tolerance, plus an absolute floor.  The floor covers the
-#: fast engine's ≤ 1e-12 cost agreement with the dense fold (it prices
-#: every interval and prunes nothing, so the gap is only its prefix-sum
-#: and rank-tree rounding) and the fold's own rounding (≲ k·K·2⁻⁵³ of the
-#: unit mass, under 3e-11 at k = K = 512).
+#: rounding between a bound and the exact path, whose distance carries the
+#: fold's bits (the certified rank split reproduces them): the fold's own
+#: rounding is ≲ k·K·2⁻⁵³ of the unit mass, under 3e-11 at k = K = 512.
 _CHECK_MARGIN_REL = 1e-9
 _CHECK_MARGIN_ABS = 1e-10
 
@@ -855,8 +843,6 @@ def exists_close_histogram(
     k: int,
     kept: np.ndarray,
     tolerance: float,
-    *,
-    engine: str = "auto",
 ) -> bool:
     """Step-10 check: is some ``D* ∈ H_k`` within ``tolerance`` of ``dist``
     in TV restricted to the kept subdomain?
@@ -873,7 +859,6 @@ def exists_close_histogram(
     if tolerance < 0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
     inp = _coarse_input(dist, base, k, kept, _MAX_PROJECTION_BASE)
-    _resolve_engine(engine, len(inp.base))  # reject a bad engine even when a bound decides
     if inp.piecewise_constant and len(inp.base) > _CHECK_BOUNDS_MIN_BASE:
         margin = _CHECK_MARGIN_REL * tolerance + _CHECK_MARGIN_ABS
         if _upper_bound(inp, k) <= tolerance - margin:
@@ -883,7 +868,7 @@ def exists_close_histogram(
             _count_check("lower")
             return False
     _count_check("exact")
-    l1, _ = _coarse_l1(inp, k, engine)
+    l1, _ = _coarse_l1(inp, k)
     return 0.5 * l1 + inp.extra_error <= tolerance
 
 

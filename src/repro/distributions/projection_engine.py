@@ -7,28 +7,27 @@ and runs the layered DP over it.  This module keeps the DP and replaces
 the matrix:
 
 **Interval cost oracle** (:class:`IntervalCostOracle`).  Costs are over
-weighted values ``(v_q, w_q)`` with a boolean "don't-care" mask — one
-engine covers both the point-granularity DPs (``w ≡ 1``, ``v = p``) and
-the coarse piecewise-constant Step-10 variant (``w`` = interval lengths,
-``v`` = interval values).  The flattening cost of ``[a, b)`` is
-``Σ_{q∈[a,b), masked} w_q·|v_q − μ|`` with ``μ`` the *full*-interval
-weighted mean (mass-1 constraint), and decomposes through prefix sums once
-the elements below/above ``μ`` can be aggregated:
+point values ``v_q`` with a boolean "don't-care" mask — the
+point-granularity DPs of :mod:`repro.distributions.projection`
+(``v = p``).  The flattening cost of ``[a, b)`` is
+``Σ_{q∈[a,b), masked} |v_q − μ|`` with ``μ`` the *full*-interval mean
+(mass-1 constraint), and decomposes through prefix sums once the elements
+below/above ``μ`` can be aggregated:
 
     ``below = μ·W_{<μ} − S_{<μ}``,   ``above = (S − S_{≤μ}) − μ·(W − W_{≤μ})``
 
-where ``W_{<c}(a, b)`` / ``S_{<c}(a, b)`` are the masked weight / masked
-weight·value totals of elements with value below ``c``.  Those are served
+where ``W_{<c}(a, b)`` / ``S_{<c}(a, b)`` are the masked count / masked
+value totals of elements with value below ``c``.  Those are served
 by a Fenwick-block rank tree (the ``rank_tree.*`` ops of
 :mod:`repro.kernels`): each level stores its aligned blocks sorted by
 **integer global value rank** (a float "offset" key would lose low-order
 bits and misclassify values within a few ulp of ``μ``) together with
-running sums of the masked weights in that order, and ``[a, b)``
+running masked counts and value sums in that order, and ``[a, b)``
 decomposes into its canonical segment-tree cover.  The tree is stored as
 flat arrays with per-level key offsets so a batched query across *all*
 levels of *all* queries is a single ``searchsorted`` — O(log n) per
 interval after an O(n log² n) preprocess.  The median (unconstrained ℓ1)
-variant binary-searches the weighted lower median over global value ranks
+variant binary-searches the lower median over global value ranks
 with the same primitive, matching the dense two-heap tracker's
 lower-median convention.
 
@@ -84,38 +83,25 @@ def _count_cost_evals(objective: str, pairs: int) -> None:
 
 
 class IntervalCostOracle:
-    """Batched interval costs over weighted masked values.
+    """Batched interval costs over masked point values.
 
     ``flattening_costs(a, b)`` evaluates the masked ℓ1 error against the
-    full-interval weighted mean; ``median_costs(a, b)`` the masked ℓ1
-    optimum over constants (weighted lower median).  ``mean_numerator``
-    optionally overrides the per-element numerator of the mean (the coarse
-    path passes interval masses so ``μ`` matches the dense build bitwise).
-    Each pair's cost depends only on the pair, never on its batchmates.
+    full-interval mean ``(prefix[b] − prefix[a]) / (b − a)``;
+    ``median_costs(a, b)`` the masked ℓ1 optimum over constants (lower
+    median).  Each pair's cost depends only on the pair, never on its
+    batchmates.
     """
 
-    def __init__(
-        self,
-        values: np.ndarray,
-        weights: np.ndarray,
-        mask: np.ndarray,
-        *,
-        mean_numerator: np.ndarray | None = None,
-    ):
+    def __init__(self, values: np.ndarray, mask: np.ndarray):
         v = np.ascontiguousarray(values, dtype=np.float64)
-        w = np.ascontiguousarray(weights, dtype=np.float64)
         m = np.ascontiguousarray(mask, dtype=bool)
         n = len(v)
-        if w.shape != (n,) or m.shape != (n,):
-            raise ValueError("values, weights and mask must share one shape")
-        if n and float(w.min()) <= 0.0:
-            raise ValueError("weights must be strictly positive")
+        if m.shape != (n,):
+            raise ValueError("values and mask must share one shape")
         self.n = n
-        num = w * v if mean_numerator is None else np.asarray(mean_numerator, np.float64)
-        wm = np.where(m, w, 0.0)
+        wm = m.astype(np.float64)
         wvm = wm * v
-        self._w_pre = np.concatenate(([0.0], np.cumsum(w)))
-        self._num_pre = np.concatenate(([0.0], np.cumsum(num)))
+        self._pre = np.concatenate(([0.0], np.cumsum(v)))
         self._mw_pre = np.concatenate(([0.0], np.cumsum(wm)))
         self._mwv_pre = np.concatenate(([0.0], np.cumsum(wvm)))
         self._tree = dispatch("rank_tree.build")(v, wm, wvm)
@@ -139,8 +125,7 @@ class IntervalCostOracle:
         if not nz.any():
             return out
         aa, bb = a[nz], b[nz]
-        sw = self._w_pre[bb] - self._w_pre[aa]
-        mu = (self._num_pre[bb] - self._num_pre[aa]) / sw
+        mu = (self._pre[bb] - self._pre[aa]) / (bb - aa)
         uv = self._tree.unique_vals
         L_lt = np.searchsorted(uv, mu, side="left").astype(np.int64)
         out[nz] = self._below_above(aa, bb, mu, L_lt)
@@ -159,8 +144,8 @@ class IntervalCostOracle:
         uv = self._tree.unique_vals
         lo = np.zeros(nq, dtype=np.int64)
         hi = np.full(nq, len(uv) - 1, dtype=np.int64)
-        # Weighted lower median: smallest value whose masked cumulative
-        # weight reaches half the interval's masked weight (the dense
+        # Lower median: smallest value whose masked cumulative count
+        # reaches half the interval's masked count (the dense
         # two-heap tracker's convention).
         while True:
             run = np.flatnonzero(lo < hi)
@@ -247,13 +232,11 @@ def _dp_layers(columns: ColumnBlocks, n: int, pieces: int) -> tuple[np.ndarray, 
 
 def project_intervals(
     values,
-    weights,
     mask,
     pieces: int,
     *,
     objective: str = "flattening",
     return_profile: bool = False,
-    mean_numerator=None,
 ):
     """Minimise the total interval cost of splitting ``[0, n)`` into at most
     ``pieces`` intervals; the matrix-free equivalent of building a dense
@@ -268,7 +251,7 @@ def project_intervals(
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
     v = np.asarray(values, dtype=np.float64)
     n = len(v)
-    oracle = IntervalCostOracle(v, weights, mask, mean_numerator=mean_numerator)
+    oracle = IntervalCostOracle(v, mask)
     cost_fn = (
         oracle.flattening_costs if objective == "flattening" else oracle.median_costs
     )

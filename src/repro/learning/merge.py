@@ -76,7 +76,6 @@ def learn_histogram_agnostic(
     rng: RandomState = None,
     num_samples: int | None = None,
     grid_cells: int | None = None,
-    projection_engine: str = "auto",
 ) -> Histogram:
     """Agnostically learn the best k-histogram approximation of ``D``.
 
@@ -91,9 +90,7 @@ def learn_histogram_agnostic(
     source = as_source(dist, rng)
     m = num_samples if num_samples is not None else merge_learner_samples(k, eps)
     counts = source.draw_counts(m)
-    return histogram_from_counts(
-        counts, k, eps, grid_cells=grid_cells, projection_engine=projection_engine
-    )
+    return histogram_from_counts(counts, k, eps, grid_cells=grid_cells)
 
 
 def histogram_from_counts(
@@ -102,7 +99,6 @@ def histogram_from_counts(
     eps: float,
     *,
     grid_cells: int | None = None,
-    projection_engine: str = "auto",
 ) -> Histogram:
     """The DP fit itself, from an explicit count vector (resampling-free)."""
     counts = np.asarray(counts, dtype=np.float64)
@@ -117,5 +113,5 @@ def histogram_from_counts(
     # controls interval masses anyway, and a base-aligned input lets the
     # projection DP take its vectorised piecewise-constant path.
     flattened = base.flatten(empirical)
-    projection = coarse_flattening_projection(flattened, base, k, engine=projection_engine)
+    projection = coarse_flattening_projection(flattened, base, k)
     return projection.histogram

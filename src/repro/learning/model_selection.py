@@ -43,17 +43,9 @@ def _amplified_test(
     config: TesterConfig,
     repeats: int,
     backend: str = DEFAULT_BACKEND,
-    projection_engine: str = "auto",
 ) -> bool:
     verdicts = [
-        test_histogram(
-            source,
-            k,
-            eps,
-            config=config,
-            backend=backend,
-            projection_engine=projection_engine,
-        ).accept
+        test_histogram(source, k, eps, config=config, backend=backend).accept
         for _ in range(repeats)
     ]
     return majority(verdicts)
@@ -69,7 +61,6 @@ def select_k(
     repeats: int | None = None,
     rng: RandomState = None,
     backend: str = DEFAULT_BACKEND,
-    projection_engine: str = "auto",
 ) -> ModelSelectionResult:
     """Doubling + binary search for the smallest accepted ``k``, then learn.
 
@@ -110,9 +101,7 @@ def select_k(
     accepted_k: int | None = None
     while True:
         probe = min(k, k_max)
-        ok = _amplified_test(
-            source, probe, eps, config, repeats, backend, projection_engine
-        )
+        ok = _amplified_test(source, probe, eps, config, repeats, backend)
         trace[probe] = ok
         tests += 1
         if ok:
@@ -130,9 +119,7 @@ def select_k(
     hi = accepted_k
     while lo < hi:
         mid = (lo + hi) // 2
-        ok = _amplified_test(
-            source, mid, eps, config, repeats, backend, projection_engine
-        )
+        ok = _amplified_test(source, mid, eps, config, repeats, backend)
         trace[mid] = ok
         tests += 1
         if ok:
@@ -141,9 +128,7 @@ def select_k(
             lo = mid + 1
     selected = hi
 
-    histogram = learn_histogram_agnostic(
-        source, selected, eps, projection_engine=projection_engine
-    )
+    histogram = learn_histogram_agnostic(source, selected, eps)
     return ModelSelectionResult(
         k=selected,
         histogram=histogram,

@@ -20,8 +20,9 @@ Fault kinds cycle deterministically over the faulty sessions:
 * ``timeout``       — a deadline in virtual ticks too tight for the final
   test (exercises eviction and the partial-pipeline degradation);
 * ``projection``    — a declared fault on the session's first check-stage
-  projection, which reruns on the dense engine (exercises the
-  ``projection-dense-fallback`` → DEGRADED path; no engine actually fails).
+  projection, which is counted in ``serve.projection_fallbacks`` and runs
+  the plain projection (exercises the ``projection-dense-fallback`` →
+  DEGRADED path; no projection actually fails).
 """
 
 from __future__ import annotations

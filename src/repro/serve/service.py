@@ -17,8 +17,8 @@ Degradation policy (in order of preference):
    batches) get a fresh attempt after a seeded, jittered backoff in
    virtual time, up to the retry policy's attempt limit;
 2. **fallback** — a session carrying the chaos drill's declared
-   ``projection`` fault runs its first check-stage projection on the
-   dense engine and flags the verdict ``projection-dense-fallback``
+   ``projection`` fault counts its first check-stage projection as a
+   fallback and flags the verdict ``projection-dense-fallback``
    (:meth:`StreamSession.start_attempt
    <repro.serve.session.StreamSession.start_attempt>`); nothing else
    falls back — an exception from the projection is a bug and propagates;
@@ -42,7 +42,6 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from repro.baselines.learn_offline import learn_offline_budget_practical
 from repro.core.backends import backend_budget
@@ -122,9 +121,8 @@ class ServiceConfig:
     #: Per-attempt sample caps are ``slack ×`` the Algorithm 1 budget
     #: (mirrors :func:`repro.core.budget.capped_source`).
     budget_slack: float = 1.5
-    #: Worker processes for the batched final-test statistics (None=serial).
-    workers: Optional[int] = None
-    #: Hard stop for the round loop — a liveness backstop, not a tunable.
+    #: Hard stop for the rounds of one :meth:`TesterService.run` — a
+    #: liveness backstop, not a tunable.
     max_rounds: int = 100_000
 
 
@@ -259,9 +257,10 @@ class TesterService:
         """
         started = time.perf_counter()
         self.session_traces = {}
+        first_round = self.rounds_run
         while not self.admission.idle:
             self.rounds_run += 1
-            if self.rounds_run > self.config.max_rounds:
+            if self.rounds_run - first_round > self.config.max_rounds:
                 raise RuntimeError(
                     f"service made no terminal progress within "
                     f"{self.config.max_rounds} rounds — liveness bug"
@@ -339,9 +338,7 @@ class TesterService:
         # larger batch size and joins the next inner batch, still within
         # this round.  pods16 sessions always retire on the first pass.
         while batch_items:
-            statistics = compute_final_statistics(
-                batch_items, workers=self.config.workers
-            )
+            statistics = compute_final_statistics(batch_items)
             next_items: list[FinalBatchItem] = []
             next_sessions: list[StreamSession] = []
             for session, z in zip(batch_sessions, statistics):

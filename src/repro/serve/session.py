@@ -92,7 +92,7 @@ class StreamRequest:
     #: the Algorithm 1 budget formula with its configured slack).
     max_samples: Optional[int] = None
     #: Chaos knob: a declared projection fault — the session's first
-    #: check-stage projection runs on the dense engine and the session
+    #: check-stage projection is counted as a fallback and the session
     #: retires DEGRADED (``projection-dense-fallback``).
     projection_fault: bool = False
     #: Tester backend for this session ("pods16" | "cdkl22").  Part of the
@@ -239,25 +239,24 @@ class StreamSession:
 
         The plain projection functions, unless the request's declared
         ``projection`` fault is still pending: then the session's first
-        projection call counts one ``serve.projection_fallbacks``, degrades
-        the session (``projection-dense-fallback``) and runs on the dense
-        engine; later calls go straight through.
+        projection call counts one ``serve.projection_fallbacks`` and
+        degrades the session (``projection-dense-fallback``); every call,
+        that one included, runs the plain projection.
         """
         if not self.projection_fault_pending:
             return exists_close_histogram, coarse_flattening_projection
 
-        def dense_once(project):
-            def oracle(*args, engine="auto"):
+        def degrade_once(project):
+            def oracle(*args):
                 if self.projection_fault_pending:
                     self.projection_fault_pending = False
                     get_metrics().counter("serve.projection_fallbacks").inc()
                     self.degrade("projection-dense-fallback")
-                    engine = "dense"
-                return project(*args, engine=engine)
+                return project(*args)
 
             return oracle
 
-        return dense_once(exists_close_histogram), dense_once(coarse_flattening_projection)
+        return degrade_once(exists_close_histogram), degrade_once(coarse_flattening_projection)
 
     def close_attempt(self, reconciled_samples: int) -> None:
         """Record one finished (or aborted-and-reconciled) attempt."""

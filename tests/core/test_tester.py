@@ -125,16 +125,6 @@ class TestMechanics:
         assert set(v.stage_timings) >= {"partition", "learn", "sieve", "check"}
         assert all(t >= 0.0 for t in v.stage_timings.values())
 
-    def test_projection_engine_never_changes_verdict(self):
-        dist = families.staircase(N, K).to_distribution()
-        verdicts = [
-            test_histogram(dist, K, EPS, config=CFG, rng=7, projection_engine=eng)
-            for eng in ("auto", "fast", "dense")
-        ]
-        assert len({(v.accept, v.stage, v.samples_used) for v in verdicts}) == 1
-        with pytest.raises(ValueError):
-            test_histogram(dist, K, EPS, config=CFG, rng=7, projection_engine="nope")
-
     def test_accepts_sample_source(self):
         src = SampleSource(families.uniform(N), rng=0)
         v = test_histogram(src, 1, 0.4, config=CFG)

@@ -23,9 +23,9 @@ from repro.observability.metrics import get_metrics
 
 
 @st.composite
-def weighted_cases(draw, max_n=64):
-    """Values with ties and zeros, integer weights, any mask, an optional
-    mass numerator, an objective, a piece count and a DP block budget."""
+def masked_cases(draw, max_n=64):
+    """Values with ties and zeros, any mask, an objective, a piece count
+    and a DP block budget."""
     n = draw(st.integers(min_value=1, max_value=max_n))
     values = np.asarray(
         draw(
@@ -36,17 +36,11 @@ def weighted_cases(draw, max_n=64):
             )
         )
     )
-    weights = np.asarray(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), float)
     mask = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
-    numerator = (
-        np.asarray(draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))
-        if draw(st.booleans())
-        else None
-    )
     objective = draw(st.sampled_from(["flattening", "median"]))
     pieces = draw(st.integers(min_value=1, max_value=n + 2))
     cells = draw(st.integers(min_value=1, max_value=(n + 1) ** 2))
-    return values, weights, mask, numerator, objective, pieces, cells
+    return values, mask, objective, pieces, cells
 
 
 def oracle_matrix(oracle: IntervalCostOracle, objective: str) -> np.ndarray:
@@ -61,19 +55,16 @@ def oracle_matrix(oracle: IntervalCostOracle, objective: str) -> np.ndarray:
 
 
 class TestBlockedDP:
-    @given(weighted_cases())
+    @given(masked_cases())
     def test_matches_dense_dp_on_the_oracle_matrix_bit_for_bit(self, case):
-        values, weights, mask, numerator, objective, pieces, cells = case
-        oracle = IntervalCostOracle(values, weights, mask, mean_numerator=numerator)
+        values, mask, objective, pieces, cells = case
+        oracle = IntervalCostOracle(values, mask)
         dense_total, dense_bounds = _interval_dp(oracle_matrix(oracle, objective), pieces)
         # A drawn block budget (down to one column per block) and a tiny
         # oracle batch exercise every block and batch boundary.
         with mock.patch.object(projection_engine, "_DP_BLOCK_CELLS", cells), \
                 mock.patch.object(projection_engine, "_PAIR_BATCH", 7):
-            total, bounds = project_intervals(
-                values, weights, mask, pieces, objective=objective,
-                mean_numerator=numerator,
-            )
+            total, bounds = project_intervals(values, mask, pieces, objective=objective)
         assert np.float64(total).view(np.uint64) == np.float64(dense_total).view(np.uint64)
         np.testing.assert_array_equal(bounds, dense_bounds)
 
@@ -83,14 +74,14 @@ class TestBlockedDP:
         pmf = np.random.default_rng(n).dirichlet(np.ones(n))
         counter = get_metrics().counter("projection.oracle_cost_evals", objective=objective)
         before = counter.value
-        project_intervals(pmf, np.ones(n), np.ones(n, dtype=bool), pieces, objective=objective)
+        project_intervals(pmf, np.ones(n, dtype=bool), pieces, objective=objective)
         assert counter.value - before == n * (n + 1) // 2
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="objective"):
-            project_intervals(np.ones(3), np.ones(3), np.ones(3, bool), 2, objective="mean")
+            project_intervals(np.ones(3), np.ones(3, bool), 2, objective="mean")
         with pytest.raises(ValueError, match="at least one piece"):
-            project_intervals(np.ones(3), np.ones(3), np.ones(3, bool), 0)
+            project_intervals(np.ones(3), np.ones(3, bool), 0)
 
 
 #: Round 0 of the benchmark's ``project`` workload at seed 1: each family's

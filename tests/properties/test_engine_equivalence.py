@@ -1,11 +1,11 @@
 """Golden equivalence: the fast oracle engine must match the dense DP.
 
-The fast engine (:mod:`repro.distributions.projection_engine`) prunes its
-candidate space with admissible lower bounds and a verified two-pass DP; a
-single inadmissible bound silently corrupts distances.  These tests pin it
-against the dense cost-matrix reference on random pmfs, masks (including
-fully masked domains), piece counts, and the piecewise-constant coarse
-path — agreement to 1e-12, well below any statistical tolerance.
+The fast engine (:mod:`repro.distributions.projection_engine`) prices every
+interval once through a prefix-sum and rank-tree oracle instead of the
+dense cost matrix, so the two agree only up to rounding.  These tests pin
+the point-granularity API's two engines against each other on random
+pmfs, masks (including fully masked domains) and piece counts — agreement
+to 1e-12, well below any statistical tolerance.
 """
 
 import numpy as np
@@ -13,13 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.distributions.projection import (
-    coarse_flattening_projection,
     flattening_distance,
     flattening_profile,
     project_flattening,
     unconstrained_l1_distance,
 )
-from repro.util.intervals import Partition
 
 ATOL = 1e-12
 
@@ -98,35 +96,3 @@ class TestEngineEquivalence:
         for engine in ("fast", "dense"):
             assert flattening_distance(pmf, 1, engine=engine) <= ATOL
 
-
-class TestCoarseEquivalence:
-    @st.composite
-    def coarse_cases(draw, max_cells=48):
-        cells = draw(st.integers(min_value=1, max_value=max_cells))
-        widths = np.asarray(
-            draw(st.lists(st.integers(1, 4), min_size=cells, max_size=cells))
-        )
-        boundaries = np.concatenate(([0], np.cumsum(widths)))
-        masses = np.asarray(
-            draw(
-                st.lists(st.floats(0.0, 100.0, allow_nan=False),
-                         min_size=cells, max_size=cells)
-            )
-        )
-        total = masses.sum()
-        masses = masses / total if total > 0 else np.full(cells, 1.0 / cells)
-        pmf = np.repeat(masses / widths, widths)
-        kept = np.asarray(
-            draw(st.lists(st.booleans(), min_size=cells, max_size=cells)), dtype=bool
-        )
-        k = draw(st.integers(min_value=1, max_value=cells))
-        return pmf, Partition(boundaries), kept, k
-
-    @given(coarse_cases())
-    def test_piecewise_constant_path_matches_dense(self, case):
-        # The fast engine's weighted pwc path (non-unit lengths, masses as
-        # mean numerators) vs the dense per-cell matrix.
-        pmf, base, kept, k = case
-        fast = coarse_flattening_projection(pmf, base, k, kept, engine="fast")
-        dense = coarse_flattening_projection(pmf, base, k, kept, engine="dense")
-        assert abs(fast.distance - dense.distance) <= ATOL

@@ -150,8 +150,8 @@ class TestEscalationInRound:
 
 class TestProjectionFallback:
     def test_cdkl22_projection_fault_degrades_to_dense(self):
-        """A cdkl22 session with an injected fast-engine failure must land
-        DEGRADED via the dense projection fallback, not crash the round."""
+        """A cdkl22 session with the declared projection fault must land
+        DEGRADED (``projection-dense-fallback``), not crash the round."""
         service = TesterService(ServiceConfig(tester=CONFIG))
         service.submit(_request(backend="cdkl22", projection_fault=True))
         (outcome,) = service.run().outcomes
@@ -203,20 +203,16 @@ class TestProjectionFallback:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_projection_exception_propagates_out_of_run(self, backend, monkeypatch):
-        """No request field reaches the projection's engine and nothing
-        catches its exceptions: a failing projection is a bug, so it must
-        crash ``run()`` rather than degrade the session."""
+        """Nothing catches the projection's exceptions: a failing projection
+        is a bug, so it must crash ``run()`` rather than degrade the
+        session."""
         from repro.distributions import projection
 
-        real = projection._resolve_engine
+        def failing(inp, k):
+            raise RuntimeError("projection failure")
 
-        def dense_only(engine, n):
-            if engine != "dense":
-                raise RuntimeError("non-dense projection failure")
-            return real(engine, n)
-
-        monkeypatch.setattr(projection, "_resolve_engine", dense_only)
+        monkeypatch.setattr(projection, "_coarse_l1", failing)
         service = TesterService(ServiceConfig(tester=CONFIG))
         service.submit(_request(backend=backend))
-        with pytest.raises(RuntimeError, match="non-dense projection failure"):
+        with pytest.raises(RuntimeError, match="projection failure"):
             service.run()

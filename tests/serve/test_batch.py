@@ -65,17 +65,6 @@ class TestComputeFinalStatistics:
             assert np.array_equal(z, _scalar(item))
             assert z.shape == (len(item.partition),)
 
-    def test_worker_processes_are_bit_identical_to_serial(self):
-        rng = np.random.default_rng(3)
-        items = [
-            _random_item(rng, n=n, repeats=r)
-            for n, r in [(24, 1), (24, 1), (40, 3), (40, 3)]
-        ]
-        serial = compute_final_statistics(items, workers=None)
-        parallel = compute_final_statistics(items, workers=2)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a, b)
-
     def test_masked_out_and_zero_reference_points_contribute_nothing(self):
         n = 16
         reference = np.full(n, 1.0 / (n - 2))

@@ -159,6 +159,19 @@ class TestLongLivedService:
             assert not self._pending(service)
             assert not service.sessions and not service._requests
 
+    def test_round_cap_applies_to_each_run_not_the_lifetime(self):
+        # Every wave finishes in one round, so sixty runs pass a
+        # forty-round cap on the service's lifetime round counter, never
+        # within one run.
+        service = TesterService(ServiceConfig(max_rounds=40))
+        for w in range(60):
+            for i in range(self.WAVE):
+                service.submit(_clean_request(f"w{w}-r{i}", seed=w * self.WAVE + i))
+            report = service.run()
+            assert len(report.outcomes) == self.WAVE
+            assert report.rounds == service.rounds_run
+        assert service.rounds_run >= 60
+
 
 class TestFaultPaths:
     def test_stream_fault_exhausts_retries_then_evicts_and_trips_breaker(self):
