@@ -5,11 +5,13 @@ on a noisy staircase (the tester's realistic near-histogram regime) as the
 domain grows, n ∈ {2^8 … 2^13} (the point-granularity cap), at fixed k.
 The shape checks encode the engine's contract:
 
-* the fast engine's log-log slope against the sub-quadratic bar 2.0.  The
-  engine prices each of the n(n+1)/2 intervals once (O(n² log n) oracle
-  work plus an O(k·n²) DP), so it reads about 1.9–2.1 on this grid and
-  this check can print FAIL; like the speedup check it is reported only,
-  and the exit status follows the engine-agreement check;
+* the fast engine's log-log slope against the sub-quadratic bar 2.0.  Above
+  n = 512 the engine prices each of the n(n+1)/2 intervals once
+  (O(n² log n) oracle work plus an O(k·n²) DP); at n ≤ 512 a certified
+  rank-prefix split usually replaces that DP, so the small end of the grid
+  is faster and the slope reads about 2.6 on the smoke grid (the check
+  prints WARN); like the speedup check it is reported only, and the exit
+  status follows the engine-agreement check;
 * fast and dense agree to ≤ 1e-12 wherever both run (golden equivalence);
 * ≥ 20× speedup at n = 4096, k = 32 (the tentpole acceptance bar; the dense
   time there is cubic-extrapolated unless ``--full-dense`` measures it);

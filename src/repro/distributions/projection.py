@@ -39,7 +39,12 @@ run the one layered DP
 * ``engine="fast"`` — :mod:`repro.distributions.projection_engine`, a lazy
   interval-cost oracle that prices each interval exactly once, block by
   block of right endpoints; O(n²·log n) time, O(n·k) memory, and
-  equivalent to the dense result to ≤ 1e-12 in cost.
+  equivalent to the dense result to ≤ 1e-12 in cost.  A flattening with
+  ``n ≤`` :data:`_MAX_PROJECTION_BASE` first tries the certified
+  rank-prefix split on the singleton base
+  (:func:`_certified_point_flattening`), which proves the oracle DP's path
+  and prices only its ``≤ k`` pieces through the oracle — the same total
+  and boundaries bit for bit; exact ties fall back to the full oracle DP.
 * ``engine="auto"`` (default) — dense for small domains where the matrix
   build is instant, fast above :data:`_AUTO_FAST_THRESHOLD`.
 
@@ -61,6 +66,7 @@ from repro.distributions.discrete import DiscreteDistribution
 from repro.distributions.distances import ArrayLike, _as_array
 from repro.distributions.histogram import Histogram
 from repro.distributions.projection_engine import (
+    IntervalCostOracle,
     _dp_layers,
     matrix_columns,
     project_intervals,
@@ -147,6 +153,10 @@ def _point_projection(
         else:
             cost = _median_cost_matrix(p, mask_arr)
         return _interval_dp(cost, pieces)
+    if objective == "flattening" and 0 < len(p) <= _MAX_PROJECTION_BASE:
+        certified = _certified_point_flattening(p, mask_arr, pieces)
+        if certified is not None:
+            return certified
     return project_intervals(p, mask_arr, pieces, objective=objective)
 
 
@@ -401,7 +411,8 @@ def histogram_distance_bounds(
 #: Above this many base intervals the projection first coarsens the base
 #: (see ``_coarsen_for_projection``).  The certified build is O(K² log K)
 #: with a (K+1)² matrix, but its fallback fold is K³/6 terms and the
-#: generic sorted-piece fold costs more per term.
+#: generic sorted-piece fold costs more per term.  The same cap bounds the
+#: fast point flattening's certified path (:func:`_certified_point_flattening`).
 _MAX_PROJECTION_BASE = 512
 
 
@@ -491,8 +502,9 @@ class _CoarseInput:
     """A validated (and, above the size cap, coarsened) Step-10 input.
 
     ``values`` is each piece's first value (its height when ``p`` is
-    piecewise constant) and ``weights`` its kept length; ``extra_error`` is
-    the coarsening's own TV error, added to every distance reported.
+    piecewise constant, i.e. exactly constant on every piece) and
+    ``weights`` its kept length; ``extra_error`` is the coarsening's own TV
+    error, added to every distance reported.
     """
 
     p: np.ndarray
@@ -528,6 +540,7 @@ def _coarse_input(
 
     masses = base.aggregate(p)
     lengths = base.lengths().astype(np.float64)
+    starts = base.boundaries[:-1]
     return _CoarseInput(
         p=p,
         base=base,
@@ -535,11 +548,13 @@ def _coarse_input(
         extra_error=extra_error,
         masses=masses,
         lengths=lengths,
-        values=p[base.boundaries[:-1]],
+        values=p[starts],
         weights=np.where(kept, lengths, 0.0),
         mass_prefix=_prefix(masses),
         len_prefix=_prefix(lengths),
-        piecewise_constant=bool(np.allclose(base.flatten(p), p, atol=1e-15)),
+        piecewise_constant=bool(
+            np.array_equal(np.maximum.reduceat(p, starts), np.minimum.reduceat(p, starts))
+        ),
     )
 
 
@@ -678,7 +693,7 @@ def _rank_costs(inp: _CoarseInput) -> tuple[np.ndarray, float]:
     return cost, delta
 
 
-def _certified_split(inp: _CoarseInput, k: int) -> np.ndarray | None:
+def _certified_split(inp: _CoarseInput, k: int, drift_scale: int = 1) -> np.ndarray | None:
     """The fold DP's optimal split, found on :func:`_rank_costs`' matrix,
     or ``None`` when the gap certificate cannot prove it is the fold's.
 
@@ -690,8 +705,13 @@ def _certified_split(inp: _CoarseInput, k: int) -> np.ndarray | None:
     is strict at the same row, so ``np.argmin`` picks it there too.  When
     that holds at every step of the path, the fold's backtrack follows the
     same path, and :func:`_split_l1` prices it with the fold's bits.
+
+    The argument holds for any other DP matrix whose steps drift from the
+    rank matrix's by at most ``drift_scale·δ``; the point flattening uses
+    it with the oracle's matrix (:func:`_certified_point_flattening`).
     """
     cost, delta = _rank_costs(inp)
+    delta *= drift_scale
     f, path = _dp_layers(matrix_columns(cost), len(inp.values), k)
     columns = f[:-1] + cost[:, path[1:]].T  # step r's column of f[r] + cost
     lowest = np.partition(columns, 1, axis=1)
@@ -699,6 +719,63 @@ def _certified_split(inp: _CoarseInput, k: int) -> np.ndarray | None:
     if np.all(gaps > 2.0 * (np.arange(len(gaps)) + 2) * delta):
         return np.unique(path)
     return None
+
+
+def _certified_point_flattening(
+    p: np.ndarray, mask: np.ndarray, pieces: int
+) -> tuple[float, np.ndarray] | None:
+    """The fast engine's point flattening (:func:`project_intervals`' total
+    and boundaries, bit for bit) from the certified rank-prefix split on
+    the singleton base, or ``None`` when the certificate cannot prove it.
+
+    On the singleton base ``values = p``, ``weights = mask`` and
+    ``μ_ab = (prefix[b] − prefix[a]) / (b − a)`` carry the oracle's own
+    bits, and ``searchsorted(sorted_values, μ)`` selects the same strict-
+    below set as the oracle's ``searchsorted(unique_vals, μ, "left")``, so
+    both matrices approximate the same exact cost ``T = Σ w_q·|v_q − μ|``.
+
+    **δ_oracle.**  With ``u``, ``M``, ``S = Σ w_q·v_q`` and ``U = M + S`` as
+    in :func:`_rank_costs` (entries non-negative), and ``L = ⌈log₂(n + 1)⌉``
+    the rank tree's levels:
+
+    * masked counts are sums of 0/1 weights, hence exact;
+    * each level's running ``w·v`` sum is one sequential cumsum over at
+      most ``n`` non-negative terms, so every entry is within ``n·u·S``; a
+      cover segment differences two of them, and the at most ``2L``
+      segments of ``[a, b)`` are summed in order, so ``S_<`` is within
+      ``(4nL + 2L + 1)·u·S`` and the prefix difference ``S`` within
+      ``(2n + 1)·u·S``;
+    * ``below = μ·W_< − S_<`` and ``above = (S − S_<) − μ·(W − W_<)`` add
+      two products (each at most ``M``) and three subtractions, the
+      clamps at zero never move a value away from its non-negative exact
+      one, and the final sum adds one rounding: the oracle entry is within
+      ``(8nL + 2n + 4L + 9)·u·U`` of ``T``.
+
+    With the rank entry's ``(6n + 6)·u·U`` and one DP rounding on each
+    side, a step drifts by at most ``(8nL + 8n + 4L + 17)·u·U``, which
+    ``(L + 2)·δ = (L + 2)(8n + 16)·u·U`` covers with room for the second-
+    order terms.  When the certificate holds at that scale, the oracle
+    DP's first argmin at every step of the path is the rank path's, so its
+    total is ``f[r + 1] = fl(C(path[r], path[r + 1]) + f[r])`` along the
+    path: the ``≤ k`` pieces are priced by the oracle and summed in that
+    order (empty pieces add ``+0.0``).  Outcomes are counted in
+    ``projection.split_certified{by=rank|oracle}``.
+    """
+    n = len(p)
+    split = None
+    if p.min() >= 0.0:
+        inp = _coarse_input(p, Partition.singletons(n), pieces, mask, _MAX_PROJECTION_BASE)
+        split = _certified_split(inp, pieces, n.bit_length() + 2)
+    get_metrics().counter(
+        "projection.split_certified", by="oracle" if split is None else "rank"
+    ).inc()
+    if split is None:
+        return None
+    costs = IntervalCostOracle(p, mask).flattening_costs(split[:-1], split[1:])
+    total = 0.0
+    for cost in costs.tolist():
+        total += cost
+    return total, split
 
 
 def _coarse_l1(inp: _CoarseInput, k: int) -> tuple[float, np.ndarray]:

@@ -40,9 +40,13 @@ final by then, since ``i ≤ j``).  The oracle path
 (:func:`project_intervals`) therefore evaluates each interval exactly
 once — ``n(n+1)/2`` evaluations for every input, so the worst case is the
 typical case — with O(n·k) memory for the layers and parents plus one
-block of at most :data:`_DP_BLOCK_CELLS` cells.  The same function runs
-the dense matrices of :mod:`repro.distributions.projection`; below the
-cell budget a matrix is one block, which is exactly the unblocked DP.
+block of at most :data:`_DP_BLOCK_CELLS` cells.  A fast point flattening
+reaches it only above ``n = 512`` or when the certified rank-prefix split
+of :mod:`repro.distributions.projection` cannot prove this DP's path
+(exact ties); otherwise it prices just that path's ``≤ k`` pieces here.
+The same function runs the dense matrices of
+:mod:`repro.distributions.projection`; below the cell budget a matrix is
+one block, which is exactly the unblocked DP.
 Ties resolve to the smallest ``i`` (``np.argmin``'s first minimum), and
 every ``f_r(j)`` is ``fl(f_{r−1}(i) + C(i, j))`` of the oracle's exact
 ``C`` — no pruning, no tolerance.

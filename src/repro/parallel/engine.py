@@ -28,16 +28,16 @@ trial is either surfaced as a :class:`TrialOutcome` carrying a
 :class:`ParallelExecutionError` (the plain path).  A dead worker is a
 recorded failure, never a hung sweep.
 
-Procedures that cannot be pickled (closures over local state — common in
-tests) degrade to the serial backend with a warning rather than failing:
-worker counts are a performance hint, not a semantics switch.
+A procedure that cannot be pickled (a lambda or a closure over local
+state) cannot reach the process backend, so asking for ``workers ≥ 2``
+with one raises :class:`TypeError` naming it; the serial backend (one
+worker, or a single task) runs any callable.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
@@ -161,10 +161,12 @@ def run_tasks(
 
     The batch-first executor: a payload can be a seed, a session batch, or
     any picklable work description.  ``workers`` selects the backend (see
-    :func:`resolve_workers`).  With ``isolate_crashes=True`` a dead worker
-    yields a ``WorkerCrash`` :class:`TrialOutcome` for the task it was
-    running; otherwise it raises :class:`ParallelExecutionError`.  Either
-    way the surviving tasks' results are identical to a serial run.
+    :func:`resolve_workers`); more than one worker needs a picklable
+    ``procedure`` (:class:`TypeError` otherwise).  With
+    ``isolate_crashes=True`` a dead worker yields a ``WorkerCrash``
+    :class:`TrialOutcome` for the task it was running; otherwise it raises
+    :class:`ParallelExecutionError`.  Either way the surviving tasks'
+    results are identical to a serial run.
     """
     count = resolve_workers(workers)
     payloads = list(payloads)
@@ -173,13 +175,11 @@ def run_tasks(
     try:
         pickle.dumps(procedure)
     except Exception as exc:  # pickle raises a zoo of types
-        warnings.warn(
-            f"trial procedure is not picklable ({exc!r}); falling back to the "
-            "serial backend — results are unchanged, only slower",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return _run_serial(procedure, payloads)
+        raise TypeError(
+            f"trial procedure {procedure!r} is not picklable, so it cannot run "
+            f"on {count} worker processes ({exc!r}); pass a module-level "
+            "callable or workers=1"
+        ) from exc
 
     results: list[TrialOutcome | None] = [None] * len(payloads)
     suspects: list[int] = []

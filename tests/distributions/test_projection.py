@@ -211,6 +211,28 @@ class TestCoarseDP:
         )
         assert fast.distance == pytest.approx(generic.distance, abs=1e-9)
 
+    def test_nearly_constant_pieces_take_the_generic_fold(self):
+        # Pieces that vary by 1e-7 relative are not constant: pricing each
+        # at its first value would move the distance by ~1e-9, far above
+        # the check's absolute margin.
+        gen = np.random.default_rng(0)
+        base = Partition.equal_width(4000, 40)
+        pmf = np.repeat(gen.uniform(0.5, 1.5, size=40), 100)
+        pmf *= 1.0 + 1e-7 * gen.uniform(-1.0, 1.0, size=4000)
+        pmf /= pmf.sum()
+        inp = projection._coarse_input(pmf, base, 3, None, projection._MAX_PROJECTION_BASE)
+        cost = projection._fold_costs(
+            inp.mass_prefix,
+            inp.len_prefix,
+            np.arange(len(base)),
+            projection._sorted_piece_error(pmf, base),
+        )
+        l1, split = projection._interval_dp(cost, 3)
+        got = coarse_flattening_projection(pmf, base, 3)
+        assert got.distance == 0.5 * l1
+        assert np.array_equal(got.boundaries, base.boundaries[split])
+        assert not inp.piecewise_constant
+
     def test_coarsening_path_is_upper_bound(self):
         # Force the coarsening (max_base below K) and check the reported
         # distance upper-bounds the uncoarsened one.

@@ -5,18 +5,25 @@ endpoints, and advances every layer on a block before the next.  These
 tests pin that contract: the blocked oracle DP equals the dense DP run on
 the oracle's own full cost matrix bit for bit (total and boundaries) for
 any block size, it makes exactly ``n(n+1)/2`` oracle evaluations, and the
-benchmark's ``project`` distances keep their exact values.
+benchmark's ``project`` distances keep their exact values.  A fast point
+flattening with ``n ≤ 512`` takes the certified rank-prefix split instead
+and must return the oracle DP's total and boundaries bit for bit, falling
+back to the oracle DP on ties.
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, event, given
 from hypothesis import strategies as st
 
 from repro.distributions import projection_engine
-from repro.distributions.projection import _interval_dp, distance_to_histogram
+from repro.distributions.projection import (
+    _interval_dp,
+    distance_to_histogram,
+    project_flattening,
+)
 from repro.distributions.projection_engine import IntervalCostOracle, project_intervals
 from repro.experiments.workloads import make
 from repro.observability.metrics import get_metrics
@@ -102,3 +109,80 @@ def test_project_workload_distances_are_pinned(family, seed, expected):
     base = make(family, n, k, 0.2, rng=gen).pmf
     pmf = (1.0 - noise) * base + noise * gen.dirichlet(np.ones(n))
     assert repr(distance_to_histogram(pmf, k, engine="fast")) == expected
+
+
+def project_input(seed: int, family: str) -> np.ndarray:
+    """One input of the benchmark's ``project`` workload (n = 512, k = 16)."""
+    gen = np.random.default_rng(seed)
+    base = make(family, 512, 16, 0.2, rng=gen).pmf
+    return 0.95 * base + 0.05 * gen.dirichlet(np.ones(512))
+
+
+def split_counts() -> dict:
+    return {
+        by: get_metrics().counter("projection.split_certified", by=by).value
+        for by in ("rank", "oracle")
+    }
+
+
+def bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+def palindrome_pmf() -> np.ndarray:
+    """A near tie: the best 2-piece split and its mirror cost the same in
+    exact arithmetic, so only rounding separates them."""
+    half = np.random.default_rng(5).random(20) + 0.1
+    heights = np.concatenate((half, [0.05], half[::-1]))
+    return heights / heights.sum()
+
+
+class TestCertifiedPointFlattening:
+    """``engine="fast"`` flattening at ``n ≤ 512``: the rank-prefix split
+    with the oracle's drift bound, priced by the oracle along the path."""
+
+    @given(masked_cases())
+    def test_matches_the_oracle_dp_bit_for_bit(self, case):
+        values, mask, _, pieces, _ = case
+        assume(values.sum() > 0.0)
+        pmf = values / values.sum()
+        before = split_counts()
+        got = project_flattening(pmf, pieces, mask, engine="fast")
+        certified = split_counts()["rank"] > before["rank"]
+        event("certified" if certified else "fell back to the oracle DP")
+        total, bounds = project_intervals(pmf, mask, pieces)
+        assert bits(got.distance) == bits(0.5 * total)
+        np.testing.assert_array_equal(got.boundaries, bounds)
+
+    @pytest.mark.parametrize(
+        "pmf, pieces",
+        [
+            (np.full(64, 1 / 64), 4),
+            # Exactly piecewise constant with more pieces than steps: many
+            # splits cost exactly zero.
+            (np.repeat(np.array([0.1, 0.3, 0.2, 0.4]) / 16, 16), 6),
+            (palindrome_pmf(), 2),
+        ],
+        ids=["uniform", "piecewise-constant", "palindrome"],
+    )
+    def test_ties_fall_back_to_the_oracle_dp(self, pmf, pieces):
+        mask = np.ones(len(pmf), dtype=bool)
+        before = split_counts()
+        got = project_flattening(pmf, pieces, engine="fast")
+        after = split_counts()
+        assert {by: after[by] - before[by] for by in after} == {"rank": 0, "oracle": 1}
+        total, bounds = project_intervals(pmf, mask, pieces)
+        assert bits(got.distance) == bits(0.5 * total)
+        np.testing.assert_array_equal(got.boundaries, bounds)
+
+    def test_project_workload_certifies_and_prices_only_the_path(self):
+        evals = get_metrics().counter("projection.oracle_cost_evals", objective="flattening")
+        before, evals_before = split_counts(), evals.value
+        pieces = 0
+        for family, seed, expected in PROJECT_SEED1:
+            got = project_flattening(project_input(seed, family), 16, engine="fast")
+            assert repr(got.distance) == expected
+            pieces += len(got.boundaries) - 1
+        after = split_counts()
+        assert {by: after[by] - before[by] for by in after} == {"rank": 4, "oracle": 0}
+        assert evals.value - evals_before == pieces <= 4 * 16

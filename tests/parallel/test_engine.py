@@ -117,10 +117,12 @@ class TestRunTrials:
         out = run_trials(DrawOne(), spawn_seed_sequences(0, 1), workers=4)
         assert len(out) == 1
 
-    def test_unpicklable_falls_back_to_serial(self):
+    def test_unpicklable_procedure_raises(self):
         procedure = lambda i, s: TrialOutcome(index=i, value=i)  # noqa: E731
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            out = run_trials(procedure, spawn_seed_sequences(0, 4), workers=2)
+        with pytest.raises(TypeError, match="<lambda>.* is not picklable"):
+            run_trials(procedure, spawn_seed_sequences(0, 4), workers=2)
+        # The serial backend never pickles, so it still runs any callable.
+        out = run_trials(procedure, spawn_seed_sequences(0, 4), workers=1)
         assert [o.value for o in out] == [0, 1, 2, 3]
 
     def test_procedure_exception_propagates(self):
