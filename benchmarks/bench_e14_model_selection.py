@@ -10,19 +10,17 @@ error target.
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).parent))
 from _common import CONFIG, check
 
 from repro.distributions import families
 from repro.distributions.distances import tv_distance
-from repro.distributions.projection import flattening_profile
+from repro.distributions.projection import flattening_distance
 from repro.experiments.report import print_experiment
 from repro.learning import select_k
 
 EPS = 0.25
-N = 1000  # small enough for the exact ground-truth DP profile
+N = 1000  # small enough for the exact ground-truth DP
 
 SCENARIOS = {
     "uniform": lambda: families.uniform(N),
@@ -35,16 +33,31 @@ SCENARIOS = {
 }
 
 
+def smallest_sufficient_k(dist, eps: float, k_max: int) -> int | None:
+    """Smallest ``k ≤ k_max`` whose flattening distance is at most ``eps``,
+    or None.  The distance is non-increasing in ``k`` (an empty piece is
+    free), so a bisection needs about log2(k_max) exact DPs."""
+    if flattening_distance(dist, k_max) > eps:
+        return None
+    lo, hi = 1, k_max
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if flattening_distance(dist, mid) <= eps:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def run():
     rows = []
     for name, factory in SCENARIOS.items():
         dist = factory()
         result = select_k(dist, EPS, k_max=128, repeats=3, rng=hash(name) % 100, config=CONFIG)
-        # One DP pass gives the whole distance-vs-k profile (ground truth).
-        profile = flattening_profile(dist, max(80, result.k))
-        k_star = int(np.argmax(profile <= EPS)) + 1 if (profile <= EPS).any() else 80
+        # Ground truth from the exact DP.
+        k_star = smallest_sufficient_k(dist, EPS, max(80, result.k)) or 80
         err = tv_distance(dist, result.histogram.to_pmf())
-        sufficient = bool(profile[min(result.k, len(profile)) - 1] <= 2 * EPS)
+        sufficient = flattening_distance(dist, result.k) <= 2 * EPS
         rows.append([name, result.k, k_star, result.tests_run, err, sufficient])
     return rows
 

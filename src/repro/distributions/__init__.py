@@ -21,7 +21,6 @@ from repro.distributions.projection import (
     coarse_flattening_projection,
     exists_close_histogram,
     flattening_distance,
-    flattening_profile,
     histogram_distance_bounds,
     project_flattening,
     unconstrained_l1_distance,
@@ -68,7 +67,6 @@ __all__ = [
     "counts_from_samples",
     "exists_close_histogram",
     "flattening_distance",
-    "flattening_profile",
     "hellinger_distance",
     "histogram_distance_bounds",
     "histogram_from_dict",

@@ -29,30 +29,29 @@ case, where the unknown histogram is constant on every kept interval, and
 safe in the soundness case, where searching a subclass can only make the
 check stricter).
 
-The point-granularity API takes an ``engine=`` choice, and both engines
-run the one layered DP
-(:func:`~repro.distributions.projection_engine._dp_layers`):
+The point-granularity API takes an ``engine=`` choice.  A flattening
+with ``n ≤`` :data:`_MAX_PROJECTION_BASE` is the Step-10 case on the
+singleton base, so every engine runs it through :func:`_coarse_l1` (the
+certified rank-prefix split, with the exact per-point fold as its
+fallback) and returns the same bits.  Otherwise:
 
-* ``engine="dense"`` — the original O(n²)-memory cost-matrix build;
-  simple, the golden reference, but cubic-ish time in ``n`` for the
+* ``engine="dense"`` — the O(n²)-memory cost matrices (the per-point fold
+  for the flattening, prefix medians for the median objective) and the
+  layered DP (:func:`~repro.distributions.projection_engine._dp_layers`);
+  simple and the golden reference, but cubic-ish time in ``n`` for the
   flattening build.
 * ``engine="fast"`` — :mod:`repro.distributions.projection_engine`, a lazy
   interval-cost oracle that prices each interval exactly once, block by
-  block of right endpoints; O(n²·log n) time, O(n·k) memory, and
-  equivalent to the dense result to ≤ 1e-12 in cost.  A flattening with
-  ``n ≤`` :data:`_MAX_PROJECTION_BASE` first tries the certified
-  rank-prefix split on the singleton base
-  (:func:`_certified_point_flattening`), which proves the oracle DP's path
-  and prices only its ``≤ k`` pieces through the oracle — the same total
-  and boundaries bit for bit; exact ties fall back to the full oracle DP.
-* ``engine="auto"`` (default) — dense for small domains where the matrix
-  build is instant, fast above :data:`_AUTO_FAST_THRESHOLD`.
+  block of right endpoints, through the same layered DP; O(n²·log n)
+  time, O(n·k) memory, and equivalent to the dense result to ≤ 1e-12 in
+  cost.
+* ``engine="auto"`` (default) — dense up to :data:`_AUTO_FAST_THRESHOLD`,
+  fast above.
 
 Both engines refuse point-granularity domains above :data:`_MAX_DENSE_N`;
 larger domains go through :func:`coarse_flattening_projection`.  The
-coarse Step-10 path has no engine choice: it has one implementation, the
-certified rank-prefix split with the exact per-piece fold as its
-fallback (:func:`_coarse_l1`).
+coarse Step-10 path has no engine choice: it has one implementation,
+:func:`_coarse_l1`.
 """
 
 from __future__ import annotations
@@ -62,11 +61,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.distributions.discrete import DiscreteDistribution
 from repro.distributions.distances import ArrayLike, _as_array
 from repro.distributions.histogram import Histogram
 from repro.distributions.projection_engine import (
-    IntervalCostOracle,
     _dp_layers,
     matrix_columns,
     project_intervals,
@@ -81,8 +78,13 @@ from repro.util.intervals import Partition
 #: n = 4096, 22 s at n = 8192).
 _MAX_DENSE_N = 8192
 
-#: ``engine="auto"`` uses the dense build below this domain size (matrix
-#: build is microseconds there and has no oracle/bookkeeping overhead).
+#: ``engine="auto"`` uses the dense engine up to this domain size and the
+#: fast one above.  A flattening that small runs :func:`_coarse_l1` on
+#: either engine, so the cut-off routes only the median objective, and
+#: there it is no speed optimum: at n = 512, k = 16 (bench ``project``
+#: staircase, 2-vCPU container, best of 5) the median takes 0.84 s dense
+#: against 0.63 s fast.  Moving it would move auto's median distances in
+#: the last ulps.
 _AUTO_FAST_THRESHOLD = 512
 
 #: ``exists_close_histogram`` tries certified bounds before the exact fold
@@ -146,18 +148,22 @@ def _point_projection(
     resolved_engine: str,
 ) -> tuple[float, np.ndarray]:
     """Dispatch one point-granularity interval DP to the chosen engine;
-    returns the raw ℓ1 total and the boundary array (dense conventions)."""
-    if resolved_engine == "dense":
-        if objective == "flattening":
-            cost = _flattening_cost_matrix(p, mask_arr)
-        else:
-            cost = _median_cost_matrix(p, mask_arr)
-        return _interval_dp(cost, pieces)
-    if objective == "flattening" and 0 < len(p) <= _MAX_PROJECTION_BASE:
-        certified = _certified_point_flattening(p, mask_arr, pieces)
-        if certified is not None:
-            return certified
-    return project_intervals(p, mask_arr, pieces, objective=objective)
+    returns the raw ℓ1 total and the boundary array (dense conventions).
+
+    A flattening is the Step-10 DP on the singleton base (values ``p``,
+    weights the mask bits): up to :data:`_MAX_PROJECTION_BASE` points every
+    engine takes :func:`_coarse_l1`, and above it the dense engine runs
+    that path's fold directly (the rank tables would be (n+1)² each).
+    """
+    n = len(p)
+    if objective == "median":
+        if resolved_engine == "dense":
+            return _interval_dp(_median_cost_matrix(p, mask_arr), pieces)
+        return project_intervals(p, mask_arr, pieces, objective=objective)
+    if n > _MAX_PROJECTION_BASE and resolved_engine == "fast":
+        return project_intervals(p, mask_arr, pieces)
+    inp = _coarse_input(p, Partition.singletons(n), pieces, mask_arr, n)
+    return _coarse_l1(inp, pieces) if n <= _MAX_PROJECTION_BASE else _fold_l1(inp, pieces)
 
 
 def _fold_costs(
@@ -207,23 +213,6 @@ def _constant_piece_error(
         out *= weights[q]
 
     return error
-
-
-def _flattening_cost_matrix(p: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``C[i, j]`` = masked ℓ1 error of flattening ``p`` on ``[i, j)``.
-
-    The flattening constant is the *full* interval mean (masked-out points
-    included), so that the assembled piecewise function keeps total mass 1.
-    Each point is a unit-length piece weighted by its mask bit.
-    """
-    n = len(p)
-    prefix = np.concatenate(([0.0], np.cumsum(p)))
-    return _fold_costs(
-        prefix,
-        np.arange(n + 1, dtype=np.float64),
-        np.flatnonzero(mask),
-        _constant_piece_error(p, mask.astype(np.float64)),
-    )
 
 
 #: Block size (elements) for the per-row prefix matrices of
@@ -345,35 +334,6 @@ def distance_to_histogram(
     return project_flattening(dist, k, mask, engine=engine).distance
 
 
-def flattening_profile(
-    dist: ArrayLike, k_max: int, mask: np.ndarray | None = None, *, engine: str = "auto"
-) -> np.ndarray:
-    """``flattening_distance(dist, k)`` for every ``k`` in ``1..k_max`` at the
-    cost of a single cost build and one DP pass.
-
-    The DP's ``r``-th iteration is exactly the best-with-≤-r-pieces value,
-    so the whole profile falls out of intermediate states.  Use this for
-    "minimal sufficient k" searches — calling :func:`flattening_distance`
-    per k redoes the cost work every time.
-    """
-    p = _as_array(dist)
-    eng = _resolve_engine(engine, len(p))
-    mask_arr = _check_point_inputs(p, mask)
-    if k_max < 1:
-        raise ValueError(f"k_max must be at least 1, got {k_max}")
-    n = len(p)
-    if eng == "dense":
-        cost = _flattening_cost_matrix(p, mask_arr)
-        f, _ = _dp_layers(matrix_columns(cost), n, k_max)
-        profile = 0.5 * f[1:, n]
-    else:
-        _, _, raw = project_intervals(p, mask_arr, min(k_max, n), return_profile=True)
-        profile = 0.5 * raw
-    if k_max > n:
-        profile = np.concatenate((profile, np.full(k_max - n, profile[-1])))
-    return profile
-
-
 def unconstrained_l1_distance(
     dist: ArrayLike, k: int, mask: np.ndarray | None = None, *, engine: str = "auto"
 ) -> float:
@@ -410,9 +370,11 @@ def histogram_distance_bounds(
 
 #: Above this many base intervals the projection first coarsens the base
 #: (see ``_coarsen_for_projection``).  The certified build is O(K² log K)
-#: with a (K+1)² matrix, but its fallback fold is K³/6 terms and the
-#: generic sorted-piece fold costs more per term.  The same cap bounds the
-#: fast point flattening's certified path (:func:`_certified_point_flattening`).
+#: with two (K+1)² rank tables and a (K+1)² cost matrix, its fallback fold
+#: is K³/6 terms, and the generic sorted-piece fold costs more per term.
+#: The same cap is where a point flattening stops taking the certified
+#: split (:func:`_point_projection`): at n = 8192 its three tables would
+#: take about 1.6 GB.
 _MAX_PROJECTION_BASE = 512
 
 
@@ -609,7 +571,8 @@ def _rank_costs(inp: _CoarseInput) -> tuple[np.ndarray, float]:
     rows at a time.
 
     **δ.**  With ``u = 2⁻⁵³``, ``M`` the total mass and ``U = M + Σ_q w_q·v_q``
-    (to first order in ``K·u``):
+    (to first order in ``K·u``; every ``v_q ≥ 0``, which :func:`_coarse_l1`
+    checks first):
 
     * the exact cost ``T = Σ w_q·|v_q − μ| ≤ S + μ·W ≤ U``, because ``μ·W``
       is at most the interval's mass;
@@ -693,7 +656,7 @@ def _rank_costs(inp: _CoarseInput) -> tuple[np.ndarray, float]:
     return cost, delta
 
 
-def _certified_split(inp: _CoarseInput, k: int, drift_scale: int = 1) -> np.ndarray | None:
+def _certified_split(inp: _CoarseInput, k: int) -> np.ndarray | None:
     """The fold DP's optimal split, found on :func:`_rank_costs`' matrix,
     or ``None`` when the gap certificate cannot prove it is the fold's.
 
@@ -705,13 +668,8 @@ def _certified_split(inp: _CoarseInput, k: int, drift_scale: int = 1) -> np.ndar
     is strict at the same row, so ``np.argmin`` picks it there too.  When
     that holds at every step of the path, the fold's backtrack follows the
     same path, and :func:`_split_l1` prices it with the fold's bits.
-
-    The argument holds for any other DP matrix whose steps drift from the
-    rank matrix's by at most ``drift_scale·δ``; the point flattening uses
-    it with the oracle's matrix (:func:`_certified_point_flattening`).
     """
     cost, delta = _rank_costs(inp)
-    delta *= drift_scale
     f, path = _dp_layers(matrix_columns(cost), len(inp.values), k)
     columns = f[:-1] + cost[:, path[1:]].T  # step r's column of f[r] + cost
     lowest = np.partition(columns, 1, axis=1)
@@ -721,61 +679,18 @@ def _certified_split(inp: _CoarseInput, k: int, drift_scale: int = 1) -> np.ndar
     return None
 
 
-def _certified_point_flattening(
-    p: np.ndarray, mask: np.ndarray, pieces: int
-) -> tuple[float, np.ndarray] | None:
-    """The fast engine's point flattening (:func:`project_intervals`' total
-    and boundaries, bit for bit) from the certified rank-prefix split on
-    the singleton base, or ``None`` when the certificate cannot prove it.
-
-    On the singleton base ``values = p``, ``weights = mask`` and
-    ``μ_ab = (prefix[b] − prefix[a]) / (b − a)`` carry the oracle's own
-    bits, and ``searchsorted(sorted_values, μ)`` selects the same strict-
-    below set as the oracle's ``searchsorted(unique_vals, μ, "left")``, so
-    both matrices approximate the same exact cost ``T = Σ w_q·|v_q − μ|``.
-
-    **δ_oracle.**  With ``u``, ``M``, ``S = Σ w_q·v_q`` and ``U = M + S`` as
-    in :func:`_rank_costs` (entries non-negative), and ``L = ⌈log₂(n + 1)⌉``
-    the rank tree's levels:
-
-    * masked counts are sums of 0/1 weights, hence exact;
-    * each level's running ``w·v`` sum is one sequential cumsum over at
-      most ``n`` non-negative terms, so every entry is within ``n·u·S``; a
-      cover segment differences two of them, and the at most ``2L``
-      segments of ``[a, b)`` are summed in order, so ``S_<`` is within
-      ``(4nL + 2L + 1)·u·S`` and the prefix difference ``S`` within
-      ``(2n + 1)·u·S``;
-    * ``below = μ·W_< − S_<`` and ``above = (S − S_<) − μ·(W − W_<)`` add
-      two products (each at most ``M``) and three subtractions, the
-      clamps at zero never move a value away from its non-negative exact
-      one, and the final sum adds one rounding: the oracle entry is within
-      ``(8nL + 2n + 4L + 9)·u·U`` of ``T``.
-
-    With the rank entry's ``(6n + 6)·u·U`` and one DP rounding on each
-    side, a step drifts by at most ``(8nL + 8n + 4L + 17)·u·U``, which
-    ``(L + 2)·δ = (L + 2)(8n + 16)·u·U`` covers with room for the second-
-    order terms.  When the certificate holds at that scale, the oracle
-    DP's first argmin at every step of the path is the rank path's, so its
-    total is ``f[r + 1] = fl(C(path[r], path[r + 1]) + f[r])`` along the
-    path: the ``≤ k`` pieces are priced by the oracle and summed in that
-    order (empty pieces add ``+0.0``).  Outcomes are counted in
-    ``projection.split_certified{by=rank|oracle}``.
-    """
-    n = len(p)
-    split = None
-    if p.min() >= 0.0:
-        inp = _coarse_input(p, Partition.singletons(n), pieces, mask, _MAX_PROJECTION_BASE)
-        split = _certified_split(inp, pieces, n.bit_length() + 2)
-    get_metrics().counter(
-        "projection.split_certified", by="oracle" if split is None else "rank"
-    ).inc()
-    if split is None:
-        return None
-    costs = IntervalCostOracle(p, mask).flattening_costs(split[:-1], split[1:])
-    total = 0.0
-    for cost in costs.tolist():
-        total += cost
-    return total, split
+def _fold_l1(inp: _CoarseInput, k: int) -> tuple[float, np.ndarray]:
+    """The exact coarse DP by the per-piece fold (:func:`_fold_costs`): the
+    constant-piece term on a piecewise-constant input, the sorted-piece
+    term otherwise.  Optimal raw ℓ1 total and its base-border indices."""
+    if inp.piecewise_constant:
+        piece_error = _constant_piece_error(inp.values, inp.weights)
+    else:
+        # Within-piece values vary, so each piece's deviation from a merged
+        # mean comes from its sorted values.
+        piece_error = _sorted_piece_error(inp.p, inp.base)
+    cost = _fold_costs(inp.mass_prefix, inp.len_prefix, np.flatnonzero(inp.kept), piece_error)
+    return _interval_dp(cost, k)
 
 
 def _coarse_l1(inp: _CoarseInput, k: int) -> tuple[float, np.ndarray]:
@@ -784,34 +699,25 @@ def _coarse_l1(inp: _CoarseInput, k: int) -> tuple[float, np.ndarray]:
 
     A piecewise-constant input takes the fold's split from
     :func:`_certified_split` when the certificate holds (priced by
-    :func:`_split_l1`, so the total is the fold's bit for bit) and runs the
-    fold and DP otherwise; outcomes are counted in
-    ``projection.split_certified{by=rank|fold}``.
+    :func:`_split_l1`, so the total is the fold's bit for bit) and runs
+    :func:`_fold_l1` otherwise; outcomes are counted in
+    ``projection.split_certified{by=rank|fold}``.  The certificate's ``δ``
+    bounds the cost by ``M + Σ w·v``, which needs ``v ≥ 0``: any negative
+    (or NaN) value goes straight to the fold.
     """
     if inp.piecewise_constant:
         # The Algorithm 1 case: p = D̂ is constant on each base piece, so
         # cost[a, b] = Σ_{q∈[a,b), kept} len_q·|val_q − μ_ab|.
-        split = _certified_split(inp, k)
+        split = _certified_split(inp, k) if inp.values.min() >= 0.0 else None
         by = "fold" if split is None else "rank"
         get_metrics().counter("projection.split_certified", by=by).inc()
         if split is not None:
             return _split_l1(inp, split), split
-        piece_error = _constant_piece_error(inp.values, inp.weights)
-    else:
-        # Generic path: within-piece values vary, so each piece's deviation
-        # from a merged mean comes from its sorted values.
-        piece_error = _sorted_piece_error(inp.p, inp.base)
-    cost = _fold_costs(inp.mass_prefix, inp.len_prefix, np.flatnonzero(inp.kept), piece_error)
-    return _interval_dp(cost, k)
+    return _fold_l1(inp, k)
 
 
 def coarse_flattening_projection(
-    dist: ArrayLike,
-    base: Partition,
-    k: int,
-    kept: np.ndarray | None = None,
-    *,
-    max_base: int = _MAX_PROJECTION_BASE,
+    dist: ArrayLike, base: Partition, k: int, kept: np.ndarray | None = None
 ) -> Projection:
     """Best flattening of ``dist`` whose breakpoints lie on borders of
     ``base``, with TV error counted only on the kept intervals.
@@ -823,12 +729,12 @@ def coarse_flattening_projection(
     (:func:`_fold_costs`) otherwise, with the same answer bit for bit;
     either way the cost is independent of the domain size ``n`` — this is
     the oracle Step 10 of Algorithm 1 calls.  Bases larger than
-    ``max_base`` are first coarsened (mask-flip + top-jump + quantile
+    :data:`_MAX_PROJECTION_BASE` are first coarsened (mask-flip + top-jump + quantile
     borders); the coarsening's own error is *added* to the reported
     distance, so the result remains a valid upper bound (accepting on it is
     always sound).
     """
-    inp = _coarse_input(dist, base, k, kept, max_base)
+    inp = _coarse_input(dist, base, k, kept, _MAX_PROJECTION_BASE)
     l1, coarse_bounds = _coarse_l1(inp, k)
     domain_bounds = inp.base.boundaries[coarse_bounds]
     partition = Partition(domain_bounds)
@@ -948,8 +854,3 @@ def exists_close_histogram(
     l1, _ = _coarse_l1(inp, k)
     return 0.5 * l1 + inp.extra_error <= tolerance
 
-
-def project_pmf(dist: ArrayLike, k: int, *, engine: str = "auto") -> DiscreteDistribution:
-    """Convenience: the best-flattening k-histogram of a pmf, as a
-    sampleable distribution (used by the learn-then-project baseline)."""
-    return project_flattening(dist, k, engine=engine).histogram.to_distribution()

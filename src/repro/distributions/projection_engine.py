@@ -40,11 +40,10 @@ final by then, since ``i ≤ j``).  The oracle path
 (:func:`project_intervals`) therefore evaluates each interval exactly
 once — ``n(n+1)/2`` evaluations for every input, so the worst case is the
 typical case — with O(n·k) memory for the layers and parents plus one
-block of at most :data:`_DP_BLOCK_CELLS` cells.  A fast point flattening
-reaches it only above ``n = 512`` or when the certified rank-prefix split
-of :mod:`repro.distributions.projection` cannot prove this DP's path
-(exact ties); otherwise it prices just that path's ``≤ k`` pieces here.
-The same function runs the dense matrices of
+block of at most :data:`_DP_BLOCK_CELLS` cells.  A point flattening
+reaches it only above ``n = 512``: smaller ones take the certified
+rank-prefix split of :mod:`repro.distributions.projection` on every
+engine.  The same function runs the dense matrices of
 :mod:`repro.distributions.projection`; below the cell budget a matrix is
 one block, which is exactly the unblocked DP.
 Ties resolve to the smallest ``i`` (``np.argmin``'s first minimum), and
@@ -234,22 +233,14 @@ def _dp_layers(columns: ColumnBlocks, n: int, pieces: int) -> tuple[np.ndarray, 
     return f, path
 
 
-def project_intervals(
-    values,
-    mask,
-    pieces: int,
-    *,
-    objective: str = "flattening",
-    return_profile: bool = False,
-):
+def project_intervals(values, mask, pieces: int, *, objective: str = "flattening"):
     """Minimise the total interval cost of splitting ``[0, n)`` into at most
     ``pieces`` intervals; the matrix-free equivalent of building a dense
     cost matrix and running ``_interval_dp`` over it.
 
     Returns ``(total_cost, boundaries)`` — the raw ℓ1 sum (callers halve
     for TV) and the dense-convention boundary array (``np.unique`` of the
-    backtracked cut points).  With ``return_profile=True`` a third element
-    gives the optimal total after each layer ``r+1 = 1..pieces``.
+    backtracked cut points).
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
@@ -260,8 +251,4 @@ def project_intervals(
         oracle.flattening_costs if objective == "flattening" else oracle.median_costs
     )
     f, path = _dp_layers(oracle_columns(cost_fn), n, int(pieces))
-    total = float(f[-1, -1])
-    boundary = np.unique(path)
-    if return_profile:
-        return total, boundary, f[1:, -1].copy()
-    return total, boundary
+    return float(f[-1, -1]), np.unique(path)

@@ -2,8 +2,8 @@
 
 Every fold-built cost matrix — the Step-10 coarse build on a
 piecewise-constant ``D̂`` (the fallback of the certified rank-prefix split),
-the point-granularity flattening build and the generic sorted-piece build —
-is folded one piece at a time.  Each entry must
+the same build on the singleton base (the point-granularity flattening)
+and the generic sorted-piece build — is folded one piece at a time.  Each entry must
 be the *same* left-to-right sum of the *same* float terms as a per-pair sum,
 so these tests compare raw bits (``view(np.uint64)``), never tolerances: a
 later change to the fold that reorders or re-associates any sum fails here
@@ -18,7 +18,6 @@ import pytest
 from repro.distributions import projection
 from repro.distributions.projection import (
     _constant_piece_error,
-    _flattening_cost_matrix,
     _fold_costs,
     _interval_dp,
     coarse_flattening_projection,
@@ -188,7 +187,7 @@ class TestAgainstPerPairSum:
         n = int(gen.integers(1, 41))
         pmf = with_equal_runs(gen, gen.dirichlet(np.ones(n)))
         mask = with_unkept_runs(gen, n)
-        cost = _flattening_cost_matrix(pmf, mask)
+        cost = coarse_fold(pmf, Partition.singletons(n), mask)
 
         mass_prefix = np.concatenate(([0.0], np.cumsum(pmf)))
         len_prefix = np.arange(n + 1, dtype=np.float64)
@@ -261,4 +260,4 @@ class TestAgainstPerRowBuilder:
         mass_prefix = np.concatenate(([0.0], np.cumsum(pmf)))
         len_prefix = np.arange(n + 1, dtype=np.float64)
         reference = per_row_costs(pmf, mask.astype(np.float64), mass_prefix, len_prefix)
-        assert_same_bits(_flattening_cost_matrix(pmf, mask), reference)
+        assert_same_bits(coarse_fold(pmf, Partition.singletons(n), mask), reference)

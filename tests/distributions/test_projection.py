@@ -16,7 +16,6 @@ from repro.distributions.projection import (
     flattening_distance,
     histogram_distance_bounds,
     project_flattening,
-    project_pmf,
     unconstrained_l1_distance,
 )
 from repro.experiments.workloads import make
@@ -97,30 +96,6 @@ class TestExactDP:
         assert lower <= upper + 1e-12
         assert upper <= 2.0 * lower + 1e-9  # mean is a 2-approx of median
 
-    def test_profile_matches_per_k_calls(self):
-        from repro.distributions.projection import flattening_profile
-
-        pmf = np.random.default_rng(11).dirichlet(np.ones(25))
-        profile = flattening_profile(pmf, 8)
-        for k in (1, 2, 5, 8):
-            assert profile[k - 1] == pytest.approx(flattening_distance(pmf, k), abs=1e-9)
-
-    def test_profile_monotone_and_extends_past_n(self):
-        from repro.distributions.projection import flattening_profile
-
-        pmf = np.random.default_rng(12).dirichlet(np.ones(10))
-        profile = flattening_profile(pmf, 15)
-        assert len(profile) == 15
-        assert all(a >= b - 1e-12 for a, b in zip(profile, profile[1:]))
-        assert profile[9] == pytest.approx(0.0, abs=1e-12)
-        assert profile[14] == pytest.approx(0.0, abs=1e-12)
-
-    def test_profile_validation(self):
-        from repro.distributions.projection import flattening_profile
-
-        with pytest.raises(ValueError):
-            flattening_profile(np.ones(4) / 4, 0)
-
     def test_projection_object(self):
         pmf = np.random.default_rng(3).dirichlet(np.ones(20))
         proj = project_flattening(pmf, 3)
@@ -128,12 +103,6 @@ class TestExactDP:
         hist_pmf = proj.histogram.to_pmf()
         assert 0.5 * np.abs(hist_pmf - pmf).sum() == pytest.approx(proj.distance)
         assert is_k_histogram(hist_pmf, 3)
-
-    def test_project_pmf_is_distribution(self):
-        pmf = np.random.default_rng(4).dirichlet(np.ones(15))
-        d = project_pmf(pmf, 2)
-        assert d.pmf.sum() == pytest.approx(1.0)
-        assert is_k_histogram(d, 2)
 
     def test_masked_distance_ignores_masked_points(self):
         pmf = np.array([0.1, 0.1, 0.1, 0.7])
@@ -198,18 +167,24 @@ class TestCoarseDP:
         assert with_mask.distance <= without.distance + 1e-12
 
     def test_piecewise_fast_path_matches_generic(self):
-        # A pmf constant on the base hits the vectorised path; a jittered
-        # copy hits the generic path; on the constant input both must agree.
+        # A pmf constant on the base takes the constant-piece path; the
+        # generic sorted-piece fold on the same base must find the same
+        # optimum up to rounding.
         gen = np.random.default_rng(9)
         base = Partition.equal_width(30, 6)
         pmf = base.flatten(gen.dirichlet(np.ones(30)))
         kept = gen.random(6) > 0.3
+        inp = projection._coarse_input(pmf, base, 3, kept, projection._MAX_PROJECTION_BASE)
+        assert inp.piecewise_constant
         fast = coarse_flattening_projection(pmf, base, 3, kept)
-        # Force the generic path by perturbing infinitesimally below tol.
-        generic = coarse_flattening_projection(
-            pmf + 0.0, Partition.singletons(30), 3, np.repeat(kept, base.lengths())
+        cost = projection._fold_costs(
+            inp.mass_prefix,
+            inp.len_prefix,
+            np.flatnonzero(kept),
+            projection._sorted_piece_error(pmf, base),
         )
-        assert fast.distance == pytest.approx(generic.distance, abs=1e-9)
+        l1, _ = projection._interval_dp(cost, 3)
+        assert fast.distance == pytest.approx(0.5 * l1, abs=1e-12)
 
     def test_nearly_constant_pieces_take_the_generic_fold(self):
         # Pieces that vary by 1e-7 relative are not constant: pricing each
@@ -233,21 +208,24 @@ class TestCoarseDP:
         assert np.array_equal(got.boundaries, base.boundaries[split])
         assert not inp.piecewise_constant
 
-    def test_coarsening_path_is_upper_bound(self):
-        # Force the coarsening (max_base below K) and check the reported
+    def test_coarsening_path_is_upper_bound(self, monkeypatch):
+        # Force the coarsening (a size cap below K) and check the reported
         # distance upper-bounds the uncoarsened one.
         gen = np.random.default_rng(10)
         n = 200
         pmf = gen.dirichlet(np.ones(n))
         base = Partition.singletons(n)
         exact = coarse_flattening_projection(pmf, base, 4)
-        coarsened = coarse_flattening_projection(pmf, base, 4, max_base=32)
-        assert coarsened.distance >= exact.distance - 1e-9
+        monkeypatch.setattr(projection, "_MAX_PROJECTION_BASE", 32)
+        coarsened = coarse_flattening_projection(pmf, base, 4)
+        # The cap is read at call time: the coarsening ran and added error.
+        assert coarsened.distance > exact.distance
 
-    def test_coarsening_near_lossless_for_histograms(self):
+    def test_coarsening_near_lossless_for_histograms(self, monkeypatch):
         h = random_histogram(400, 5, rng=11)
         base = Partition.singletons(400)
-        proj = coarse_flattening_projection(h.to_pmf(), base, 5, max_base=64)
+        monkeypatch.setattr(projection, "_MAX_PROJECTION_BASE", 64)
+        proj = coarse_flattening_projection(h.to_pmf(), base, 5)
         assert proj.distance == pytest.approx(0.0, abs=1e-6)
 
     def test_validation(self):
@@ -369,6 +347,34 @@ class TestSplitCertified:
         dist = make(family, 100_000, 8, 0.2, rng=np.random.default_rng(1))
         _, by = counted(test_histogram, dist, 8, 0.2, rng=1, backend="cdkl22")
         assert by == {"rank": 1, "fold": 0}
+
+    def test_signed_input_takes_the_fold(self, monkeypatch):
+        # δ bounds each cost by M + Σ w·v, which needs v ≥ 0.  On this
+        # signed input δ < 0, so the gap test would pass on exact ties and
+        # return the rank matrix's split [0 1 2 7 8 9] instead of the
+        # fold's [0 1 6 7 8 9] (and a distance one ulp higher).
+        pmf = np.array(
+            [
+                -0.9318372717006751,
+                0.0,
+                -0.25563755206206507,
+                0.0,
+                0.0,
+                0.24190152663329534,
+                0.0,
+                -0.7895159068320743,
+                0.0,
+            ]
+        )
+        inp = projection._coarse_input(
+            pmf, Partition.singletons(len(pmf)), 5, None, projection._MAX_PROJECTION_BASE
+        )
+        (l1, split), by = counted(projection._coarse_l1, inp, 5)
+        assert by == {"rank": 0, "fold": 1}
+        want_l1, want_split = forced_fold(monkeypatch, projection._coarse_l1, inp, 5)
+        assert np.float64(l1).view(np.uint64) == np.float64(want_l1).view(np.uint64)
+        assert np.array_equal(split, want_split)
+        assert np.array_equal(split, [0, 1, 6, 7, 8, 9])
 
     def test_near_tie_takes_the_fold(self, monkeypatch):
         # A palindrome on an odd number of unit pieces: the best 2-piece

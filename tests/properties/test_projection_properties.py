@@ -28,7 +28,6 @@ from repro.distributions.projection import (
     coarse_flattening_projection,
     exists_close_histogram,
     flattening_distance,
-    flattening_profile,
     histogram_distance_bounds,
     project_flattening,
     unconstrained_l1_distance,
@@ -99,15 +98,9 @@ class TestProjectionBounds:
 
     @given(pmfs())
     def test_distance_non_increasing_in_k(self, pmf):
-        profile = flattening_profile(pmf, len(pmf))
+        profile = [flattening_distance(pmf, k) for k in range(1, len(pmf) + 1)]
         assert np.all(np.diff(profile) <= ATOL)
         assert profile[-1] <= ATOL  # n pieces always fit exactly
-
-    @given(pmf_and_k())
-    def test_profile_matches_pointwise_distance(self, case):
-        pmf, k = case
-        profile = flattening_profile(pmf, k)
-        assert abs(profile[k - 1] - flattening_distance(pmf, k)) <= ATOL
 
     @given(histograms())
     def test_true_histograms_project_to_zero(self, case):
