@@ -1,35 +1,37 @@
-"""E22 — projection-engine scaling: fast oracle DP vs dense cost matrix.
+"""E22 — projection scaling: the point flattening against the per-point fold.
 
 Wall-clock time of :func:`repro.distributions.projection.distance_to_histogram`
 on a noisy staircase (the tester's realistic near-histogram regime) as the
 domain grows, n ∈ {2^8 … 2^13} (the point-granularity cap), at fixed k.
-Up to n = 512 every engine runs the same certified rank-prefix split on the
-singleton base (the oracle DP is never reached), so the two engines differ
-only above it.  The shape checks encode the engine's contract:
+Up to n = 512 the library runs the certified rank-prefix split on the
+singleton base; above it, the oracle DP
+(:func:`~repro.distributions.projection_engine.project_intervals`), which
+prices each of the n(n+1)/2 intervals once.  The "dense" column times the
+exact reference above n = 512: the per-point fold on the singleton base
+(:func:`~repro.distributions.projection._fold_l1`, a (n+1)² cost matrix
+built from n³/6 terms).  The shape checks encode the oracle DP's contract:
 
-* the fast engine's log-log slope over n > 512, where it prices each of the
-  n(n+1)/2 intervals once (O(n² log n) oracle work plus an O(k·n²) DP),
-  against the sub-quadratic bar 2.0; like the speedup check it is
-  reported only, and the exit status follows the engine-agreement check;
-* fast and dense agree to ≤ 1e-12 wherever both run (golden equivalence);
-  the smoke grid times dense up to n = 1024 so that this compares the
-  oracle DP with the per-point fold, not the shared path with itself;
-* ≥ 20× speedup at n = 4096, k = 32 (the tentpole acceptance bar; the dense
-  time there is cubic-extrapolated unless ``--full-dense`` measures it);
-* the tracemalloc peak of one fast run per n grows at most near-linearly
+* its log-log slope over n > 512 (O(n² log n) oracle work plus an O(k·n²)
+  DP) against the sub-quadratic bar 2.0; like the speedup check it is
+  reported only, and the exit status follows the agreement check;
+* it agrees with the fold to ≤ 1e-12 wherever both run (the smoke grid
+  times the fold at n = 1024);
+* ≥ 20× speedup over the fold at n = 4096, k = 32 (the fold's time there
+  is cubic-extrapolated unless ``--full-dense`` measures it);
+* the tracemalloc peak of one run per n > 512 grows at most near-linearly
   (log-log slope ≤ 1.5: the O(n·k) layers plus one bounded column block —
-  a quadratic table would show a slope of ≈ 2).
+  a quadratic table would show a slope of ≈ 2).  The certified split at
+  n ≤ 512 holds two (n+1)² rank tables, so those sizes stay out of the fit.
 
-Above n = 512 the dense engine builds the full O(n²) cost matrix (O(n³)
-work), so it is only timed up to ``--dense-cap`` (default 2048; smoke
+The fold is only timed for 512 < n ≤ ``--dense-cap`` (default 2048; smoke
 1024); its time there is input-independent, which makes the cubic
 extrapolation safe.
 
 Emits ``BENCH_e22.json`` (see :func:`_common.write_bench_json`) with
-``fast_seconds_by_n``, ``dense_seconds_by_n``, ``max_engine_diff``,
-``peak_bytes_by_n`` and ``peak_memory_slope`` for the regression gate
-(``python benchmarks/gate.py BENCH_e22.json``), which holds both engines'
-times against the committed baseline and the engine agreement and memory
+``fast_seconds_by_n`` (the library), ``dense_seconds_by_n`` (the fold),
+``max_engine_diff``, ``peak_bytes_by_n`` and ``peak_memory_slope`` for the
+regression gate (``python benchmarks/gate.py BENCH_e22.json``), which holds
+both times against the committed baseline and the agreement and memory
 slope to their absolute bars.
 
 Usage::
@@ -51,8 +53,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _common import check, write_bench_json
 
 from repro.distributions import families
-from repro.distributions.projection import distance_to_histogram
+from repro.distributions.projection import (
+    _MAX_PROJECTION_BASE,
+    _coarse_input,
+    _fold_l1,
+    distance_to_histogram,
+)
 from repro.experiments.report import print_experiment
+from repro.util.intervals import Partition
 
 SEED = 22
 NOISE = 0.05
@@ -67,22 +75,29 @@ def make_pmf(n: int, k: int) -> np.ndarray:
     return (1.0 - NOISE) * base + NOISE * noise
 
 
-def time_engine(pmf: np.ndarray, k: int, engine: str) -> tuple[float, float]:
-    """(seconds, distance) for one engine; best-of-3 below n=1024."""
+def fold_distance(pmf: np.ndarray, k: int) -> float:
+    """The exact reference: the per-point fold on the singleton base."""
+    n = len(pmf)
+    l1, _ = _fold_l1(_coarse_input(pmf, Partition.singletons(n), k, None, n), k)
+    return 0.5 * l1
+
+
+def timed(distance, pmf: np.ndarray, k: int) -> tuple[float, float]:
+    """(seconds, distance) of ``distance(pmf, k)``; best-of-3 below n=1024."""
     reps = 3 if len(pmf) < 1024 else 1
     best, dist = math.inf, math.nan
     for _ in range(reps):
         start = time.perf_counter()
-        dist = distance_to_histogram(pmf, k, engine=engine)
+        dist = distance(pmf, k)
         best = min(best, time.perf_counter() - start)
     return best, dist
 
 
 def peak_memory(pmf: np.ndarray, k: int) -> int:
-    """tracemalloc peak (bytes) of one fast-engine run."""
+    """tracemalloc peak (bytes) of one library run."""
     tracemalloc.start()
     try:
-        distance_to_histogram(pmf, k, engine="fast")
+        distance_to_histogram(pmf, k)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -93,9 +108,9 @@ def run_grid(sizes: list[int], k: int, dense_cap: int):
     rows = []
     for n in sizes:
         pmf = make_pmf(n, k)
-        fast_s, fast_d = time_engine(pmf, k, "fast")
-        if n <= dense_cap:
-            dense_s, dense_d = time_engine(pmf, k, "dense")
+        fast_s, fast_d = timed(distance_to_histogram, pmf, k)
+        if _MAX_PROJECTION_BASE < n <= dense_cap:
+            dense_s, dense_d = timed(fold_distance, pmf, k)
             speedup, agree = dense_s / fast_s, abs(dense_d - fast_d)
         else:
             dense_s = speedup = agree = math.nan
@@ -115,11 +130,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--k", type=int, default=32, help="histogram pieces")
     parser.add_argument(
         "--dense-cap", type=int, default=None,
-        help="largest n to time the dense engine at (default 2048; smoke 1024)",
+        help="largest n to time the fold reference at (default 2048; smoke 1024)",
     )
     parser.add_argument(
         "--full-dense", action="store_true",
-        help=f"measure dense at n={ACCEPT_N} (~10 min) instead of extrapolating",
+        help=f"measure the fold at n={ACCEPT_N} instead of extrapolating",
     )
     parser.add_argument("--json", default=None, help="output path for BENCH_e22.json")
     args = parser.parse_args(argv)
@@ -133,20 +148,20 @@ def main(argv: list[str] | None = None) -> int:
 
     rows = run_grid(sizes, args.k, dense_cap)
     print_experiment(
-        f"E22: projection scaling (k={args.k}, noisy staircase, dense<= {dense_cap})",
-        ["n", "fast s", "dense s", "speedup", "|diff|", "distance"],
+        f"E22: projection scaling (k={args.k}, noisy staircase, fold <= {dense_cap})",
+        ["n", "fast s", "fold s", "speedup", "|diff|", "distance"],
         rows,
     )
 
     fast_by_n = {row[0]: row[1] for row in rows}
     dense_rows = [row for row in rows if not math.isnan(row[2])]
     dense_by_n = {row[0]: row[2] for row in dense_rows}
-    oracle_rows = [row for row in rows if row[0] > 512]
-    slope = loglog_slope([r[0] for r in oracle_rows], [r[1] for r in oracle_rows])
+    oracle_ns = [n for n in sizes if n > _MAX_PROJECTION_BASE]
+    slope = loglog_slope(oracle_ns, [fast_by_n[n] for n in oracle_ns])
 
-    # Speedup at the acceptance point: measured if dense ran there, else the
-    # dense time is cubic-extrapolated from the largest measured dense n
-    # (the dense cost-matrix build is input-independent, so this is safe).
+    # Speedup at the acceptance point: measured if the fold ran there, else
+    # its time is cubic-extrapolated from the largest measured n (the fold's
+    # work is input-independent, so this is safe).
     accept_speedup = math.nan
     accept_mode = "unmeasured"
     if ACCEPT_N in fast_by_n and dense_rows:
@@ -160,14 +175,14 @@ def main(argv: list[str] | None = None) -> int:
 
     # Measured after the timings, so tracemalloc's overhead never enters them.
     peaks_by_n = {n: peak_memory(make_pmf(n, args.k), args.k) for n in sizes}
-    mem_slope = loglog_slope(sizes, [float(peaks_by_n[n]) for n in sizes])
-    print(f"  peak-memory log-log slope: {mem_slope:.2f} (O(n*k) => <= ~1)")
+    mem_slope = loglog_slope(oracle_ns, [float(peaks_by_n[n]) for n in oracle_ns])
+    print(f"  peak-memory log-log slope over n > 512: {mem_slope:.2f} (O(n*k) => <= ~1)")
 
     max_diff = max((r[4] for r in dense_rows), default=math.nan)
     check("fast log-log slope over n > 512 < 2.0 (sub-quadratic)", slope < 2.0)
-    check("memory at most near-linear in n (slope <= 1.5)", mem_slope <= 1.5)
+    check("memory over n > 512 at most near-linear in n (slope <= 1.5)", mem_slope <= 1.5)
     if dense_rows:
-        check("engines agree <= 1e-12", max_diff <= 1e-12)
+        check("oracle DP and fold agree <= 1e-12", max_diff <= 1e-12)
     if not math.isnan(accept_speedup):
         check(
             f"speedup at n={ACCEPT_N} >= {ACCEPT_SPEEDUP:.0f}x ({accept_mode})",
@@ -204,7 +219,7 @@ def test_e22_projection_scaling(benchmark):
     )
     print_experiment(
         "E22 (smoke): projection scaling",
-        ["n", "fast s", "dense s", "speedup", "|diff|", "distance"],
+        ["n", "fast s", "fold s", "speedup", "|diff|", "distance"],
         rows,
     )
     dense_rows = [row for row in rows if not math.isnan(row[2])]

@@ -243,7 +243,7 @@ def run_fleet(
             if not procs:
                 if store.finished():
                     break
-                drained = [w for w, code in report.exit_codes.items() if code == 0]
+                drained = sorted(w for w, code in report.exit_codes.items() if code == 0)
                 raise StoreError(
                     f"every worker has drained ({', '.join(drained)}) with the "
                     f"sweep unfinished ({store.counts()}); exit codes: "

@@ -29,29 +29,21 @@ case, where the unknown histogram is constant on every kept interval, and
 safe in the soundness case, where searching a subclass can only make the
 check stricter).
 
-The point-granularity API takes an ``engine=`` choice.  A flattening
-with ``n ≤`` :data:`_MAX_PROJECTION_BASE` is the Step-10 case on the
-singleton base, so every engine runs it through :func:`_coarse_l1` (the
-certified rank-prefix split, with the exact per-point fold as its
-fallback) and returns the same bits.  Otherwise:
+The point-granularity API has one path per objective and size band:
 
-* ``engine="dense"`` — the O(n²)-memory cost matrices (the per-point fold
-  for the flattening, prefix medians for the median objective) and the
-  layered DP (:func:`~repro.distributions.projection_engine._dp_layers`);
-  simple and the golden reference, but cubic-ish time in ``n`` for the
-  flattening build.
-* ``engine="fast"`` — :mod:`repro.distributions.projection_engine`, a lazy
+* a flattening with ``n ≤`` :data:`_MAX_PROJECTION_BASE` is the Step-10
+  case on the singleton base, so it runs :func:`_coarse_l1` (the certified
+  rank-prefix split, with the exact per-point fold as its fallback);
+* a larger flattening, and the median objective at every ``n``, run the
+  oracle DP of :mod:`repro.distributions.projection_engine`: a lazy
   interval-cost oracle that prices each interval exactly once, block by
-  block of right endpoints, through the same layered DP; O(n²·log n)
-  time, O(n·k) memory, and equivalent to the dense result to ≤ 1e-12 in
-  cost.
-* ``engine="auto"`` (default) — dense up to :data:`_AUTO_FAST_THRESHOLD`,
-  fast above.
+  block of right endpoints, through the layered DP; O(n²·log n) time and
+  O(n·k) memory.
 
-Both engines refuse point-granularity domains above :data:`_MAX_DENSE_N`;
-larger domains go through :func:`coarse_flattening_projection`.  The
-coarse Step-10 path has no engine choice: it has one implementation,
-:func:`_coarse_l1`.
+Point-granularity domains above :data:`_MAX_DENSE_N` are refused; larger
+domains go through :func:`coarse_flattening_projection`, whose one
+implementation is :func:`_coarse_l1`.  Every entry point refuses a pmf
+with a non-finite or negative value.
 """
 
 from __future__ import annotations
@@ -71,21 +63,11 @@ from repro.distributions.projection_engine import (
 from repro.observability.metrics import get_metrics
 from repro.util.intervals import Partition
 
-#: Point-granularity DPs on either engine refuse domains above this size
-#: rather than hang: the dense build is O(n³) time and O(n²) memory, and
-#: the fast engine prices all n(n+1)/2 intervals (E22's noisy staircase at
+#: Point-granularity DPs refuse domains above this size rather than hang:
+#: the oracle DP prices all n(n+1)/2 intervals (E22's noisy staircase at
 #: k = 32 on a 2-vCPU container: 1.2–2.1 s at n = 2048, 5–6 s at
 #: n = 4096, 22 s at n = 8192).
 _MAX_DENSE_N = 8192
-
-#: ``engine="auto"`` uses the dense engine up to this domain size and the
-#: fast one above.  A flattening that small runs :func:`_coarse_l1` on
-#: either engine, so the cut-off routes only the median objective, and
-#: there it is no speed optimum: at n = 512, k = 16 (bench ``project``
-#: staircase, 2-vCPU container, best of 5) the median takes 0.84 s dense
-#: against 0.63 s fast.  Moving it would move auto's median distances in
-#: the last ulps.
-_AUTO_FAST_THRESHOLD = 512
 
 #: ``exists_close_histogram`` tries certified bounds before the exact fold
 #: only above this many (coarse) base pieces.  Measured on a 2-vCPU Xeon
@@ -100,15 +82,8 @@ _AUTO_FAST_THRESHOLD = 512
 #: 1.9–3.5 ms at K = 256, bounds 0.7–1.4 ms; the crossover stays near 128.
 _CHECK_BOUNDS_MIN_BASE = 128
 
+#: The values :func:`distance_to_histogram` accepts for ``engine=``.
 _ENGINES = ("auto", "fast", "dense")
-
-
-def _resolve_engine(engine: str, n: int) -> str:
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    if engine == "auto":
-        return "dense" if n <= _AUTO_FAST_THRESHOLD else "fast"
-    return engine
 
 
 @dataclass(frozen=True)
@@ -125,7 +100,17 @@ class Projection:
 # ---------------------------------------------------------------------------
 
 
+def _check_values(p: np.ndarray) -> None:
+    """Refuse a pmf outside the domain of the DPs: every cost and the
+    certificate's ``δ`` assume finite, non-negative values."""
+    if not np.isfinite(p).all():
+        raise ValueError("distribution has non-finite values (NaN or ±inf)")
+    if (p < 0.0).any():
+        raise ValueError("distribution has negative values")
+
+
 def _check_point_inputs(p: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    _check_values(p)
     n = len(p)
     if n > _MAX_DENSE_N:
         raise ValueError(
@@ -141,29 +126,20 @@ def _check_point_inputs(p: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
 
 
 def _point_projection(
-    p: np.ndarray,
-    mask_arr: np.ndarray,
-    pieces: int,
-    objective: str,
-    resolved_engine: str,
+    p: np.ndarray, mask_arr: np.ndarray, pieces: int, objective: str
 ) -> tuple[float, np.ndarray]:
-    """Dispatch one point-granularity interval DP to the chosen engine;
-    returns the raw ℓ1 total and the boundary array (dense conventions).
+    """One point-granularity interval DP; returns the raw ℓ1 total and the
+    boundary array.
 
-    A flattening is the Step-10 DP on the singleton base (values ``p``,
-    weights the mask bits): up to :data:`_MAX_PROJECTION_BASE` points every
-    engine takes :func:`_coarse_l1`, and above it the dense engine runs
-    that path's fold directly (the rank tables would be (n+1)² each).
+    A flattening up to :data:`_MAX_PROJECTION_BASE` points is the Step-10
+    DP on the singleton base (values ``p``, weights the mask bits) and
+    takes :func:`_coarse_l1`; a larger one, and the median objective at
+    every size, take the oracle DP (:func:`project_intervals`).
     """
     n = len(p)
-    if objective == "median":
-        if resolved_engine == "dense":
-            return _interval_dp(_median_cost_matrix(p, mask_arr), pieces)
+    if objective == "median" or n > _MAX_PROJECTION_BASE:
         return project_intervals(p, mask_arr, pieces, objective=objective)
-    if n > _MAX_PROJECTION_BASE and resolved_engine == "fast":
-        return project_intervals(p, mask_arr, pieces)
-    inp = _coarse_input(p, Partition.singletons(n), pieces, mask_arr, n)
-    return _coarse_l1(inp, pieces) if n <= _MAX_PROJECTION_BASE else _fold_l1(inp, pieces)
+    return _coarse_l1(_coarse_input(p, Partition.singletons(n), pieces, mask_arr, n), pieces)
 
 
 def _fold_costs(
@@ -215,63 +191,6 @@ def _constant_piece_error(
     return error
 
 
-#: Block size (elements) for the per-row prefix matrices of
-#: :func:`_median_cost_matrix` — bounds the transient footprint to a few
-#: hundred MB at the dense cap.
-_MEDIAN_BLOCK_ELEMS = 1 << 24
-
-
-def _prefix_median_costs(mvals: np.ndarray) -> np.ndarray:
-    """``out[s-1]`` = ``min_c Σ_{r ≤ s} |mvals_r − c|`` for every prefix.
-
-    Vectorised prefix-median costs: sort once, then for each prefix length
-    ``s`` locate the ``⌈s/2⌉``-th smallest (the lower median) by counting
-    which sorted elements were inserted by time ``s``.  With ``low_sum``
-    the sum of the ``⌈s/2⌉`` smallest, the cost is
-    ``total_s − 2·low_sum + med·(2·⌈s/2⌉ − s)`` — the below/above split
-    around the median.  O(m²) elementwise work per call, blocked to bound
-    memory.
-    """
-    m = len(mvals)
-    total = np.cumsum(mvals)
-    order = np.argsort(mvals, kind="stable")
-    u = mvals[order]
-    t = order + 1  # insertion time (1-based) of each sorted element
-    out = np.empty(m, dtype=np.float64)
-    block = max(1, _MEDIAN_BLOCK_ELEMS // max(m, 1))
-    for start in range(0, m, block):
-        s = np.arange(start + 1, min(start + block, m) + 1)
-        incl = t[None, :] <= s[:, None]  # (S, m): in prefix s?
-        k = (s + 1) // 2  # lower-median rank
-        cnt = np.cumsum(incl, axis=1)
-        medpos = np.argmax(cnt >= k[:, None], axis=1)
-        med = u[medpos]
-        low_sum = np.take_along_axis(
-            np.cumsum(np.where(incl, u, 0.0), axis=1), medpos[:, None], axis=1
-        ).ravel()
-        out[start : start + len(s)] = total[s - 1] - 2.0 * low_sum + med * (2 * k - s)
-    return out
-
-
-def _median_cost_matrix(p: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``C[i, j]`` = min over constants ``c`` of masked ``Σ |p_t − c|``.
-
-    The optimum is the median of the masked values; each row's running
-    costs come from one vectorised prefix-median pass over the masked tail
-    (see :func:`_prefix_median_costs`), then spread to the unmasked
-    columns, where the cost stays flat.
-    """
-    n = len(p)
-    cost = np.full((n + 1, n + 1), np.inf)
-    np.fill_diagonal(cost, 0.0)
-    for i in range(n):
-        tmask = mask[i:]
-        mvals = p[i:][tmask]
-        by_prefix = np.concatenate(([0.0], _prefix_median_costs(mvals)))
-        cost[i, i + 1 :] = by_prefix[np.cumsum(tmask)]
-    return cost
-
-
 # ---------------------------------------------------------------------------
 # The interval DP
 # ---------------------------------------------------------------------------
@@ -295,29 +214,24 @@ def _interval_dp(cost: np.ndarray, pieces: int) -> tuple[float, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def project_flattening(
-    dist: ArrayLike, k: int, mask: np.ndarray | None = None, *, engine: str = "auto"
-) -> Projection:
+def project_flattening(dist: ArrayLike, k: int, mask: np.ndarray | None = None) -> Projection:
     """Best-flattening projection of a pmf onto ``H_k`` (masked TV error)."""
     p = _as_array(dist)
-    eng = _resolve_engine(engine, len(p))
     mask_arr = _check_point_inputs(p, mask)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    l1, bounds = _point_projection(p, mask_arr, k, "flattening", eng)
+    l1, bounds = _point_projection(p, mask_arr, k, "flattening")
     partition = Partition(bounds)
     hist = Histogram.from_masses(partition, partition.aggregate(p))
     return Projection(distance=0.5 * l1, histogram=hist, boundaries=bounds)
 
 
-def flattening_distance(
-    dist: ArrayLike, k: int, mask: np.ndarray | None = None, *, engine: str = "auto"
-) -> float:
+def flattening_distance(dist: ArrayLike, k: int, mask: np.ndarray | None = None) -> float:
     """``min_Π dTV(p, flatten_Π(p))`` over ≤ k-interval partitions.
 
     Upper bound on ``dTV(p, H_k)`` and at most twice it.
     """
-    return project_flattening(dist, k, mask, engine=engine).distance
+    return project_flattening(dist, k, mask).distance
 
 
 def distance_to_histogram(
@@ -330,24 +244,27 @@ def distance_to_histogram(
     histogram), hence always an upper bound on ``dTV(p, H_k)``, and at most
     twice it.  Use :func:`histogram_distance_bounds` when a certified lower
     bound is also needed.
+
+    ``engine`` must be one of ``"auto"``, ``"fast"`` and ``"dense"``, but it
+    does not route: every value runs the one point flattening of
+    :func:`project_flattening` and returns the same bits.
     """
-    return project_flattening(dist, k, mask, engine=engine).distance
+    if engine not in _ENGINES:
+        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
+    return project_flattening(dist, k, mask).distance
 
 
-def unconstrained_l1_distance(
-    dist: ArrayLike, k: int, mask: np.ndarray | None = None, *, engine: str = "auto"
-) -> float:
+def unconstrained_l1_distance(dist: ArrayLike, k: int, mask: np.ndarray | None = None) -> float:
     """``min_h ½‖p − h‖₁`` over ≤ k-piece functions with no mass constraint.
 
     A certified **lower bound** on ``dTV(p, H_k)``: every distribution in
     ``H_k`` is in particular a ≤ k-piece non-negative function.
     """
     p = _as_array(dist)
-    eng = _resolve_engine(engine, len(p))
     mask_arr = _check_point_inputs(p, mask)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    l1, _ = _point_projection(p, mask_arr, k, "median", eng)
+    l1, _ = _point_projection(p, mask_arr, k, "median")
     # The per-interval cost is computed by subtraction and can come out a
     # few ulp below zero on exact histograms; a certified lower bound must
     # never be negative.
@@ -355,11 +272,11 @@ def unconstrained_l1_distance(
 
 
 def histogram_distance_bounds(
-    dist: ArrayLike, k: int, mask: np.ndarray | None = None, *, engine: str = "auto"
+    dist: ArrayLike, k: int, mask: np.ndarray | None = None
 ) -> tuple[float, float]:
     """``(lower, upper)`` bounds sandwiching ``dTV(p, H_k)``."""
-    lower = unconstrained_l1_distance(dist, k, mask, engine=engine)
-    upper = flattening_distance(dist, k, mask, engine=engine)
+    lower = unconstrained_l1_distance(dist, k, mask)
+    upper = flattening_distance(dist, k, mask)
     return lower, upper
 
 
@@ -370,11 +287,10 @@ def histogram_distance_bounds(
 
 #: Above this many base intervals the projection first coarsens the base
 #: (see ``_coarsen_for_projection``).  The certified build is O(K² log K)
-#: with two (K+1)² rank tables and a (K+1)² cost matrix, its fallback fold
-#: is K³/6 terms, and the generic sorted-piece fold costs more per term.
-#: The same cap is where a point flattening stops taking the certified
-#: split (:func:`_point_projection`): at n = 8192 its three tables would
-#: take about 1.6 GB.
+#: with two (K+1)² rank tables and a (K+1)² cost matrix, and its fallback
+#: fold is K³/6 terms.  The same cap is where a point flattening stops
+#: taking the certified split (:func:`_point_projection`): at n = 8192 its
+#: three tables would take about 1.6 GB.
 _MAX_PROJECTION_BASE = 512
 
 
@@ -437,24 +353,6 @@ def _coarsen_for_projection(
     return flattened, coarse, coarse_kept, coarsen_err
 
 
-def _sorted_piece_error(
-    p: np.ndarray, base: Partition
-) -> Callable[[int, np.ndarray, np.ndarray], None]:
-    """Fold term for a piece whose values vary: ``Σ_{t∈q} |p_t − μ|`` for a
-    whole block of means at once, via one ``searchsorted`` against the
-    piece's sorted values (below-mean and above-mean parts)."""
-
-    def error(q: int, mu: np.ndarray, out: np.ndarray) -> None:
-        seg = np.sort(p[base[q].slice()])
-        pre = np.concatenate(([0.0], np.cumsum(seg)))
-        pos = np.searchsorted(seg, mu)
-        below = mu * pos - pre[pos]
-        above = (pre[-1] - pre[pos]) - mu * (len(seg) - pos)
-        np.add(below, above, out=out)
-
-    return error
-
-
 def _prefix(x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(x)))
 
@@ -463,10 +361,9 @@ def _prefix(x: np.ndarray) -> np.ndarray:
 class _CoarseInput:
     """A validated (and, above the size cap, coarsened) Step-10 input.
 
-    ``values`` is each piece's first value (its height when ``p`` is
-    piecewise constant, i.e. exactly constant on every piece) and
-    ``weights`` its kept length; ``extra_error`` is the coarsening's own TV
-    error, added to every distance reported.
+    ``p`` is exactly constant on every piece of ``base``; ``values`` holds
+    each piece's height and ``weights`` its kept length; ``extra_error`` is
+    the coarsening's own TV error, added to every distance reported.
     """
 
     p: np.ndarray
@@ -479,7 +376,6 @@ class _CoarseInput:
     weights: np.ndarray
     mass_prefix: np.ndarray
     len_prefix: np.ndarray
-    piecewise_constant: bool
 
 
 def _coarse_input(
@@ -488,6 +384,13 @@ def _coarse_input(
     p = _as_array(dist)
     if len(p) != base.n:
         raise ValueError("distribution and base partition cover different domains")
+    _check_values(p)
+    starts = base.boundaries[:-1]
+    if not np.array_equal(np.maximum.reduceat(p, starts), np.minimum.reduceat(p, starts)):
+        raise ValueError(
+            "distribution is not constant on every base interval; "
+            "pass base.flatten(p) to project its flattening"
+        )
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if kept is None:
@@ -502,7 +405,6 @@ def _coarse_input(
 
     masses = base.aggregate(p)
     lengths = base.lengths().astype(np.float64)
-    starts = base.boundaries[:-1]
     return _CoarseInput(
         p=p,
         base=base,
@@ -510,13 +412,10 @@ def _coarse_input(
         extra_error=extra_error,
         masses=masses,
         lengths=lengths,
-        values=p[starts],
+        values=p[base.boundaries[:-1]],
         weights=np.where(kept, lengths, 0.0),
         mass_prefix=_prefix(masses),
         len_prefix=_prefix(lengths),
-        piecewise_constant=bool(
-            np.array_equal(np.maximum.reduceat(p, starts), np.minimum.reduceat(p, starts))
-        ),
     )
 
 
@@ -571,8 +470,8 @@ def _rank_costs(inp: _CoarseInput) -> tuple[np.ndarray, float]:
     rows at a time.
 
     **δ.**  With ``u = 2⁻⁵³``, ``M`` the total mass and ``U = M + Σ_q w_q·v_q``
-    (to first order in ``K·u``; every ``v_q ≥ 0``, which :func:`_coarse_l1`
-    checks first):
+    (to first order in ``K·u``; every ``v_q ≥ 0``, which :func:`_coarse_input`
+    checks on entry):
 
     * the exact cost ``T = Σ w_q·|v_q − μ| ≤ S + μ·W ≤ U``, because ``μ·W``
       is at most the interval's mass;
@@ -680,39 +579,31 @@ def _certified_split(inp: _CoarseInput, k: int) -> np.ndarray | None:
 
 
 def _fold_l1(inp: _CoarseInput, k: int) -> tuple[float, np.ndarray]:
-    """The exact coarse DP by the per-piece fold (:func:`_fold_costs`): the
-    constant-piece term on a piecewise-constant input, the sorted-piece
-    term otherwise.  Optimal raw ℓ1 total and its base-border indices."""
-    if inp.piecewise_constant:
-        piece_error = _constant_piece_error(inp.values, inp.weights)
-    else:
-        # Within-piece values vary, so each piece's deviation from a merged
-        # mean comes from its sorted values.
-        piece_error = _sorted_piece_error(inp.p, inp.base)
-    cost = _fold_costs(inp.mass_prefix, inp.len_prefix, np.flatnonzero(inp.kept), piece_error)
+    """The exact coarse DP by the per-piece fold (:func:`_fold_costs`):
+    optimal raw ℓ1 total and its base-border indices."""
+    cost = _fold_costs(
+        inp.mass_prefix,
+        inp.len_prefix,
+        np.flatnonzero(inp.kept),
+        _constant_piece_error(inp.values, inp.weights),
+    )
     return _interval_dp(cost, k)
 
 
 def _coarse_l1(inp: _CoarseInput, k: int) -> tuple[float, np.ndarray]:
     """The exact coarse DP: optimal raw ℓ1 total and its base-border
-    indices.
+    indices, with ``cost[a, b] = Σ_{q∈[a,b), kept} len_q·|val_q − μ_ab|``.
 
-    A piecewise-constant input takes the fold's split from
-    :func:`_certified_split` when the certificate holds (priced by
-    :func:`_split_l1`, so the total is the fold's bit for bit) and runs
-    :func:`_fold_l1` otherwise; outcomes are counted in
-    ``projection.split_certified{by=rank|fold}``.  The certificate's ``δ``
-    bounds the cost by ``M + Σ w·v``, which needs ``v ≥ 0``: any negative
-    (or NaN) value goes straight to the fold.
+    Takes the fold's split from :func:`_certified_split` when the
+    certificate holds (priced by :func:`_split_l1`, so the total is the
+    fold's bit for bit) and runs :func:`_fold_l1` otherwise; outcomes are
+    counted in ``projection.split_certified{by=rank|fold}``.
     """
-    if inp.piecewise_constant:
-        # The Algorithm 1 case: p = D̂ is constant on each base piece, so
-        # cost[a, b] = Σ_{q∈[a,b), kept} len_q·|val_q − μ_ab|.
-        split = _certified_split(inp, k) if inp.values.min() >= 0.0 else None
-        by = "fold" if split is None else "rank"
-        get_metrics().counter("projection.split_certified", by=by).inc()
-        if split is not None:
-            return _split_l1(inp, split), split
+    split = _certified_split(inp, k)
+    by = "fold" if split is None else "rank"
+    get_metrics().counter("projection.split_certified", by=by).inc()
+    if split is not None:
+        return _split_l1(inp, split), split
     return _fold_l1(inp, k)
 
 
@@ -722,8 +613,10 @@ def coarse_flattening_projection(
     """Best flattening of ``dist`` whose breakpoints lie on borders of
     ``base``, with TV error counted only on the kept intervals.
 
-    ``kept`` is a boolean vector over the ``K`` base intervals (default: all
-    kept).  A piecewise-constant ``dist`` (the Step-10 case) runs in
+    ``dist`` must be finite, non-negative and exactly constant on every
+    base interval (a histogram on ``base``, or ``base.flatten(p)``);
+    anything else raises ``ValueError``.  ``kept`` is a boolean vector over
+    the ``K`` base intervals (default: all kept).  The projection runs in
     ``O(K² log K + K² k)`` when the rank-prefix split certifies
     (:func:`_certified_split`), and after the ``K³/6``-term per-piece fold
     (:func:`_fold_costs`) otherwise, with the same answer bit for bit;
@@ -832,17 +725,17 @@ def exists_close_histogram(
 
     Returns exactly ``coarse_flattening_projection(...).distance <=
     tolerance``; see the module docstring for why the coarse search is
-    sound on both sides.  Piecewise-constant inputs on more than
-    :data:`_CHECK_BOUNDS_MIN_BASE` pieces are first tried against a
-    certified upper bound (accept) and lower bound (reject), each with a
-    small margin; only an undecided check pays for the exact split
-    (:func:`_coarse_l1`).
-    Outcomes are counted in ``projection.check_decided{by=…}``.
+    sound on both sides, and that function for the input's preconditions.
+    Inputs on more than :data:`_CHECK_BOUNDS_MIN_BASE` pieces are first
+    tried against a certified upper bound (accept) and lower bound
+    (reject), each with a small margin; only an undecided check pays for
+    the exact split (:func:`_coarse_l1`).  Outcomes are counted in
+    ``projection.check_decided{by=…}``.
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
     inp = _coarse_input(dist, base, k, kept, _MAX_PROJECTION_BASE)
-    if inp.piecewise_constant and len(inp.base) > _CHECK_BOUNDS_MIN_BASE:
+    if len(inp.base) > _CHECK_BOUNDS_MIN_BASE:
         margin = _CHECK_MARGIN_REL * tolerance + _CHECK_MARGIN_ABS
         if _upper_bound(inp, k) <= tolerance - margin:
             _count_check("upper")

@@ -1,10 +1,10 @@
 """Matrix-free ``H_k`` projection engine: a lazy cost oracle + a
 column-blocked layered DP.
 
-The dense path in :mod:`repro.distributions.projection` materialises an
-``(n+1)×(n+1)`` interval-cost matrix (Θ(n³) work for the flattening build)
-and runs the layered DP over it.  This module keeps the DP and replaces
-the matrix:
+The point-granularity oracle DP of :mod:`repro.distributions.projection`:
+the median objective at every ``n`` and the flattening above ``n = 512``.
+Instead of an ``(n+1)×(n+1)`` interval-cost matrix (Θ(n³) work to fold for
+the flattening) it prices intervals on demand:
 
 **Interval cost oracle** (:class:`IntervalCostOracle`).  Costs are over
 point values ``v_q`` with a boolean "don't-care" mask — the
@@ -27,9 +27,9 @@ decomposes into its canonical segment-tree cover.  The tree is stored as
 flat arrays with per-level key offsets so a batched query across *all*
 levels of *all* queries is a single ``searchsorted`` — O(log n) per
 interval after an O(n log² n) preprocess.  The median (unconstrained ℓ1)
-variant binary-searches the lower median over global value ranks
-with the same primitive, matching the dense two-heap tracker's
-lower-median convention.
+variant binary-searches the lower median (the ``⌈m/2⌉``-th smallest of an
+interval's ``m`` masked values) over global value ranks with the same
+primitive.
 
 **Column-blocked layered DP** (:func:`_dp_layers`).  The recurrence
 ``f_r(j) = min_i f_{r−1}(i) + C(i, j)`` runs over blocks of right
@@ -42,10 +42,10 @@ once — ``n(n+1)/2`` evaluations for every input, so the worst case is the
 typical case — with O(n·k) memory for the layers and parents plus one
 block of at most :data:`_DP_BLOCK_CELLS` cells.  A point flattening
 reaches it only above ``n = 512``: smaller ones take the certified
-rank-prefix split of :mod:`repro.distributions.projection` on every
-engine.  The same function runs the dense matrices of
-:mod:`repro.distributions.projection`; below the cell budget a matrix is
-one block, which is exactly the unblocked DP.
+rank-prefix split of :mod:`repro.distributions.projection`.  The same
+function runs that module's dense Step-10 matrices (the rank-prefix and
+fold builds); below the cell budget a matrix is one block, which is
+exactly the unblocked DP.
 Ties resolve to the smallest ``i`` (``np.argmin``'s first minimum), and
 every ``f_r(j)`` is ``fl(f_{r−1}(i) + C(i, j))`` of the oracle's exact
 ``C`` — no pruning, no tolerance.
@@ -148,8 +148,7 @@ class IntervalCostOracle:
         lo = np.zeros(nq, dtype=np.int64)
         hi = np.full(nq, len(uv) - 1, dtype=np.int64)
         # Lower median: smallest value whose masked cumulative count
-        # reaches half the interval's masked count (the dense
-        # two-heap tracker's convention).
+        # reaches half the interval's masked count.
         while True:
             run = np.flatnonzero(lo < hi)
             if run.size == 0:

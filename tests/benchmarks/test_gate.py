@@ -50,7 +50,7 @@ def trace_file(tmp_path, monkeypatch):
 # payload f, scaled by REPRO_PERF_FACTOR)
 ROWS = [
     ("e22", "fast_seconds_by_n", "2048", "<=", lambda b, f: 2 * b["fast_seconds_by_n"]["2048"], True),
-    ("e22", "dense_seconds_by_n", "512", "<=", lambda b, f: 2 * b["dense_seconds_by_n"]["512"], True),
+    ("e22", "dense_seconds_by_n", "1024", "<=", lambda b, f: 2 * b["dense_seconds_by_n"]["1024"], True),
     ("e22", "max_engine_diff", None, "<=", lambda b, f: 1e-12, False),
     ("e22", "peak_memory_slope", None, "<=", lambda b, f: 1.5, False),
     ("e23", "tracer_off_seconds", None, "<=", lambda b, f: 2 * 1.05 * b["tracer_off_seconds"], True),

@@ -1,16 +1,15 @@
 """Bit-exactness of the per-piece interval-cost fold (``_fold_costs``).
 
 Every fold-built cost matrix — the Step-10 coarse build on a
-piecewise-constant ``D̂`` (the fallback of the certified rank-prefix split),
-the same build on the singleton base (the point-granularity flattening)
-and the generic sorted-piece build — is folded one piece at a time.  Each entry must
-be the *same* left-to-right sum of the *same* float terms as a per-pair sum,
-so these tests compare raw bits (``view(np.uint64)``), never tolerances: a
+piecewise-constant ``D̂`` (the fallback of the certified rank-prefix split)
+and the same build on the singleton base (the point-granularity
+flattening) — is folded one piece at a time.  Each entry must be the
+*same* left-to-right sum of the *same* float terms as a per-pair sum, so
+these tests compare raw bits (``view(np.uint64)``), never tolerances: a
 later change to the fold that reorders or re-associates any sum fails here
-even when it would pass every approximate check.
+even when it would pass every approximate check.  The fold prices constant
+pieces only; an input that varies inside a base piece is refused.
 """
-
-import bisect
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from repro.distributions.projection import (
     _fold_costs,
     _interval_dp,
     coarse_flattening_projection,
+    exists_close_histogram,
 )
 from repro.observability.metrics import get_metrics
 from repro.util.intervals import Partition
@@ -53,30 +53,6 @@ def naive_costs(mass_prefix: np.ndarray, len_prefix: np.ndarray, term) -> np.nda
 def constant_term(values: np.ndarray, weights: np.ndarray):
     values, weights = values.tolist(), weights.tolist()
     return lambda q, mu: abs(values[q] - mu) * weights[q]
-
-
-def sorted_term(p: np.ndarray, base: Partition, kept: np.ndarray):
-    """The generic build's per-piece error: below/above parts around ``μ``
-    from the piece's sorted values and their running sums."""
-    segs, pres = [], []
-    for interval in base:
-        seg = sorted(p[interval.slice()].tolist())
-        pre = [0.0]
-        for value in seg:
-            pre.append(pre[-1] + value)
-        segs.append(seg)
-        pres.append(pre)
-
-    def term(q: int, mu: float) -> float:
-        if not kept[q]:
-            return 0.0
-        seg, pre = segs[q], pres[q]
-        pos = bisect.bisect_left(seg, mu)
-        below = mu * pos - pre[pos]
-        above = (pre[-1] - pre[pos]) - mu * (len(seg) - pos)
-        return below + above
-
-    return term
 
 
 def per_row_costs(values, weights, mass_prefix, len_prefix) -> np.ndarray:
@@ -138,29 +114,12 @@ def coarse_fold(pmf: np.ndarray, base: Partition, kept: np.ndarray) -> np.ndarra
     """The piecewise-constant coarse build, folded from the inputs
     ``_coarse_input`` prepares (the certified split's fallback)."""
     inp = projection._coarse_input(pmf, base, 1, kept, projection._MAX_PROJECTION_BASE)
-    assert inp.piecewise_constant
     return _fold_costs(
         inp.mass_prefix,
         inp.len_prefix,
         np.flatnonzero(inp.kept),
         _constant_piece_error(inp.values, inp.weights),
     )
-
-
-def projected_cost(monkeypatch, *args, **kwargs):
-    """Run ``coarse_flattening_projection`` and return (result, the cost
-    matrix it handed to the interval DP)."""
-    seen = []
-
-    def spy(cost, pieces):
-        seen.append(cost.copy())
-        return _interval_dp(cost, pieces)
-
-    monkeypatch.setattr(projection, "_interval_dp", spy)
-    result = coarse_flattening_projection(*args, **kwargs)
-    monkeypatch.undo()
-    (cost,) = seen
-    return result, cost
 
 
 SEEDS = range(12)
@@ -195,20 +154,29 @@ class TestAgainstPerPairSum:
         assert_same_bits(cost, naive_costs(mass_prefix, len_prefix, term))
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_generic_build(self, seed, monkeypatch):
+    def test_generic_build(self, seed):
         gen = np.random.default_rng([17, seed])
         big_k = int(gen.integers(1, 41))
         base = random_base(gen, big_k, min_len=2)
-        # Values vary inside pieces (and repeat across neighbours), so the
-        # projection takes the sorted-piece path.
+        # Values vary inside pieces (and repeat across neighbours): the fold
+        # has no term for such a piece, so both Step-10 entries refuse it.
         pmf = with_equal_runs(gen, gen.random(base.n) + 0.01)
         pmf /= pmf.sum()
         assert not np.allclose(base.flatten(pmf), pmf, atol=1e-15)
         kept = with_unkept_runs(gen, big_k)
-        _, cost = projected_cost(monkeypatch, pmf, base, 3, kept)
-
-        mass_prefix, len_prefix = prefixes(pmf, base)
-        assert_same_bits(cost, naive_costs(mass_prefix, len_prefix, sorted_term(pmf, base, kept)))
+        with pytest.raises(ValueError, match="not constant"):
+            coarse_flattening_projection(pmf, base, 3, kept)
+        with pytest.raises(ValueError, match="not constant"):
+            exists_close_histogram(pmf, base, 3, kept, 0.1)
+        # Its flattening on the base is accepted, and folds to the per-pair
+        # sum of the constant-piece term.
+        flat = base.flatten(pmf)
+        coarse_flattening_projection(flat, base, 3, kept)
+        cost = coarse_fold(flat, base, kept)
+        mass_prefix, len_prefix = prefixes(flat, base)
+        values = flat[base.boundaries[:-1]]
+        weights = np.where(kept, base.lengths().astype(np.float64), 0.0)
+        assert_same_bits(cost, naive_costs(mass_prefix, len_prefix, constant_term(values, weights)))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_skipping_zero_weight_pieces_changes_no_bits(self, seed):

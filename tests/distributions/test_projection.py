@@ -12,6 +12,7 @@ from repro.distributions.families import random_histogram
 from repro.distributions.histogram import is_k_histogram
 from repro.distributions.projection import (
     coarse_flattening_projection,
+    distance_to_histogram,
     exists_close_histogram,
     flattening_distance,
     histogram_distance_bounds,
@@ -52,6 +53,23 @@ def brute_force_median(pmf: np.ndarray, k: int) -> float:
                 err += np.abs(seg - med).sum()
             best = min(best, 0.5 * err)
     return float(best)
+
+
+def sorted_piece_error(p: np.ndarray, base: Partition):
+    """A generic fold term, exact for pieces whose values vary:
+    ``Σ_{t∈q} |p_t − μ|`` for a whole block of means at once, via one
+    ``searchsorted`` against the piece's sorted values.  A reference for
+    the library's constant-piece term."""
+
+    def error(q: int, mu: np.ndarray, out: np.ndarray) -> None:
+        seg = np.sort(p[base[q].slice()])
+        pre = np.concatenate(([0.0], np.cumsum(seg)))
+        pos = np.searchsorted(seg, mu)
+        below = mu * pos - pre[pos]
+        above = (pre[-1] - pre[pos]) - mu * (len(seg) - pos)
+        np.add(below, above, out=out)
+
+    return error
 
 
 class TestExactDP:
@@ -118,16 +136,22 @@ class TestExactDP:
             flattening_distance(np.ones(4) / 4, 0)
         with pytest.raises(ValueError):
             flattening_distance(np.ones(4) / 4, 2, np.array([True]))
-        with pytest.raises(ValueError):
-            flattening_distance(np.ones(4) / 4, 2, engine="nope")
+        with pytest.raises(ValueError, match="engine"):
+            distance_to_histogram(np.ones(4) / 4, 2, engine="nope")
+
+    def test_engine_does_not_route(self):
+        pmf = np.random.default_rng(4).dirichlet(np.ones(30))
+        want = flattening_distance(pmf, 3)
+        for engine in ("auto", "fast", "dense"):
+            assert distance_to_histogram(pmf, 3, engine=engine) == want
 
     def test_size_caps_per_engine(self):
-        # One point-granularity cap for every engine: above it each refuses
-        # loudly and names the coarse projection.
+        # One point-granularity cap for every objective: above it each entry
+        # refuses loudly and names the coarse projection.
         big = np.ones(projection._MAX_DENSE_N + 1) / (projection._MAX_DENSE_N + 1)
         for engine in ("auto", "fast", "dense"):
             with pytest.raises(ValueError, match="coarse_flattening_projection"):
-                flattening_distance(big, 2, engine=engine)
+                distance_to_histogram(big, 2, engine=engine)
         with pytest.raises(ValueError, match="coarse_flattening_projection"):
             histogram_distance_bounds(big, 2)
 
@@ -140,17 +164,18 @@ class TestCoarseDP:
         assert coarse.distance == pytest.approx(flattening_distance(pmf, 3), abs=1e-9)
 
     def test_restricted_breakpoints_upper_bound_exact(self):
-        pmf = np.random.default_rng(6).dirichlet(np.ones(24))
+        gen = np.random.default_rng(6)
         base = Partition.equal_width(24, 6)
+        pmf = base.flatten(gen.dirichlet(np.ones(24)))
         coarse = coarse_flattening_projection(pmf, base, 3)
         # Searching a subclass can only do worse than the exact DP...
         assert coarse.distance >= flattening_distance(pmf, 3) - 1e-9
         # ...more pieces can only help...
         finer = coarse_flattening_projection(pmf, base, 6)
         assert finer.distance <= coarse.distance + 1e-9
-        # ...and flattening on the full base is itself a candidate at k = 6.
-        full_base_err = 0.5 * np.abs(pmf - base.flatten(pmf)).sum()
-        assert finer.distance <= full_base_err + 1e-9
+        # ...and the base itself is a candidate at k = 6, one that
+        # reproduces the pmf exactly.
+        assert finer.distance <= 1e-12
 
     def test_aligned_histogram_zero(self):
         h = random_histogram(48, 4, rng=1)
@@ -159,54 +184,47 @@ class TestCoarseDP:
         assert coarse.distance == pytest.approx(0.0, abs=1e-12)
 
     def test_kept_mask_excludes_error(self):
-        pmf = np.random.default_rng(8).dirichlet(np.ones(20))
         base = Partition.equal_width(20, 5)
+        pmf = base.flatten(np.random.default_rng(8).dirichlet(np.ones(20)))
         kept = np.array([True, True, False, True, True])
         with_mask = coarse_flattening_projection(pmf, base, 2, kept)
         without = coarse_flattening_projection(pmf, base, 2)
         assert with_mask.distance <= without.distance + 1e-12
 
     def test_piecewise_fast_path_matches_generic(self):
-        # A pmf constant on the base takes the constant-piece path; the
-        # generic sorted-piece fold on the same base must find the same
-        # optimum up to rounding.
+        # The constant-piece fold must find the optimum of a generic
+        # sorted-piece fold on the same base, up to rounding.
         gen = np.random.default_rng(9)
         base = Partition.equal_width(30, 6)
         pmf = base.flatten(gen.dirichlet(np.ones(30)))
         kept = gen.random(6) > 0.3
         inp = projection._coarse_input(pmf, base, 3, kept, projection._MAX_PROJECTION_BASE)
-        assert inp.piecewise_constant
         fast = coarse_flattening_projection(pmf, base, 3, kept)
         cost = projection._fold_costs(
             inp.mass_prefix,
             inp.len_prefix,
             np.flatnonzero(kept),
-            projection._sorted_piece_error(pmf, base),
+            sorted_piece_error(pmf, base),
         )
         l1, _ = projection._interval_dp(cost, 3)
         assert fast.distance == pytest.approx(0.5 * l1, abs=1e-12)
 
-    def test_nearly_constant_pieces_take_the_generic_fold(self):
+    def test_nearly_constant_pieces_are_refused(self):
         # Pieces that vary by 1e-7 relative are not constant: pricing each
         # at its first value would move the distance by ~1e-9, far above
-        # the check's absolute margin.
+        # the check's absolute margin, so an approximate constancy test
+        # would be wrong here.
         gen = np.random.default_rng(0)
         base = Partition.equal_width(4000, 40)
         pmf = np.repeat(gen.uniform(0.5, 1.5, size=40), 100)
         pmf *= 1.0 + 1e-7 * gen.uniform(-1.0, 1.0, size=4000)
         pmf /= pmf.sum()
-        inp = projection._coarse_input(pmf, base, 3, None, projection._MAX_PROJECTION_BASE)
-        cost = projection._fold_costs(
-            inp.mass_prefix,
-            inp.len_prefix,
-            np.arange(len(base)),
-            projection._sorted_piece_error(pmf, base),
-        )
-        l1, split = projection._interval_dp(cost, 3)
-        got = coarse_flattening_projection(pmf, base, 3)
-        assert got.distance == 0.5 * l1
-        assert np.array_equal(got.boundaries, base.boundaries[split])
-        assert not inp.piecewise_constant
+        assert np.allclose(pmf, base.flatten(pmf))
+        with pytest.raises(ValueError, match="not constant"):
+            coarse_flattening_projection(pmf, base, 3)
+        kept = np.ones(len(base), dtype=bool)
+        with pytest.raises(ValueError, match="not constant"):
+            exists_close_histogram(pmf, base, 3, kept, 0.01)
 
     def test_coarsening_path_is_upper_bound(self, monkeypatch):
         # Force the coarsening (a size cap below K) and check the reported
@@ -236,6 +254,56 @@ class TestCoarseDP:
             coarse_flattening_projection(np.ones(10) / 10, base, 0)
         with pytest.raises(ValueError):
             coarse_flattening_projection(np.ones(10) / 10, base, 1, np.array([True]))
+
+
+def bad_pmf(value: float) -> np.ndarray:
+    pmf = np.full(12, 1 / 12)
+    pmf[5] = value
+    return pmf
+
+
+POINT_ENTRIES = {
+    "project_flattening": project_flattening,
+    "flattening_distance": flattening_distance,
+    "distance_to_histogram": distance_to_histogram,
+    "unconstrained_l1_distance": unconstrained_l1_distance,
+    "histogram_distance_bounds": histogram_distance_bounds,
+}
+ENTRIES = {
+    **POINT_ENTRIES,
+    "coarse_flattening_projection": lambda p, k: coarse_flattening_projection(
+        p, Partition.singletons(len(p)), k
+    ),
+    "exists_close_histogram": lambda p, k: exists_close_histogram(
+        p, Partition.singletons(len(p)), k, np.ones(len(p), dtype=bool), 0.1
+    ),
+}
+
+
+class TestInputDomain:
+    """Every public entry refuses a pmf with a NaN, an infinity or a
+    negative value, by name, instead of returning a distance for it (a
+    NaN once read as a certified lower bound of 0.0)."""
+
+    @pytest.mark.parametrize(
+        "value, match",
+        [(np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"),
+         (-0.05, "negative")],
+        ids=["nan", "inf", "-inf", "negative"],
+    )
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_raises(self, entry, value, match):
+        with pytest.raises(ValueError, match=match):
+            ENTRIES[entry](bad_pmf(value), 3)
+
+    @pytest.mark.parametrize("entry", sorted(POINT_ENTRIES))
+    def test_raises_above_the_certified_band(self, entry):
+        # Above n = 512 the flattening runs the oracle DP, which has no
+        # check of its own.
+        pmf = np.full(600, 1 / 600)
+        pmf[7] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            POINT_ENTRIES[entry](pmf, 3)
 
 
 class TestExistsClose:
@@ -347,34 +415,6 @@ class TestSplitCertified:
         dist = make(family, 100_000, 8, 0.2, rng=np.random.default_rng(1))
         _, by = counted(test_histogram, dist, 8, 0.2, rng=1, backend="cdkl22")
         assert by == {"rank": 1, "fold": 0}
-
-    def test_signed_input_takes_the_fold(self, monkeypatch):
-        # δ bounds each cost by M + Σ w·v, which needs v ≥ 0.  On this
-        # signed input δ < 0, so the gap test would pass on exact ties and
-        # return the rank matrix's split [0 1 2 7 8 9] instead of the
-        # fold's [0 1 6 7 8 9] (and a distance one ulp higher).
-        pmf = np.array(
-            [
-                -0.9318372717006751,
-                0.0,
-                -0.25563755206206507,
-                0.0,
-                0.0,
-                0.24190152663329534,
-                0.0,
-                -0.7895159068320743,
-                0.0,
-            ]
-        )
-        inp = projection._coarse_input(
-            pmf, Partition.singletons(len(pmf)), 5, None, projection._MAX_PROJECTION_BASE
-        )
-        (l1, split), by = counted(projection._coarse_l1, inp, 5)
-        assert by == {"rank": 0, "fold": 1}
-        want_l1, want_split = forced_fold(monkeypatch, projection._coarse_l1, inp, 5)
-        assert np.float64(l1).view(np.uint64) == np.float64(want_l1).view(np.uint64)
-        assert np.array_equal(split, want_split)
-        assert np.array_equal(split, [0, 1, 6, 7, 8, 9])
 
     def test_near_tie_takes_the_fold(self, monkeypatch):
         # A palindrome on an odd number of unit pieces: the best 2-piece

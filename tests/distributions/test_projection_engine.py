@@ -5,10 +5,9 @@ endpoints, and advances every layer on a block before the next.  These
 tests pin that contract: the blocked oracle DP equals the dense DP run on
 the oracle's own full cost matrix bit for bit (total and boundaries) for
 any block size, and it makes exactly ``n(n+1)/2`` oracle evaluations.  A
-point flattening with ``n ≤ 512`` never reaches it: every engine takes the
-certified rank-prefix split on the singleton base (or its fold), so fast,
-dense and auto return the same bits, and the benchmark's ``project``
-distances keep the dense engine's exact values.
+point flattening with ``n ≤ 512`` never reaches it: it takes the certified
+rank-prefix split on the singleton base (or its fold), so it returns the
+per-point fold's bits, and so do the benchmark's ``project`` distances.
 """
 
 from unittest import mock
@@ -20,6 +19,8 @@ from hypothesis import strategies as st
 
 from repro.distributions import projection_engine
 from repro.distributions.projection import (
+    _coarse_input,
+    _fold_l1,
     _interval_dp,
     distance_to_histogram,
     project_flattening,
@@ -27,6 +28,7 @@ from repro.distributions.projection import (
 from repro.distributions.projection_engine import IntervalCostOracle, project_intervals
 from repro.experiments.workloads import make
 from repro.observability.metrics import get_metrics
+from repro.util.intervals import Partition
 
 
 @st.composite
@@ -92,8 +94,8 @@ class TestBlockedDP:
 
 
 #: Round 0 of the benchmark's ``project`` workload at seed 1: each family's
-#: input seed and the exact distance of the dense engine (the per-point
-#: fold), which every engine returns at this size.
+#: input seed and the exact distance of the per-point fold, which the point
+#: flattening returns at this size whatever ``engine=`` says.
 PROJECT_SEED1 = (
     ("staircase", 1835504127, "0.017214628799261333"),
     ("zipf", 1501029259, "0.03741877113825433"),
@@ -108,7 +110,8 @@ def test_project_workload_distances_are_pinned(family, seed, expected):
     gen = np.random.default_rng(seed)
     base = make(family, n, k, 0.2, rng=gen).pmf
     pmf = (1.0 - noise) * base + noise * gen.dirichlet(np.ones(n))
-    assert repr(distance_to_histogram(pmf, k, engine="fast")) == expected
+    for engine in ("auto", "fast", "dense"):
+        assert repr(distance_to_histogram(pmf, k, engine=engine)) == expected
 
 
 def project_input(seed: int, family: str) -> np.ndarray:
@@ -137,23 +140,34 @@ def palindrome_pmf() -> np.ndarray:
     return heights / heights.sum()
 
 
+def point_fold(pmf: np.ndarray, pieces: int, mask: np.ndarray | None = None):
+    """The per-point fold on the singleton base: the exact reference a
+    point flattening with ``n ≤ 512`` must reproduce bit for bit."""
+    n = len(pmf)
+    l1, bounds = _fold_l1(_coarse_input(pmf, Partition.singletons(n), pieces, mask, n), pieces)
+    return 0.5 * l1, bounds
+
+
 class TestCertifiedPointFlattening:
     """A point flattening with ``n ≤ 512`` is the Step-10 split on the
-    singleton base, whatever the engine."""
+    singleton base."""
 
     @given(masked_cases())
     def test_engines_agree_bit_for_bit(self, case):
+        # ``distance_to_histogram`` still accepts ``engine=`` but does not
+        # route on it: every value returns the per-point fold's bits.
         values, mask, _, pieces, _ = case
         assume(values.sum() > 0.0)
         pmf = values / values.sum()
         before = split_counts()
-        dense = project_flattening(pmf, pieces, mask, engine="dense")
+        got = project_flattening(pmf, pieces, mask)
         certified = split_counts()["rank"] > before["rank"]
         event("certified" if certified else "fell back to the fold")
-        for engine in ("fast", "auto"):
-            got = project_flattening(pmf, pieces, mask, engine=engine)
-            assert bits(got.distance) == bits(dense.distance)
-            np.testing.assert_array_equal(got.boundaries, dense.boundaries)
+        distance, bounds = point_fold(pmf, pieces, mask)
+        assert bits(got.distance) == bits(distance)
+        np.testing.assert_array_equal(got.boundaries, bounds)
+        for engine in ("auto", "fast", "dense"):
+            assert bits(distance_to_histogram(pmf, pieces, mask, engine=engine)) == bits(distance)
 
     @pytest.mark.parametrize(
         "pmf, pieces",
@@ -168,18 +182,18 @@ class TestCertifiedPointFlattening:
     )
     def test_ties_fall_back_to_the_fold(self, pmf, pieces):
         before = split_counts()
-        got = project_flattening(pmf, pieces, engine="fast")
+        got = project_flattening(pmf, pieces)
         after = split_counts()
         assert {by: after[by] - before[by] for by in after} == {"rank": 0, "fold": 1}
-        dense = project_flattening(pmf, pieces, engine="dense")
-        assert bits(got.distance) == bits(dense.distance)
-        np.testing.assert_array_equal(got.boundaries, dense.boundaries)
+        distance, bounds = point_fold(pmf, pieces)
+        assert bits(got.distance) == bits(distance)
+        np.testing.assert_array_equal(got.boundaries, bounds)
 
     def test_project_workload_makes_no_oracle_calls(self):
         evals = get_metrics().counter("projection.oracle_cost_evals", objective="flattening")
         before, evals_before = split_counts(), evals.value
         for family, seed, expected in PROJECT_SEED1:
-            got = project_flattening(project_input(seed, family), 16, engine="fast")
+            got = project_flattening(project_input(seed, family), 16)
             assert repr(got.distance) == expected
         after = split_counts()
         assert {by: after[by] - before[by] for by in after} == {"rank": 4, "fold": 0}

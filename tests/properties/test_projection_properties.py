@@ -253,7 +253,6 @@ class TestRankCertificate:
     def test_every_entry_within_delta_of_the_fold(self, case):
         pmf, base, k, kept = case
         inp = projection._coarse_input(pmf, base, k, kept, projection._MAX_PROJECTION_BASE)
-        assert inp.piecewise_constant
         rank, delta = projection._rank_costs(inp)
         fold = projection._fold_costs(
             inp.mass_prefix,
