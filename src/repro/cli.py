@@ -9,8 +9,8 @@ Six subcommands mirroring the library's main entry points:
 * ``select``  — model selection (smallest ε-sufficient k) on a workload;
 * ``budget``  — print the sample-budget landscape for given (n, k, ε);
 * ``sweep``   — empirical sample-complexity sweep along one axis, with
-  ``--store``/``--resume`` for interruption-safe long runs and
-  ``--workers`` for trial-parallel execution;
+  ``--store``/``--resume`` for interruption-safe long runs drained by
+  ``--worker-procs`` worker processes;
 * ``bench``   — repeated-trial acceptance benchmark of Algorithm 1 on a
   named workload, fanned out over ``--workers`` processes (results are
   bit-identical to serial; ``--compare-serial`` verifies and reports the
@@ -84,18 +84,7 @@ def _add_common(
         choices=list(backends),
         default=DEFAULT_BACKEND,
         help="tester backend (changes budgets and verdicts; part of sweep "
-        "fingerprints, unlike --workers)",
-    )
-
-
-def _add_workers(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for trial-parallel loops "
-        "(default serial; 0 = one per CPU; results identical at any count)",
+        "fingerprints)",
     )
 
 
@@ -303,11 +292,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.store and args.worker_procs != 1:
         from repro.distributed import SweepSpec, distributed_sweep
 
-        if args.workers is not None:
-            raise SystemExit(
-                "--workers needs --worker-procs 1: fleet workers run trials "
-                "serially (start `repro worker --workers N` by hand instead)"
-            )
         spec = SweepSpec(
             axis=args.axis,
             values=tuple(values),
@@ -342,7 +326,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             rng=args.seed,
             checkpoint=args.store,
             resume=args.resume,
-            workers=args.workers,
             backend=args.backend,
             task=args.task,
             trace=tracer,
@@ -435,7 +418,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         lease_seconds=args.lease_seconds,
         poll_seconds=args.poll_seconds,
         max_shards=args.max_shards,
-        workers=args.workers,
         chaos=chaos,
     )
     worker_main(args.store, options)
@@ -564,7 +546,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("workload", choices=sorted(REGISTRY), help="named workload")
     _add_common(p_bench)
     p_bench.add_argument("--trials", type=int, default=200, help="independent trials")
-    _add_workers(p_bench)
+    p_bench.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        metavar="N",
+        help="worker processes for the trial loop "
+        "(default serial; 0 = one per CPU; results identical at any count)",
+    )
     p_bench.add_argument(
         "--compare-serial",
         action="store_true",
@@ -621,8 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="worker processes for --store mode (1 runs in-process and "
-        "honours --workers)",
+        help="worker processes for --store mode (1 runs in-process)",
     )
     p_sweep.add_argument(
         "--lease-seconds",
@@ -631,7 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard lease duration for --store mode (a worker silent this "
         "long is presumed dead and its shard re-dispatched)",
     )
-    _add_workers(p_sweep)
     _add_trace(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -693,7 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-shards", type=int, default=None,
         help="exit after committing this many shards (default: run to finish)",
     )
-    _add_workers(p_worker)
     p_worker.add_argument("--chaos-seed", type=int, default=0)
     p_worker.add_argument(
         "--chaos-rate", type=float, default=0.0,

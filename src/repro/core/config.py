@@ -83,11 +83,6 @@ class TesterConfig:
     #: completeness the paper's Section 1.3 predicts must fail on
     #: breakpoint-misaligned histograms — kept for experiment E15.
     sieve_enabled: bool = True
-    #: Default worker count for trial-parallel experiment loops driven by
-    #: this config (``None``/1 → serial, 0 → one per CPU, N → N worker
-    #: processes).  Execution-only: results are bit-identical at any value,
-    #: so it never enters budgets, thresholds, or checkpoint fingerprints.
-    workers: int | None = None
     #: -- cdkl22 backend constants (see :mod:`repro.core.backends.cdkl22`) --
     #: Learning accuracy ``ε_learn = ε · cdkl22_learner_eps_fraction``.  The
     #: testing-by-learning reduction only needs ``D̂`` accurate enough to
@@ -189,15 +184,6 @@ class TesterConfig:
                 "cdkl22_escalation_factor must be at least 1, "
                 f"got {self.cdkl22_escalation_factor}"
             )
-        if self.workers is not None:
-            if isinstance(self.workers, bool) or not isinstance(self.workers, int):
-                raise ValueError(f"workers must be an int or None, got {self.workers!r}")
-            if self.workers < 0:
-                raise ValueError(f"workers must be non-negative, got {self.workers}")
-
-    def with_workers(self, workers: int | None) -> "TesterConfig":
-        """A copy with a different default worker count (execution-only)."""
-        return replace(self, workers=workers)
 
     # -- profiles -----------------------------------------------------------
 

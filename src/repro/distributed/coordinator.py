@@ -15,10 +15,10 @@ The coordinator owns three things and nothing else:
    span, the exact trace) the serial :func:`complexity_sweep` would have
    produced.  Byte-identity is the acceptance test, not a best effort.
 
-The ``workers=`` path of the batch-first core is untouched: in-process
-trial parallelism happens *inside* a shard, distributed execution happens
-*across* shards, and :func:`run_local` is the degenerate one-process case
-of the latter.
+A sweep has one parallel axis, and it is this one: each shard runs its
+trials serially in whichever process claims it, shards run in parallel
+across worker processes, and :func:`run_local` is the degenerate
+one-process case.
 """
 
 from __future__ import annotations
@@ -104,7 +104,6 @@ def run_local(
     store: ResultsStore,
     *,
     worker_id: str = "local",
-    workers: "int | None" = None,
     lease_seconds: float = 300.0,
     chaos: "ChaosSchedule | None" = None,
 ) -> WorkerSummary:
@@ -116,7 +115,6 @@ def run_local(
     options = WorkerOptions(
         worker_id=worker_id,
         lease_seconds=lease_seconds,
-        workers=workers,
         chaos=chaos,
     )
     return Worker(store, options).run()

@@ -1,9 +1,8 @@
 """Sweep specs and shards: the serialisable unit of distributable work.
 
 A :class:`SweepSpec` is the complete, JSON-round-trippable description of a
-:func:`repro.experiments.sweeps.complexity_sweep` call — identity knobs
-only, never execution knobs (worker count).  Its fingerprint is the one
-:func:`~repro.experiments.sweeps.sweep_fingerprint` computes, so a
+:func:`repro.experiments.sweeps.complexity_sweep` call.  Its fingerprint is
+the one :func:`~repro.experiments.sweeps.sweep_fingerprint` computes, so a
 checkpointed serial sweep and a distributed sweep of the same parameters
 bind the same results store.
 
@@ -166,9 +165,6 @@ class SweepSpec:
                 f"malformed sweep spec: unknown keys {sorted(extra)}, "
                 f"missing keys {sorted(missing)}"
             )
-        # The fingerprint drops `workers` (execution knob); restore the
-        # dataclass default so TesterConfig round-trips.
-        config = TesterConfig(**data["config"])
         return cls(
             axis=data["axis"],
             values=tuple(data["values"]),
@@ -180,7 +176,7 @@ class SweepSpec:
             seed=int(data["seed"]),
             backend=data["backend"],
             task=data["task"],
-            config=config,
+            config=TesterConfig(**data["config"]),
         )
 
     def with_values(self, values: Sequence[float]) -> "SweepSpec":
@@ -242,15 +238,13 @@ def run_shard(
     *,
     workloads: "Callable | None" = None,
     policy: "TrialPolicy | None" = None,
-    workers: "int | None" = None,
 ) -> ShardResult:
     """Compute one sweep point exactly as the serial sweep loop would.
 
-    ``workers`` is an execution knob: any count yields the same bytes (the
-    engine's determinism contract), so single- and multi-core workers
-    still assemble into one byte-identical sweep.  ``workloads`` and
-    ``policy`` pass a checkpointed :func:`complexity_sweep`'s own
-    arguments through to :func:`measure_point`.
+    The point runs in this process; a sweep's parallelism is across
+    shards, one per fleet worker.  ``workloads`` and ``policy`` pass a
+    checkpointed :func:`complexity_sweep`'s own arguments through to
+    :func:`measure_point`.
     """
     # Identical stream derivation to the serial loop: spawn all point
     # streams from the sweep seed, take ours.  O(len(values)) int draws —
@@ -261,8 +255,7 @@ def run_shard(
         spec.axis, spec.values[index], stream, n=spec.n, k=spec.k,
         eps=spec.eps, config=spec.config, trials=spec.trials,
         bisection_steps=spec.bisection_steps, backend=spec.backend,
-        task=spec.task, workloads=workloads, policy=policy, workers=workers,
-        trace=tracer,
+        task=spec.task, workloads=workloads, policy=policy, trace=tracer,
     )
     events = tracer.export()
     samples_total, trials_total = ledger_totals(events)

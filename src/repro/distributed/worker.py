@@ -136,8 +136,6 @@ class WorkerOptions:
     poll_seconds: float = 0.2
     #: Stop after this many commits (``None`` = run until the sweep finishes).
     max_shards: "int | None" = None
-    #: Intra-shard trial parallelism (the existing engine's ``workers=``).
-    workers: "int | None" = None
     chaos: "ChaosSchedule | None" = None
     retry: "RetryPolicy | None" = None
     breaker_threshold: int = 3
@@ -324,7 +322,7 @@ class Worker:
             )
             beat.start()
         try:
-            result = run_shard(spec, shard.index, workers=opts.workers)
+            result = run_shard(spec, shard.index)
         finally:
             if beat is not None:
                 beat.stop()

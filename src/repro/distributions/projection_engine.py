@@ -110,15 +110,22 @@ class IntervalCostOracle:
         self._tree = dispatch("rank_tree.build")(v, wm, wvm)
         self._interval_stats = dispatch("rank_tree.interval_stats")
 
-    def _below_above(self, a, b, c, L_lt):
+    def _below_above(self, a, b, c, L_lt, none_above=None):
         """Masked ℓ1 error of ``[a, b)`` against per-interval constant ``c``,
         given the rank cut-off for strict (< c) membership.  Elements equal
-        to ``c`` contribute zero either side, so the strict cut suffices."""
+        to ``c`` contribute zero either side, so the strict cut suffices.
+
+        The below-part is exactly 0 when nothing lies below ``c``.  The
+        above-part is a difference of prefix sums, which leaves a few ulps
+        where nothing lies above; ``none_above`` marks the pairs where it
+        is exactly 0, so an exact input prices at exactly 0."""
         w_lt, wv_lt = self._interval_stats(self._tree, a, b, L_lt)
         mw = self._mw_pre[b] - self._mw_pre[a]
         mwv = self._mwv_pre[b] - self._mwv_pre[a]
         below = c * w_lt - wv_lt
         above = (mwv - wv_lt) - c * (mw - w_lt)
+        if none_above is not None:
+            above[none_above] = 0.0
         return np.maximum(below, 0.0) + np.maximum(above, 0.0)
 
     def flattening_costs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -147,6 +154,8 @@ class IntervalCostOracle:
         uv = self._tree.unique_vals
         lo = np.zeros(nq, dtype=np.int64)
         hi = np.full(nq, len(uv) - 1, dtype=np.int64)
+        # Masked count ≤ uv[hi]: all of it while hi is the largest value.
+        count_le_hi = mw[nz]
         # Lower median: smallest value whose masked cumulative count
         # reaches half the interval's masked count.
         while True:
@@ -157,9 +166,10 @@ class IntervalCostOracle:
             wle, _ = self._interval_stats(self._tree, aa[run], bb[run], mid + 1)
             reach = wle >= half[run]
             hi[run[reach]] = mid[reach]
+            count_le_hi[run[reach]] = wle[reach]
             lo[run[~reach]] = mid[~reach] + 1
-        c = uv[lo]
-        out[nz] = self._below_above(aa, bb, c, lo)
+        # The 0/1 mask weights make both counts exact.
+        out[nz] = self._below_above(aa, bb, uv[lo], lo, count_le_hi == mw[nz])
         return out
 
 

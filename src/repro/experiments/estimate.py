@@ -47,7 +47,6 @@ def _succeeds(
     rng: RandomState,
     policy: TrialPolicy | None = None,
     wrap_source: SourceWrapper | None = None,
-    workers: int | None = None,
     trace: Tracer = NULL_TRACER,
 ) -> tuple[bool, float]:
     """Does the tester at this budget clear the bar on both sides?
@@ -59,14 +58,14 @@ def _succeeds(
     with trace.span("evaluation", scale=scale) as span:
         comp = success_probability(
             complete, tester, True, trials, rng_a, policy=policy,
-            wrap_source=wrap_source, workers=workers, trace=trace,
+            wrap_source=wrap_source, trace=trace,
         )
         if comp.rate < target_rate:
             span.set(success=False)
             return False, comp.mean_samples
         sound = success_probability(
             far, tester, False, trials, rng_b, policy=policy,
-            wrap_source=wrap_source, workers=workers, trace=trace,
+            wrap_source=wrap_source, trace=trace,
         )
         mean = 0.5 * (comp.mean_samples + sound.mean_samples)
         success = sound.rate >= target_rate
@@ -87,7 +86,6 @@ def empirical_sample_complexity(
     rng: RandomState = None,
     policy: TrialPolicy | None = None,
     wrap_source: SourceWrapper | None = None,
-    workers: int | None = None,
     trace: Tracer = NULL_TRACER,
 ) -> ComplexityEstimate:
     """Bisect the budget scale for the smallest 2/3-successful budget.
@@ -97,11 +95,9 @@ def empirical_sample_complexity(
     if it succeeds, it is returned directly as an upper bound).
 
     ``policy`` / ``wrap_source`` opt the trial loops into the fault-tolerant
-    runner path (see :func:`repro.experiments.runner.success_probability`);
-    ``workers`` fans each evaluation's trials out over worker processes.
-    The bisection itself is inherently sequential (each step depends on the
-    last verdict), so only the per-evaluation trial loops parallelise —
-    results are bit-identical to a serial run at any worker count.
+    runner path (see :func:`repro.experiments.runner.success_probability`).
+    The bisection is inherently sequential (each step depends on the last
+    verdict) and runs its trials in this process.
     """
     if not 0.5 < target_rate <= 1.0:
         raise ValueError(f"target rate must be in (0.5, 1], got {target_rate}")
@@ -112,7 +108,7 @@ def empirical_sample_complexity(
 
     ok_lo, samples_lo = _succeeds(
         family, scale_lo, complete, far, trials, target_rate, gen, policy,
-        wrap_source, workers, trace,
+        wrap_source, trace,
     )
     evaluations += 1
     if ok_lo:
@@ -121,7 +117,7 @@ def empirical_sample_complexity(
     hi = scale_hi
     ok_hi, samples_hi = _succeeds(
         family, hi, complete, far, trials, target_rate, gen, policy,
-        wrap_source, workers, trace,
+        wrap_source, trace,
     )
     evaluations += 1
     doublings = 0
@@ -129,7 +125,7 @@ def empirical_sample_complexity(
         hi *= 4.0
         ok_hi, samples_hi = _succeeds(
             family, hi, complete, far, trials, target_rate, gen, policy,
-            wrap_source, workers, trace,
+            wrap_source, trace,
         )
         evaluations += 1
         doublings += 1
@@ -144,7 +140,7 @@ def empirical_sample_complexity(
         mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
         ok, samples = _succeeds(
             family, mid, complete, far, trials, target_rate, gen, policy,
-            wrap_source, workers, trace,
+            wrap_source, trace,
         )
         evaluations += 1
         if ok:

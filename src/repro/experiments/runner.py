@@ -301,26 +301,22 @@ def success_probability(
     *,
     policy: TrialPolicy | None = None,
     wrap_source: SourceWrapper | None = None,
-    workers: int | None = None,
     trace: Tracer = NULL_TRACER,
 ) -> AcceptanceEstimate:
     """Acceptance or rejection rate, whichever counts as success.
 
     With a ``policy`` (or ``wrap_source``), trials run through the
     fault-isolating :func:`robust_acceptance_probability` path instead of
-    the bare loop.
+    the bare loop.  Trials run in this process: sweeps, which call this,
+    run in parallel across their points (a worker fleet) instead.
     """
     if policy is None and wrap_source is None:
         if should_accept:
-            return acceptance_probability(
-                workload, tester, trials, rng, workers=workers, trace=trace
-            )
-        return rejection_probability(
-            workload, tester, trials, rng, workers=workers, trace=trace
-        )
+            return acceptance_probability(workload, tester, trials, rng, trace=trace)
+        return rejection_probability(workload, tester, trials, rng, trace=trace)
     estimate = robust_acceptance_probability(
         workload, tester, trials, rng, policy=policy, wrap_source=wrap_source,
-        workers=workers, trace=trace,
+        trace=trace,
     )
     if should_accept:
         return estimate

@@ -276,11 +276,8 @@ def sweep_fingerprint(
     The identity a results store (:mod:`repro.distributed`) is bound to,
     computed by :meth:`~repro.distributed.spec.SweepSpec.fingerprint`, so a
     :func:`complexity_sweep` checkpoint and a distributed fleet sweep of
-    the same parameters bind the same store.  The
-    worker count never enters the fingerprint: results are bit-identical
-    at any count, so a checkpoint must resume across machines with
-    different parallelism.  The backend *does* enter: it changes budgets
-    and verdicts.
+    the same parameters bind the same store.  The backend enters: it
+    changes budgets and verdicts.
 
     ``task`` ("identity" | "closeness") is likewise fingerprint-bearing:
     identity and closeness sweeps draw different streams and measure
@@ -288,8 +285,6 @@ def sweep_fingerprint(
     never be spliced into the other even when every numeric knob matches.
     """
     sweep_task(task)
-    config_print = asdict(config)
-    config_print.pop("workers", None)
     return {
         "task": task,
         "axis": axis,
@@ -299,7 +294,7 @@ def sweep_fingerprint(
         "eps": eps,
         "trials": trials,
         "bisection_steps": bisection_steps,
-        "config": config_print,
+        "config": asdict(config),
         "backend": backend,
         "seed": seed,
     }
@@ -378,7 +373,6 @@ def measure_point(
     task: str = "identity",
     workloads: Callable[[int, int, float], tuple[Callable, Callable]] | None = None,
     policy: TrialPolicy | None = None,
-    workers: int | None = None,
     trace: Tracer = NULL_TRACER,
 ) -> SweepPoint:
     """Measure one sweep point (``axis`` set to ``value``) from ``stream``.
@@ -405,7 +399,6 @@ def measure_point(
             bisection_steps=bisection_steps,
             rng=stream,
             policy=policy,
-            workers=workers,
             trace=trace,
         )
     return SweepPoint(n=cur_n, k=cur_k, eps=cur_eps, estimate=estimate)
@@ -426,7 +419,6 @@ def complexity_sweep(
     checkpoint: "str | os.PathLike | None" = None,
     resume: bool = True,
     policy: TrialPolicy | None = None,
-    workers: int | None = None,
     backend: str = DEFAULT_BACKEND,
     task: str = "identity",
     label_ground_truth: bool = False,
@@ -461,17 +453,18 @@ def complexity_sweep(
     ``policy`` opts every trial loop into fault isolation (see
     :class:`~repro.robustness.resilience.TrialPolicy`).
 
-    ``workers`` (default: ``config.workers``) fans each evaluation's trial
-    loop out over worker processes.  Results and checkpoints are
-    **worker-count independent** — per-point and per-trial seed streams are
-    derived before any work is scheduled — so the fingerprint deliberately
-    excludes the worker count and a checkpoint written at one worker count
-    resumes correctly at any other.
+    This loop runs every point in this process, one after another.  To
+    run points in parallel, drain a store with a fleet of worker processes
+    (:func:`repro.distributed.distributed_sweep`, ``repro sweep --store
+    PATH --worker-procs N``): a point is computed by the same
+    :func:`measure_point` on the same stream whichever process runs it, so
+    the fleet's result, trace and store are byte-identical to this loop's,
+    and a checkpoint written by either executor resumes under the other.
 
-    ``backend`` selects the tester backend ("pods16" | "cdkl22").  Unlike
-    the worker count it changes measured budgets and (on marginal inputs)
-    verdicts, so it **is** part of the checkpoint fingerprint: a
-    checkpoint written under one backend never resumes under the other.
+    ``backend`` selects the tester backend ("pods16" | "cdkl22").  It
+    changes measured budgets and (on marginal inputs) verdicts, so it
+    **is** part of the checkpoint fingerprint: a checkpoint written under
+    one backend never resumes under the other.
 
     ``label_ground_truth`` additionally computes certified
     ``dTV(·, H_k)`` bounds for one representative complete/far instance per
@@ -483,10 +476,9 @@ def complexity_sweep(
     of the same sweep are byte-identical point for point.
 
     ``trace`` (default: no-op) records one span per sweep point, per
-    bisection evaluation, and per trial; trial sub-traces are assembled in
-    trial order, so the stream is byte-identical across worker counts
-    (after stripping wall-clock fields).  A checkpointed sweep replays each
-    point's stored sub-trace, so a resumed sweep traces every point too.
+    bisection evaluation, and per trial.  A checkpointed sweep replays each
+    point's stored sub-trace, so a resumed or fleet-drained sweep traces
+    every point too, byte-identically after stripping wall-clock fields.
     """
     if axis not in ("n", "k", "eps"):
         raise ValueError(f"axis must be one of n/k/eps, got {axis!r}")
@@ -495,8 +487,6 @@ def complexity_sweep(
     spec = sweep_task(task)
     if config is None:
         config = TesterConfig.practical()
-    if workers is None:
-        workers = config.workers
     validate_backend(backend)
     make_workloads = workloads if workloads is not None else spec.workloads
 
@@ -509,7 +499,7 @@ def complexity_sweep(
                     axis, value, stream, n=n, k=k, eps=eps, config=config,
                     trials=trials, bisection_steps=bisection_steps,
                     backend=backend, task=task, workloads=workloads,
-                    policy=policy, workers=workers, trace=trace,
+                    policy=policy, trace=trace,
                 )
                 for value, stream in zip(values, streams)
             ],
@@ -533,8 +523,7 @@ def complexity_sweep(
                 # run leaves nothing to expire, and a lease-less commit is
                 # first-writer-wins like any other.
                 run_shard(
-                    sweep, shard.index, workloads=workloads, policy=policy,
-                    workers=workers,
+                    sweep, shard.index, workloads=workloads, policy=policy
                 ).commit(store, shard.shard_id, "serial")
             result = assemble(store, trace=trace)
         finally:

@@ -94,6 +94,29 @@ class TestExactDP:
         assert flattening_distance(h.to_pmf(), 4) == pytest.approx(0.0, abs=1e-12)
         assert unconstrained_l1_distance(h.to_pmf(), 4) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "n, k, pieces", [(5, 6, None), (40, 40, None), (12, 3, [0.1, 0.3, 0.6])]
+    )
+    def test_median_lower_bound_is_exactly_zero_on_exact_inputs(self, n, k, pieces):
+        """A certified lower bound must not exceed the true distance 0: an
+        interval whose masked values all equal its median prices at exactly
+        0, not at the few ulps its prefix-sum difference leaves (3.6e-17,
+        2.2e-16 and 2.8e-17 on these inputs before)."""
+        if pieces is None:
+            pmf = np.random.default_rng(0).random(n)
+            pmf /= pmf.sum()
+        else:
+            pmf = np.repeat(pieces, n // len(pieces)) / (n // len(pieces))
+        assert unconstrained_l1_distance(pmf, k) == 0.0
+        lower, upper = histogram_distance_bounds(pmf, k)
+        assert lower == 0.0 <= upper
+
+    @given(st.integers(1, 40), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_median_lower_bound_is_zero_with_a_piece_per_point(self, n, seed):
+        pmf = np.random.default_rng(seed).dirichlet(np.ones(n))
+        assert unconstrained_l1_distance(pmf, n) == 0.0
+
     def test_k_one_is_distance_to_uniform_mean(self):
         pmf = np.array([0.4, 0.1, 0.5])
         # Flattening with one piece = the uniform distribution.

@@ -3,11 +3,11 @@
 The cdkl22 backend adds an *adaptive* wrinkle the pods16 path never had —
 the final test may escalate to a second, larger draw when the stage-0
 statistic lands inside the guard band — so these tests pin the contracts
-that adaptivity is most likely to break: byte-identical artefacts (sweep
-points *and* traces) across worker counts, checkpoint/resume straddling a
-mid-sweep crash, and the fingerprint rule that ``backend`` is an identity
-field (a pods16 checkpoint is refused by a cdkl22 sweep, never spliced)
-while ``workers`` stays execution-only.
+that adaptivity is most likely to break: byte-identical sweep points and
+traces between the serial loop and a worker fleet, acceptance traces across
+trial-worker counts, checkpoint/resume straddling a mid-sweep crash and an
+executor change, and the fingerprint rule that ``backend`` is an identity
+field (a pods16 checkpoint is refused by a cdkl22 sweep, never spliced).
 """
 
 import pytest
@@ -20,7 +20,7 @@ from repro.experiments.sweeps import (
     _default_workloads,
     complexity_sweep,
 )
-from repro.distributed import ResultsStore, StoreError
+from repro.distributed import ResultsStore, StoreError, SweepSpec, distributed_sweep
 from repro.observability.trace import RecordingTracer, canonical_jsonl
 
 from .test_determinism import committed_rows, sweep_json
@@ -31,17 +31,30 @@ VALUES = [400, 800]
 KWARGS = dict(k=3, eps=0.35, config=CONFIG, trials=3, bisection_steps=2)
 
 
+def cdkl22_spec(values) -> SweepSpec:
+    """The stored form of ``complexity_sweep("n", values, rng=3,
+    backend="cdkl22", **KWARGS)`` (``n=4000`` is that function's default)."""
+    return SweepSpec(
+        axis="n", values=tuple(values), n=4000, k=3, eps=0.35, trials=3,
+        bisection_steps=2, seed=3, backend="cdkl22", config=CONFIG,
+    )
+
+
 class TestWorkerByteIdentity:
-    def test_cdkl22_sweep_byte_identical_across_workers(self):
-        payloads = {
-            workers: sweep_json(
-                complexity_sweep(
-                    "n", VALUES, rng=3, workers=workers, backend="cdkl22", **KWARGS
-                )
-            )
-            for workers in WORKER_COUNTS
-        }
-        assert len(set(payloads.values())) == 1, payloads
+    def test_cdkl22_sweep_byte_identical_across_workers(self, tmp_path):
+        """Serial loop and a 2-process fleet: same points, same trace."""
+        serial_trace, fleet_trace = RecordingTracer(), RecordingTracer()
+        serial = complexity_sweep(
+            "n", VALUES, rng=3, backend="cdkl22", trace=serial_trace, **KWARGS
+        )
+        fleet, _ = distributed_sweep(
+            cdkl22_spec(VALUES), tmp_path / "fleet.sqlite", processes=2,
+            trace=fleet_trace,
+        )
+        assert sweep_json(fleet) == sweep_json(serial)
+        assert canonical_jsonl(fleet_trace.events) == canonical_jsonl(
+            serial_trace.events
+        )
 
     def test_cdkl22_traces_byte_identical_across_workers(self):
         payloads = {}
@@ -72,8 +85,8 @@ class TestWorkerByteIdentity:
 
 class TestCheckpointResume:
     def test_checkpoint_resume_mid_sweep_cdkl22(self, tmp_path):
-        """A cdkl22 sweep killed after two points resumes under a different
-        worker count to the exact uninterrupted result, byte for byte."""
+        """A cdkl22 sweep killed in-process after two points resumes under a
+        2-process fleet to the exact uninterrupted result, byte for byte."""
         values = [400, 600, 800]
         path = tmp_path / "sweep.sqlite"
         uninterrupted = complexity_sweep(
@@ -90,15 +103,12 @@ class TestCheckpointResume:
 
         with pytest.raises(KeyboardInterrupt):
             complexity_sweep(
-                "n", values, rng=3, checkpoint=path, workers=2,
+                "n", values, rng=3, checkpoint=path,
                 backend="cdkl22", workloads=dying_workloads, **KWARGS,
             )
         assert len(committed_rows(path)) == 2
 
-        resumed = complexity_sweep(
-            "n", values, rng=3, checkpoint=path, workers=4,
-            backend="cdkl22", **KWARGS,
-        )
+        resumed, _ = distributed_sweep(cdkl22_spec(values), path, processes=2)
         assert sweep_json(resumed) == sweep_json(uninterrupted)
 
     def test_fingerprint_includes_backend(self, tmp_path):
@@ -125,17 +135,13 @@ class TestCheckpointResume:
             store.close()
 
     def test_fingerprint_still_excludes_workers(self, tmp_path):
-        """The PR-3 rule survives the new field: worker count changes must
-        not invalidate a cdkl22 checkpoint."""
+        """The in-process checkpoint and the fleet bind one fingerprint: a
+        finished cdkl22 checkpoint resumes under the fleet, which commits
+        nothing and assembles the same bytes."""
         path = tmp_path / "sweep.sqlite"
-        complexity_sweep(
-            "n", VALUES, rng=3, checkpoint=path, workers=2,
-            backend="cdkl22", **KWARGS,
+        written = complexity_sweep(
+            "n", VALUES, rng=3, checkpoint=path, backend="cdkl22", **KWARGS
         )
-        resumed = complexity_sweep(
-            "n", VALUES, rng=3, checkpoint=path, workers=4,
-            backend="cdkl22", **KWARGS,
-        )
-        assert sweep_json(resumed) == sweep_json(
-            complexity_sweep("n", VALUES, rng=3, backend="cdkl22", **KWARGS)
-        )
+        resumed, _ = distributed_sweep(cdkl22_spec(VALUES), path, processes=2)
+        assert sweep_json(resumed) == sweep_json(written)
+        assert {row.worker_id for row in committed_rows(path)} == {"serial"}

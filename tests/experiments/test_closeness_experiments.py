@@ -1,8 +1,8 @@
 """Closeness through the experiments stack: determinism + task identity.
 
-The worker-count contract extends unchanged to paired trials — a closeness
-acceptance estimate or sweep is byte-identical serial vs 2 vs 4 workers —
-and ``task`` is a fingerprint-*bearing* knob: identity and closeness sweeps
+The determinism contracts extend unchanged to paired trials — a closeness
+acceptance estimate is byte-identical serial vs 2 vs 4 trial workers, and a
+closeness sweep is byte-identical serial vs a worker fleet — and ``task`` is a fingerprint-*bearing* knob: identity and closeness sweeps
 never share checkpoints or shard ids, while a distributed closeness shard
 reproduces the serial sweep point exactly.
 """
@@ -13,7 +13,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.core.config import TesterConfig
-from repro.distributed import ResultsStore, StoreError
+from repro.distributed import ResultsStore, StoreError, distributed_sweep
 from repro.distributed.spec import SweepSpec, run_shard
 from repro.experiments.runner import (
     acceptance_probability,
@@ -80,25 +80,27 @@ class TestClosenessAcceptanceDeterminism:
         assert len(set(payloads.values())) == 1, payloads
 
 
+#: The stored form of ``complexity_sweep("n", VALUES, rng=3, **SWEEP_KWARGS)``
+#: (``n=4000`` is that function's default, and part of the fingerprint).
+SPEC = SweepSpec(
+    axis="n", values=tuple(VALUES), n=4000, k=4, eps=0.3, trials=3,
+    bisection_steps=2, seed=3, task="closeness", config=CONFIG,
+)
+
+
 class TestClosenessSweepDeterminism:
-    def test_complexity_sweep_byte_identical(self):
-        payloads = {
-            workers: sweep_json(
-                complexity_sweep(
-                    "n", VALUES, rng=3, workers=workers, **SWEEP_KWARGS
-                )
-            )
-            for workers in WORKER_COUNTS
-        }
-        assert len(set(payloads.values())) == 1, payloads
+    def test_complexity_sweep_byte_identical(self, tmp_path):
+        """Serial loop and a 2-process fleet: same points."""
+        serial = complexity_sweep("n", VALUES, rng=3, **SWEEP_KWARGS)
+        fleet, _ = distributed_sweep(SPEC, tmp_path / "fleet.sqlite", processes=2)
+        assert sweep_json(fleet) == sweep_json(serial)
 
     def test_checkpoint_resume_reproduces(self, tmp_path):
+        """A fleet-written store resumes in-process to the same bytes."""
         path = tmp_path / "closeness.sqlite"
-        first = complexity_sweep(
-            "n", VALUES, rng=3, checkpoint=path, workers=2, **SWEEP_KWARGS
-        )
+        first, _ = distributed_sweep(SPEC, path, processes=2)
         resumed = complexity_sweep(
-            "n", VALUES, rng=3, checkpoint=path, workers=4, **SWEEP_KWARGS
+            "n", VALUES, rng=3, checkpoint=path, **SWEEP_KWARGS
         )
         assert sweep_json(first) == sweep_json(resumed)
 

@@ -118,37 +118,34 @@ class TestCommands:
         assert rc == 0
         assert capsys.readouterr().out == out
 
-    def test_sweep_in_process_store_honours_workers(self, capsys, tmp_path, monkeypatch):
-        import repro.cli as cli
-
-        seen = {}
-        real = cli.complexity_sweep
-
-        def spy(*args, **kwargs):
-            seen.update(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "complexity_sweep", spy)
+    def test_sweep_fleet_rejects_workers(self, tmp_path, capsys):
+        """The fleet is a sweep's only parallel axis: trial workers are an
+        option of neither `repro sweep` (fleet or in-process) nor `repro
+        worker`, and argparse refuses the flag before any store exists."""
         path = tmp_path / "ck.sqlite"
-        rc = main(
-            self.SWEEP_ARGV
-            + ["--store", str(path), "--worker-procs", "1", "--workers", "2"]
-        )
-        assert rc == 0
-        assert seen["workers"] == 2
-        assert seen["checkpoint"] == str(path)
-        assert "fitted exponent" in capsys.readouterr().out
-
-    def test_sweep_fleet_rejects_workers(self, tmp_path):
-        path = tmp_path / "ck.sqlite"
-        with pytest.raises(SystemExit) as exc:
-            main(
-                self.SWEEP_ARGV
-                + ["--store", str(path), "--worker-procs", "2", "--workers", "2"]
-            )
-        message = str(exc.value.code)
-        assert "--worker-procs 1" in message and "\n" not in message
+        for argv in (
+            self.SWEEP_ARGV + ["--store", str(path), "--worker-procs", "2"],
+            self.SWEEP_ARGV + ["--store", str(path), "--worker-procs", "1"],
+            ["worker", "--store", str(path), "--worker-id", "w"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--workers", "2"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
         assert not path.exists()
+
+    def test_sweep_fleet_prints_the_in_process_table(self, capsys, tmp_path):
+        """Two fleet processes and the in-process drain print the same
+        sweep table."""
+        tables = []
+        for procs in ("2", "1"):
+            path = tmp_path / f"ck-{procs}.sqlite"
+            rc = main(self.SWEEP_ARGV + ["--store", str(path), "--worker-procs", procs])
+            assert rc == 0
+            out = capsys.readouterr().out
+            tables.append(out[: out.index("store          :")])
+        assert "fitted exponent" in tables[0]
+        assert tables[0] == tables[1]
 
 
 class TestTraceCli:
