@@ -21,7 +21,8 @@ built from n³/6 terms).  The shape checks encode the oracle DP's contract:
 * the tracemalloc peak of one run per n > 512 grows at most near-linearly
   (log-log slope ≤ 1.5: the O(n·k) layers plus one bounded column block —
   a quadratic table would show a slope of ≈ 2).  The certified split at
-  n ≤ 512 holds two (n+1)² rank tables, so those sizes stay out of the fit.
+  n ≤ 512 holds one complex (n+1)² rank table, so those sizes stay out of
+  the fit.
 
 The fold is only timed for 512 < n ≤ ``--dense-cap`` (default 2048; smoke
 1024); its time there is input-independent, which makes the cubic

@@ -213,8 +213,9 @@ def run_fleet(
 
     start = time.monotonic()
     try:
-        for _ in range(processes):
-            _spawn()
+        if not store.finished():  # a finished store needs no workers
+            for _ in range(processes):
+                _spawn()
         while not store.finished():
             if time.monotonic() - start > timeout:
                 raise StoreError(

@@ -286,11 +286,11 @@ def histogram_distance_bounds(
 
 
 #: Above this many base intervals the projection first coarsens the base
-#: (see ``_coarsen_for_projection``).  The certified build is O(K² log K)
-#: with two (K+1)² rank tables and a (K+1)² cost matrix, and its fallback
-#: fold is K³/6 terms.  The same cap is where a point flattening stops
-#: taking the certified split (:func:`_point_projection`): at n = 8192 its
-#: three tables would take about 1.6 GB.
+#: (see ``_coarsen_for_projection``).  The certified split is O(K² log K)
+#: with one complex (K+1)² rank table plus O(max(32, k)·K) block buffers,
+#: and its fallback fold is K³/6 terms.  The same cap is where a point
+#: flattening stops taking the certified split (:func:`_point_projection`):
+#: at n = 8192 its table would take about 1.1 GB.
 _MAX_PROJECTION_BASE = 512
 
 
@@ -419,13 +419,12 @@ def _coarse_input(
     )
 
 
-#: Rows of the rank-prefix cost triangle built per block.  Measured on a
-#: 2-vCPU Xeon (numpy 2.4, best of 7) on the ten check inputs of one bench
-#: identity round (K = 340–474), build time summed over the ten and peak
-#: traced memory at K = 474: 16 rows 137 ms, 5.9 MB; 32 rows 132 ms, 6.3 MB;
-#: 64 rows 133 ms, 7.0 MB; 128 rows 138 ms, 8.4 MB; unblocked 231 ms,
-#: 16.2 MB.  The fold and DP it replaces peak at 5.6 MB there.
-_RANK_BLOCK_ROWS = 32
+#: Right endpoints per column block of the rank-prefix split.  Per-split
+#: time against 32 columns (2-vCPU Xeon, numpy 2.4, best of 5 over captured
+#: bench inputs; serve K = 39–114, k = 4 / project K = 512, k = 16): 16
+#: columns 1.20× / 1.10×, 64 columns 1.00× / 0.98×, one square block (what
+#: a cell budget gives) 1.41× / 2.84×.
+_RANK_BLOCK_COLUMNS = 32
 
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -450,10 +449,12 @@ def _split_l1(inp: _CoarseInput, split: np.ndarray) -> float:
     return total
 
 
-def _rank_costs(inp: _CoarseInput) -> tuple[np.ndarray, float]:
-    """The piecewise-constant interval-cost matrix from rank-prefix tables,
-    and ``δ``, the most one DP step on it can drift from the same step on
-    :func:`_fold_costs`' matrix.
+def _rank_costs(inp: _CoarseInput, rows: int) -> tuple[Callable, float]:
+    """``costs(b)``, the piecewise-constant interval costs from a rank-prefix
+    table, and ``δ``, the most one DP step on them can drift from the same
+    step on :func:`_fold_costs`' matrix.  For ``≤ rows`` non-decreasing right
+    endpoints ``b``, ``costs(b)`` is the block (in reused buffers) whose row
+    ``r`` holds ``C(a, b[r])`` for ``a ≤ b[-1]``, as in :data:`ColumnBlocks`.
 
     With the fold's own mean ``μ = μ_ab`` and ``W``, ``S`` the sums of
     ``w_q`` and ``w_q·v_q`` over ``q ∈ [a, b)``, ``W_<`` and ``S_<`` the same
@@ -462,12 +463,13 @@ def _rank_costs(inp: _CoarseInput) -> tuple[np.ndarray, float]:
         Σ_{q∈[a,b)} w_q·|v_q − μ| = μ·(2W_< − W) + (S − 2S_<).
 
     Sorting the ``K`` values once, ``v_q < μ`` iff ``rank(q) < t`` with
-    ``t = searchsorted(sorted_values, μ)``, and two ``(K+1)²`` tables
-    ``P[t, b] = Σ_{q<b, rank(q)<t} x_q`` (``x = w`` and ``x = w·v``) give
-    ``W_<``, ``S_<`` as ``P[t, b] − P[t, a]`` (``t = K`` gives ``W``, ``S``).
-    That is one ``searchsorted`` per entry, O(K² log K), instead of the
-    fold's ``K³/6`` terms; the triangle is built :data:`_RANK_BLOCK_ROWS`
-    rows at a time.
+    ``t = searchsorted(sorted_values, μ)``, and one complex ``(K+1)²`` table
+    ``P[t, b] = Σ_{q<b, rank(q)<t} (w_q + i·w_q·v_q)`` gives ``W_<``, ``S_<``
+    as the parts of ``P[t, b] − P[t, a]`` (``t = K`` gives ``W``, ``S``), one
+    gather per endpoint.  That is one ``searchsorted`` per entry,
+    O(K² log K), instead of the fold's ``K³/6`` terms.  The ``W`` parts are
+    exact integers, so ``(S − 2S_<) − (W − 2W_<)·μ`` rounds exactly as the
+    right side above, formed left to right, does.
 
     **δ.**  With ``u = 2⁻⁵³``, ``M`` the total mass and ``U = M + Σ_q w_q·v_q``
     (to first order in ``K·u``; every ``v_q ≥ 0``, which :func:`_coarse_input`
@@ -477,9 +479,9 @@ def _rank_costs(inp: _CoarseInput) -> tuple[np.ndarray, float]:
       is at most the interval's mass;
     * the fold sums at most ``K`` terms left to right, each rounded twice,
       so its entry is within ``(K + 1)·u·U`` of ``T``;
-    * the ``w`` table sums integer lengths, so ``W_<`` and ``W`` are exact;
-      a ``w·v`` table entry sums at most ``K`` rounded products in order, so
-      it is within ``K·u·U`` of exact, and ``S``, ``S_<`` (one more rounding
+    * the ``w`` parts sum integer lengths, so ``W_<`` and ``W`` are exact;
+      a ``w·v`` part sums at most ``K`` rounded products in order, so it is
+      within ``K·u·U`` of exact, and ``S``, ``S_<`` (one more rounding
       each) within ``(2K + 1)·u·U``; ``S − 2S_<`` is then within
       ``(6K + 4)·u·U``, the product ``μ·(2W_< − W)`` (at most ``M``) adds
       ``u·U`` and the final sum ``u·U``: within ``(6K + 6)·u·U`` of ``T``;
@@ -499,68 +501,58 @@ def _rank_costs(inp: _CoarseInput) -> tuple[np.ndarray, float]:
     sorted_values = values[order]
     rank = np.empty(size - 1, dtype=np.intp)
     rank[order] = np.arange(size - 1)
-    below = rank[None, :] < np.arange(size)[:, None]  # below[t, q]: rank(q) < t
-    tables = []
-    for x in (weights, weights * values):
-        table = np.zeros((size, size))
-        np.multiply(below, x, out=table[:, 1:])
-        np.cumsum(table, axis=1, out=table)
-        tables.append(table.ravel())
+    below = rank[:, None] < np.arange(size)  # below[q, t]: rank(q) < t
+    table = np.zeros((size, size), dtype=np.complex128)  # table[b, t] = P[t, b]
+    np.multiply(below, weights[:, None], out=table.real[1:])
+    np.multiply(below, (weights * values)[:, None], out=table.imag[1:])
     del below
-    w_table, s_table = tables
-    w_total, s_total = w_table[-size:], s_table[-size:]  # row t = K
+    np.cumsum(table, axis=0, out=table)
+    total = table[:, -1]  # t = K: W and S
+    table = table.ravel()
 
     mass_prefix, len_prefix = inp.mass_prefix, inp.len_prefix
-    cost = np.empty((size, size))
-    rows = min(_RANK_BLOCK_ROWS, size - 1)
-    mu_buf, lo_buf, hi_buf = (np.empty(rows * size) for _ in range(3))
-    idx_buf = np.empty(rows * size, dtype=np.intp)
-    for a0 in range(0, size - 1, rows):
-        a1 = min(a0 + rows, size - 1)
-        shape = (a1 - a0, size - a0 - 1)  # rows a ∈ [a0, a1), columns b > a0
-        used = shape[0] * shape[1]
-        mu, lo, hi = (buf[:used].reshape(shape) for buf in (mu_buf, lo_buf, hi_buf))
-        idx = idx_buf[:used].reshape(shape)
-        a = np.arange(a0, a1)[:, None]
-        b = np.arange(a0 + 1, size)
-        # μ_ab exactly as the fold forms it (0/0 and b < a are overwritten).
-        np.subtract(mass_prefix[None, a0 + 1 :], mass_prefix[a0:a1, None], out=mu)
+    ends = np.arange(size)
+    rows_at = ends * size  # table offset of each endpoint's row
+    bufs = [np.empty(rows * size, dtype) for dtype in (float, float, np.intp, complex, complex)]
+
+    def costs(b: np.ndarray) -> np.ndarray:
+        shape = (len(b), int(b[-1]) + 1)  # rows b, columns a ≤ b[-1]
+        mu, cost, idx, twice, spread = (x[: shape[0] * shape[1]].reshape(shape) for x in bufs)
+        a, col = ends[: shape[1]], b[:, None]
+        # μ_ab exactly as the fold forms it (0/0 and a > b are overwritten).
+        np.subtract(mass_prefix[col], mass_prefix[a], out=mu)
+        np.subtract(len_prefix[col], len_prefix[a], out=cost)
         with np.errstate(invalid="ignore"):
-            mu /= len_prefix[None, a0 + 1 :] - len_prefix[a0:a1, None]
+            mu /= cost
         start = np.searchsorted(sorted_values, mu)
-        start *= size
-        # hi = μ·(2W_< − W), in exact integers until the product.
-        np.add(start, b, out=idx)
-        np.take(w_table, idx, out=hi)
-        np.add(start, a, out=idx)
-        np.take(w_table, idx, out=lo)
-        hi -= lo
-        hi *= 2.0
-        hi -= w_total[b]
-        hi += w_total[a]
-        hi *= mu
-        # lo = S − 2S_<.
-        np.add(start, b, out=idx)
-        np.take(s_table, idx, out=lo)
-        np.add(start, a, out=idx)
-        np.take(s_table, idx, out=mu)
-        lo -= mu
-        lo *= 2.0
-        np.subtract(s_total[None, a0 + 1 :], s_total[a0:a1, None], out=mu)
-        np.subtract(mu, lo, out=lo)
-        np.add(hi, lo, out=cost[a0:a1, a0 + 1 :])
-    cost[np.tri(size, k=-1, dtype=bool)] = np.inf
-    np.fill_diagonal(cost, 0.0)
-    delta = (8 * (size - 1) + 16) * _UNIT_ROUNDOFF * float(mass_prefix[-1] + s_total[-1])
-    return cost, delta
+        # twice = 2·(W_< + i·S_<).
+        np.add(start, rows_at[col], out=idx)
+        np.take(table, idx, out=twice)
+        np.add(start, rows_at[a], out=idx)
+        np.take(table, idx, out=spread)
+        twice -= spread
+        twice += twice
+        # spread = (W − 2W_<) + i·(S − 2S_<); cost = (S − 2S_<) − (W − 2W_<)·μ.
+        np.subtract(total[col], total[a], out=spread)
+        spread -= twice
+        np.multiply(spread.real, mu, out=mu)
+        np.subtract(spread.imag, mu, out=cost)
+        cost[:, b[0] :][a[b[0] :] > col] = np.inf
+        cost[np.arange(len(b)), b] = 0.0
+        return cost
+
+    delta = (8 * (size - 1) + 16) * _UNIT_ROUNDOFF * float(mass_prefix[-1] + total[-1].imag)
+    return costs, delta
 
 
 def _certified_split(inp: _CoarseInput, k: int) -> np.ndarray | None:
-    """The fold DP's optimal split, found on :func:`_rank_costs`' matrix,
+    """The fold DP's optimal split, found on :func:`_rank_costs`' blocks,
     or ``None`` when the gap certificate cannot prove it is the fold's.
 
-    At step ``r`` the DP takes ``argmin_i f[r, i] + cost[i, j]`` for the
-    path's column ``j``; on both matrices those values are within
+    The DP takes the costs :data:`_RANK_BLOCK_COLUMNS` right endpoints at a
+    time, and the path's ``≤ k`` columns come back in one more call.  At
+    step ``r`` it takes ``argmin_i f[r, i] + cost[i, j]`` for the path's
+    column ``j``; on both matrices those values are within
     ``(r + 1)·δ`` of each other.  If the rank column's runner-up exceeds its
     minimum by more than ``2(r + 2)·δ`` (two drifts, plus ``2δ`` that
     dominates the rounding of the gap itself), the fold column's minimum
@@ -568,9 +560,10 @@ def _certified_split(inp: _CoarseInput, k: int) -> np.ndarray | None:
     that holds at every step of the path, the fold's backtrack follows the
     same path, and :func:`_split_l1` prices it with the fold's bits.
     """
-    cost, delta = _rank_costs(inp)
-    f, path = _dp_layers(matrix_columns(cost), len(inp.values), k)
-    columns = f[:-1] + cost[:, path[1:]].T  # step r's column of f[r] + cost
+    costs, delta = _rank_costs(inp, max(_RANK_BLOCK_COLUMNS, k))
+    ends = np.arange(len(inp.values) + 1)
+    f, path = _dp_layers(lambda j0, j1: costs(ends[j0:j1]), len(ends) - 1, k, _RANK_BLOCK_COLUMNS)
+    columns = f[:-1] + costs(path[1:])  # step r's column of f[r] + cost
     lowest = np.partition(columns, 1, axis=1)
     gaps = lowest[:, 1] - lowest[:, 0]
     if np.all(gaps > 2.0 * (np.arange(len(gaps)) + 2) * delta):
@@ -617,7 +610,9 @@ def coarse_flattening_projection(
     base interval (a histogram on ``base``, or ``base.flatten(p)``);
     anything else raises ``ValueError``.  ``kept`` is a boolean vector over
     the ``K`` base intervals (default: all kept).  The projection runs in
-    ``O(K² log K + K² k)`` when the rank-prefix split certifies
+    ``O(K² log K + K² k)`` time and ``O(K²)`` memory (one complex rank
+    table, with the costs built 32 right endpoints at a time and never
+    stored as a matrix) when the rank-prefix split certifies
     (:func:`_certified_split`), and after the ``K³/6``-term per-piece fold
     (:func:`_fold_costs`) otherwise, with the same answer bit for bit;
     either way the cost is independent of the domain size ``n`` — this is

@@ -43,9 +43,9 @@ typical case — with O(n·k) memory for the layers and parents plus one
 block of at most :data:`_DP_BLOCK_CELLS` cells.  A point flattening
 reaches it only above ``n = 512``: smaller ones take the certified
 rank-prefix split of :mod:`repro.distributions.projection`.  The same
-function runs that module's dense Step-10 matrices (the rank-prefix and
-fold builds); below the cell budget a matrix is one block, which is
-exactly the unblocked DP.
+function runs that module's Step-10 DPs: the rank-prefix split in blocks
+of 32 built straight from its rank table (no cost matrix), and the fold's
+dense matrix, one block below the cell budget (the unblocked DP).
 Ties resolve to the smallest ``i`` (``np.argmin``'s first minimum), and
 every ``f_r(j)`` is ``fl(f_{r−1}(i) + C(i, j))`` of the oracle's exact
 ``C`` — no pruning, no tolerance.
@@ -76,7 +76,8 @@ _DP_BLOCK_CELLS = 1 << 18
 _PAIR_BATCH = 1 << 13
 
 #: ``columns(j0, j1)`` → the ``(j1 − j0, j1)`` array whose row ``j − j0``
-#: holds ``C(i, j)`` for ``i < j1`` (``0`` at ``i = j``, ``inf`` above it).
+#: holds ``C(i, j)`` for ``i < j1`` (``0`` at ``i = j``, ``inf`` above it;
+#: the next call may overwrite it).
 ColumnBlocks = Callable[[int, int], np.ndarray]
 
 
@@ -201,7 +202,9 @@ def oracle_columns(cost_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> C
     return columns
 
 
-def _dp_layers(columns: ColumnBlocks, n: int, pieces: int) -> tuple[np.ndarray, np.ndarray]:
+def _dp_layers(
+    columns: ColumnBlocks, n: int, pieces: int, width: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The interval DP's layers and backtracked path over ``[0, n)``.
 
     Returns ``f`` (``f[r, j]`` = best cost of ``[0, j)`` in at most ``r``
@@ -210,11 +213,13 @@ def _dp_layers(columns: ColumnBlocks, n: int, pieces: int) -> tuple[np.ndarray, 
     an "empty" piece repeats its border).  Step ``r`` takes
     ``path[r] = argmin_i f[r, i] + C(i, path[r + 1])``, the first minimum.
 
-    ``columns`` supplies the costs one block of right endpoints at a time
-    (see :data:`ColumnBlocks`); each block is requested once and every
-    layer is advanced on it before the next.  ``C(0, j)`` is finite and
+    ``columns`` supplies the costs ``width`` right endpoints at a time
+    (default: as many as fit in :data:`_DP_BLOCK_CELLS`; see
+    :data:`ColumnBlocks`); each block is requested once and every layer is
+    advanced on it before the next.  ``C(0, j)`` is finite and
     ``f[r, 0] = 0``, so a block's ``inf`` entries (``i > j``) are never a
-    first minimum and blocking leaves every value and argmin unchanged.
+    first minimum, blocking leaves every value and argmin unchanged, and
+    layer 1 is ``0 + C(0, j)`` at parent ``0``.
     """
     pieces = min(pieces, n)
     if pieces < 1:
@@ -222,16 +227,16 @@ def _dp_layers(columns: ColumnBlocks, n: int, pieces: int) -> tuple[np.ndarray, 
     f = np.full((pieces + 1, n + 1), np.inf)
     f[0, 0] = 0.0
     parent = np.zeros((pieces, n + 1), dtype=np.int64)
-    width = max(1, _DP_BLOCK_CELLS // (n + 1))
+    width = width or max(1, _DP_BLOCK_CELLS // (n + 1))
     for j0 in range(0, n + 1, width):
         j1 = min(j0 + width, n + 1)
         block = columns(j0, j1)
         stacked = np.empty_like(block)
         rows = np.arange(j1 - j0)
-        for r in range(pieces):
+        np.add(block[:, 0], 0.0, out=f[1, j0:j1])  # layer 1: parent 0
+        for r in range(1, pieces):
             np.add(block, f[r, :j1], out=stacked)
-            best = np.argmin(stacked, axis=1)
-            parent[r, j0:j1] = best
+            best = np.argmin(stacked, axis=1, out=parent[r, j0:j1])
             f[r + 1, j0:j1] = stacked[rows, best]
     path = np.empty(pieces + 1, dtype=np.int64)
     path[pieces] = n

@@ -309,6 +309,17 @@ class TestChaosMatrix:
 
 
 class TestFleet:
+    def test_finished_store_spawns_no_worker(self, tmp_path, serial3):
+        store = create_store(tmp_path / "s.sqlite", SPEC3)
+        assert run_local(store).committed == 3
+        report = run_fleet(store, processes=2)
+        assert report.workers_spawned == 0
+        assert report.exit_codes == {}
+        assert multiprocessing.active_children() == []
+        assert_matches_serial(store, serial3)
+        assert store.event_tally()["claim"] == 3
+        store.close()
+
     def test_fleet_fails_fast_once_every_worker_has_drained(self, tmp_path, monkeypatch):
         """Workers exiting 0 mid-sweep drained on request and are not
         replaced; with none left the fleet raises at once, naming them,

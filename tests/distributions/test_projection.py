@@ -22,6 +22,7 @@ from repro.distributions.projection import (
 from repro.experiments.workloads import make
 from repro.observability.metrics import get_metrics
 from repro.util.intervals import Partition
+from tests.properties.test_rank_blocks import assembled
 
 
 def brute_force_flattening(pmf: np.ndarray, k: int) -> float:
@@ -439,6 +440,54 @@ class TestSplitCertified:
         _, by = counted(test_histogram, dist, 8, 0.2, rng=1, backend="cdkl22")
         assert by == {"rank": 1, "fold": 0}
 
+    def test_bench_project_inputs_certify(self):
+        # Every input of the benchmark's ``project`` workload at seed 1:
+        # 20 rounds × 4 families, n = 512, k = 16.
+        families = ("staircase", "zipf", "random-histogram", "paninski")
+        before = split_counts()
+        for r in range(20):
+            for f, family in enumerate(families):
+                seed = np.random.SeedSequence([1, r, f]).generate_state(1)[0]
+                gen = np.random.default_rng(seed)
+                base = make(family, 512, 16, 0.2, rng=gen).pmf
+                distance_to_histogram(0.95 * base + 0.05 * gen.dirichlet(np.ones(512)), 16)
+        after = split_counts()
+        assert {by: after[by] - before[by] for by in after} == {"rank": 80, "fold": 0}
+
+    @staticmethod
+    def serve_sized(seed: int):
+        """A Step-10 input the size serve's checks run (K = 40–120, k = 4):
+        noisy heights on long pieces with unkept ones (``seed % 3 == 0``),
+        an exact 3-piece histogram, whose many optimal splits tie (1), or a
+        palindrome on unit pieces, whose best split ties with its mirror
+        (2)."""
+        gen = np.random.default_rng(seed)
+        big_k = int(gen.integers(40, 121))
+        base = Partition(np.concatenate(([0], np.cumsum(gen.integers(1, 2000, size=big_k)))))
+        heights = gen.random(big_k) + 0.05
+        kept = gen.random(big_k) > 0.1
+        if seed % 3 == 1:
+            cuts = np.sort(gen.choice(np.arange(1, big_k), 2, replace=False))
+            heights = np.repeat(gen.random(3) + 0.05, np.diff(np.r_[0, cuts, big_k]))
+        elif seed % 3 == 2:
+            half = heights[: big_k // 2]
+            heights = np.concatenate((half, heights[len(half) : big_k - len(half)], half[::-1]))
+            base = Partition.singletons(big_k)
+        if seed % 3:
+            kept[:] = True
+        pmf = np.repeat(heights, base.lengths())
+        return pmf / pmf.sum(), base, kept
+
+    def test_serve_sized_outcomes_are_pinned(self):
+        # Recorded on the dense rank build (``reference_rank_costs``); the
+        # column blocks must keep every outcome.
+        outcomes = ""
+        for seed in range(60):
+            pmf, base, kept = self.serve_sized(seed)
+            _, by = counted(coarse_flattening_projection, pmf, base, 4, kept)
+            outcomes += "r" if by == {"rank": 1, "fold": 0} else "f"
+        assert outcomes == "rff" * 20
+
     def test_near_tie_takes_the_fold(self, monkeypatch):
         # A palindrome on an odd number of unit pieces: the best 2-piece
         # split and its mirror image cost the same in exact arithmetic, so
@@ -452,7 +501,7 @@ class TestSplitCertified:
         kept = np.ones(len(pmf), dtype=bool)
 
         inp = projection._coarse_input(pmf, base, 2, kept, projection._MAX_PROJECTION_BASE)
-        _, delta = projection._rank_costs(inp)
+        _, delta = assembled(inp)
         fold = projection._fold_costs(
             inp.mass_prefix,
             inp.len_prefix,

@@ -33,6 +33,7 @@ from repro.distributions.projection import (
     unconstrained_l1_distance,
 )
 from repro.util.intervals import Partition
+from tests.properties.test_rank_blocks import assembled
 
 MAX_N = 40
 ATOL = 1e-9
@@ -245,15 +246,16 @@ def bits(x: float) -> int:
 
 
 class TestRankCertificate:
-    """The rank-prefix cost matrix stays within ``δ`` of the fold's, and
-    the certified split returns the fold's answer bit for bit."""
+    """The rank-prefix cost matrix, assembled from its column blocks, stays
+    within ``δ`` of the fold's, and the certified split returns the fold's
+    answer bit for bit."""
 
     @settings(max_examples=40)
     @given(certificate_inputs())
     def test_every_entry_within_delta_of_the_fold(self, case):
         pmf, base, k, kept = case
         inp = projection._coarse_input(pmf, base, k, kept, projection._MAX_PROJECTION_BASE)
-        rank, delta = projection._rank_costs(inp)
+        rank, delta = assembled(inp)
         fold = projection._fold_costs(
             inp.mass_prefix,
             inp.len_prefix,
