@@ -24,6 +24,11 @@ built from n³/6 terms).  The shape checks encode the oracle DP's contract:
   n ≤ 512 holds one complex (n+1)² rank table, so those sizes stay out of
   the fit.
 
+One more row, reported only, times the Step-10 worst case: the uniform
+pmf at n = 512, k ∈ {8, 32}.  Every height ties, so the certified split's
+gap test fails and the per-point fold runs after it (the rank build, the
+DP and the K³/6 fold).
+
 The fold is only timed for 512 < n ≤ ``--dense-cap`` (default 2048; smoke
 1024); its time there is input-independent, which makes the cubic
 extrapolation safe.
@@ -31,7 +36,9 @@ extrapolation safe.
 Emits ``BENCH_e22.json`` (see :func:`_common.write_bench_json`) with
 ``fast_seconds_by_n`` (the library), ``dense_seconds_by_n`` (the fold),
 ``max_engine_diff``, ``peak_bytes_by_n`` and ``peak_memory_slope`` for the
-regression gate (``python benchmarks/gate.py BENCH_e22.json``), which holds
+regression gate, plus the worst-case row as ``tie_seconds_by_k`` and
+``tie_split_by_k`` (which path answered: ``"fold"`` or ``"rank"``), which
+no gate row reads (``python benchmarks/gate.py BENCH_e22.json``), which holds
 both times against the committed baseline and the agreement and memory
 slope to their absolute bars.
 
@@ -61,12 +68,14 @@ from repro.distributions.projection import (
     distance_to_histogram,
 )
 from repro.experiments.report import print_experiment
+from repro.observability.metrics import get_metrics
 from repro.util.intervals import Partition
 
 SEED = 22
 NOISE = 0.05
 ACCEPT_N = 4096  # the acceptance-criterion point (n=4096, k=32, >=20x)
 ACCEPT_SPEEDUP = 20.0
+TIE_KS = (8, 32)  # the worst-case row's k
 
 
 def make_pmf(n: int, k: int) -> np.ndarray:
@@ -92,6 +101,16 @@ def timed(distance, pmf: np.ndarray, k: int) -> tuple[float, float]:
         dist = distance(pmf, k)
         best = min(best, time.perf_counter() - start)
     return best, dist
+
+
+def tie_row(k: int) -> tuple[float, str]:
+    """(seconds, path) of the library on the uniform pmf at n = 512: every
+    height ties, so the split's certificate fails (path ``"fold"``)."""
+    n = _MAX_PROJECTION_BASE
+    before = get_metrics().counter("projection.split_certified", by="fold").value
+    seconds, _ = timed(distance_to_histogram, np.full(n, 1.0 / n), k)
+    folds = get_metrics().counter("projection.split_certified", by="fold").value - before
+    return seconds, "fold" if folds else "rank"
 
 
 def peak_memory(pmf: np.ndarray, k: int) -> int:
@@ -174,6 +193,13 @@ def main(argv: list[str] | None = None) -> int:
             accept_speedup = dense_est / fast_by_n[ACCEPT_N]
             accept_mode = f"extrapolated from n={top[0]}"
 
+    ties = {k: tie_row(k) for k in TIE_KS}
+    print_experiment(
+        f"E22 worst case (reported, not gated): uniform pmf, n={_MAX_PROJECTION_BASE}",
+        ["k", "s", "path"],
+        [[k, s, path] for k, (s, path) in ties.items()],
+    )
+
     # Measured after the timings, so tracemalloc's overhead never enters them.
     peaks_by_n = {n: peak_memory(make_pmf(n, args.k), args.k) for n in sizes}
     mem_slope = loglog_slope(oracle_ns, [float(peaks_by_n[n]) for n in oracle_ns])
@@ -207,6 +233,8 @@ def main(argv: list[str] | None = None) -> int:
             "dense_seconds_by_n": {str(n): t for n, t in dense_by_n.items()},
             "peak_bytes_by_n": {str(n): b for n, b in peaks_by_n.items()},
             "peak_memory_slope": mem_slope,
+            "tie_seconds_by_k": {str(k): s for k, (s, _) in ties.items()},
+            "tie_split_by_k": {str(k): path for k, (_, path) in ties.items()},
         },
         path=args.json,
     )

@@ -49,6 +49,7 @@ with a non-finite or negative value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -56,6 +57,7 @@ import numpy as np
 from repro.distributions.distances import ArrayLike, _as_array
 from repro.distributions.histogram import Histogram
 from repro.distributions.projection_engine import (
+    _column_blocks,
     _dp_layers,
     matrix_columns,
     project_intervals,
@@ -287,7 +289,7 @@ def histogram_distance_bounds(
 
 #: Above this many base intervals the projection first coarsens the base
 #: (see ``_coarsen_for_projection``).  The certified split is O(K² log K)
-#: with one complex (K+1)² rank table plus O(max(32, k)·K) block buffers,
+#: with one complex (K+1)² rank table plus O(max(40, k)·K) block buffers,
 #: and its fallback fold is K³/6 terms.  The same cap is where a point
 #: flattening stops taking the certified split (:func:`_point_projection`):
 #: at n = 8192 its table would take about 1.1 GB.
@@ -426,6 +428,16 @@ def _coarse_input(
 #: a cell budget gives) 1.41× / 2.84×.
 _RANK_BLOCK_COLUMNS = 32
 
+#: Smallest base (``K`` pieces) on which :func:`_rank_costs` builds the
+#: bucketed μ → rank index of :func:`_rank_index`; smaller bases take one
+#: ``searchsorted`` per cost entry.  Per-split time with the index against
+#: without it (2-vCPU Xeon, numpy 2.4, best of 15, interleaved in one
+#: process; learned heights of four families re-flattened onto K pieces,
+#: k = 8): 1.15× at K = 112, 1.01× at 128, 0.98–1.01× at 144–160, 0.97× at
+#: 176, 0.92× at 224, 0.83× at 512.  On captured bench splits: serve
+#: (K = 39–114, k = 4) 1.17×, identity (K = 340–474, k = 8) 0.84×.
+_RANK_INDEX_MIN_BASE = 160
+
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -449,12 +461,71 @@ def _split_l1(inp: _CoarseInput, split: np.ndarray) -> float:
     return total
 
 
+def _rank_index(sorted_values: np.ndarray, cells: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``rank(μ)``, equal to ``np.searchsorted(sorted_values, μ)`` for every
+    float64 ``μ`` (a contiguous array of at most ``cells`` entries; the
+    result lives in a reused buffer), mostly without a binary search.
+
+    The values are finite and non-negative, so the bit patterns of
+    ``sorted_values + 0.0`` (``−0.0`` becomes ``+0.0``), read as unsigned
+    integers, ascend with them, and for a non-negative, non-NaN ``μ``,
+    ``v < μ`` iff ``key(v) < key(μ)``.  Keys are bucketed by
+    ``(key − lo) >> shift``, 32 to 64 buckets per value, and each bucket
+    stores the count of keys below it (O(K + buckets) to build).  A ``μ``
+    in an empty bucket reads its ``t`` from one gather, and one in a bucket
+    with a single distinct key from one comparison with that key.  Every
+    other ``μ`` goes to ``searchsorted``: one in a bucket of two or more
+    distinct keys, and one whose unsigned ``key(μ) − lo`` wraps or passes
+    the last bucket — below the smallest value, above the largest, ``+inf``,
+    NaN, and anything with its sign bit set (``−0.0`` included).
+    """
+    keys = (sorted_values + 0.0).view(np.uint64)
+    lo, hi = int(keys[0]), int(keys[-1])
+    shift = ((hi - lo) // (64 * len(keys))).bit_length()
+    bucket = ((keys - lo) >> shift).astype(np.intp)
+    last = int(bucket[-1]) + 1  # the bucket of every key from ``top`` up
+    top = lo + (last << shift)
+    # below[i]: the keys in the buckets before bucket i, for i ≤ last + 1.
+    below = np.repeat(
+        np.arange(len(keys) + 1, dtype=np.int32), np.diff(bucket, prepend=-1, append=last + 1)
+    )
+    hard = np.zeros(last + 1, dtype=bool)  # two or more distinct keys, or the last
+    hard[bucket[1:][(bucket[1:] == bucket[:-1]) & (keys[1:] != keys[:-1])]] = True
+    hard[last] = True
+    code = below[:-1].astype(np.intp)  # an empty bucket's t; −1 for the others
+    code[bucket] = -1
+    code[last] = -1
+    bufs = [np.empty(cells, dtype) for dtype in (np.uint64, np.intp, bool)]
+
+    def rank(mu: np.ndarray) -> np.ndarray:
+        u = mu.view(np.uint64)
+        b, t, flag = (x[: mu.size].reshape(mu.shape) for x in bufs)
+        np.subtract(u, lo, out=b)  # wraps below lo
+        np.minimum(b, top - lo, out=b)
+        b >>= shift
+        b = b.view(np.intp)  # each entry's bucket
+        np.take(code, b, out=t)
+        sel = np.flatnonzero(np.less(t, 0, out=flag))
+        if len(sel):
+            at = b.ravel()[sel]
+            first = np.take(keys, below[at], mode="clip")  # the bucket's first key
+            ts = np.where(u.ravel()[sel] > first, below[at + 1], below[at])
+            slow = hard[at]
+            ts[slow] = np.searchsorted(sorted_values, mu.ravel()[sel[slow]])
+            t.ravel()[sel] = ts
+        return t
+
+    return rank
+
+
 def _rank_costs(inp: _CoarseInput, rows: int) -> tuple[Callable, float]:
     """``costs(b)``, the piecewise-constant interval costs from a rank-prefix
     table, and ``δ``, the most one DP step on them can drift from the same
     step on :func:`_fold_costs`' matrix.  For ``≤ rows`` non-decreasing right
     endpoints ``b``, ``costs(b)`` is the block (in reused buffers) whose row
-    ``r`` holds ``C(a, b[r])`` for ``a ≤ b[-1]``, as in :data:`ColumnBlocks`.
+    ``r`` holds ``C(a, b[r])`` for ``a ≤ b[-1]``, as in :data:`ColumnBlocks`;
+    call it under ``np.errstate(invalid="ignore")`` (the unused ``a = b``
+    entries divide 0 by 0).
 
     With the fold's own mean ``μ = μ_ab`` and ``W``, ``S`` the sums of
     ``w_q`` and ``w_q·v_q`` over ``q ∈ [a, b)``, ``W_<`` and ``S_<`` the same
@@ -464,12 +535,17 @@ def _rank_costs(inp: _CoarseInput, rows: int) -> tuple[Callable, float]:
 
     Sorting the ``K`` values once, ``v_q < μ`` iff ``rank(q) < t`` with
     ``t = searchsorted(sorted_values, μ)``, and one complex ``(K+1)²`` table
-    ``P[t, b] = Σ_{q<b, rank(q)<t} (w_q + i·w_q·v_q)`` gives ``W_<``, ``S_<``
-    as the parts of ``P[t, b] − P[t, a]`` (``t = K`` gives ``W``, ``S``), one
-    gather per endpoint.  That is one ``searchsorted`` per entry,
-    O(K² log K), instead of the fold's ``K³/6`` terms.  The ``W`` parts are
-    exact integers, so ``(S − 2S_<) − (W − 2W_<)·μ`` rounds exactly as the
-    right side above, formed left to right, does.
+    ``2·P[t, b] = Σ_{q<b, rank(q)<t} 2·(w_q + i·w_q·v_q)`` gives
+    ``2·(W_< + i·S_<)`` as ``2·P[t, b] − 2·P[t, a]``, one gather per
+    endpoint (half of ``t = K`` gives ``W``, ``S``).  Doubling is exact, so
+    those bits are twice those of ``P[t, b] − P[t, a]``.  From
+    :data:`_RANK_INDEX_MIN_BASE` pieces up, ``t`` comes from the bucketed
+    index of :func:`_rank_index` (one comparison for most entries, the same
+    ``t`` always); below it, from one ``searchsorted`` per entry.  Either
+    way the build is O(K² log K) at most, instead of the fold's ``K³/6``
+    terms.  The ``W`` parts are exact integers, so
+    ``(S − 2S_<) − (W − 2W_<)·μ`` rounds exactly as the right side above,
+    formed left to right, does.
 
     **δ.**  With ``u = 2⁻⁵³``, ``M`` the total mass and ``U = M + Σ_q w_q·v_q``
     (to first order in ``K·u``; every ``v_q ≥ 0``, which :func:`_coarse_input`
@@ -497,21 +573,28 @@ def _rank_costs(inp: _CoarseInput, rows: int) -> tuple[Callable, float]:
     """
     values, weights = inp.values, inp.weights
     size = len(values) + 1
+    ends = np.arange(size)
     order = np.argsort(values, kind="stable")
     sorted_values = values[order]
     rank = np.empty(size - 1, dtype=np.intp)
-    rank[order] = np.arange(size - 1)
-    below = rank[:, None] < np.arange(size)  # below[q, t]: rank(q) < t
-    table = np.zeros((size, size), dtype=np.complex128)  # table[b, t] = P[t, b]
-    np.multiply(below, weights[:, None], out=table.real[1:])
-    np.multiply(below, (weights * values)[:, None], out=table.imag[1:])
-    del below
+    rank[order] = ends[:-1]
+    # Built before the table: built after it, the index left ~1.7 MB more
+    # resident in a bench ``project`` process (peak RSS 52.8 against 51.1 MB).
+    if size - 1 >= _RANK_INDEX_MIN_BASE:
+        rank_of = _rank_index(sorted_values, rows * size)
+    else:
+        rank_of = partial(np.searchsorted, sorted_values)
+    terms = np.empty(size - 1, dtype=np.complex128)  # 2·(w_q + i·w_q·v_q)
+    terms.real = weights
+    np.multiply(weights, values, out=terms.imag)
+    terms += terms
+    table = np.zeros((size, size), dtype=np.complex128)  # table[b, t] = 2·P[t, b]
+    np.copyto(table[1:], terms[:, None], where=rank[:, None] < ends)  # rank(q) < t
     np.cumsum(table, axis=0, out=table)
-    total = table[:, -1]  # t = K: W and S
+    total = 0.5 * table[:, -1]  # half of t = K: W and S
     table = table.ravel()
 
     mass_prefix, len_prefix = inp.mass_prefix, inp.len_prefix
-    ends = np.arange(size)
     rows_at = ends * size  # table offset of each endpoint's row
     bufs = [np.empty(rows * size, dtype) for dtype in (float, float, np.intp, complex, complex)]
 
@@ -522,16 +605,14 @@ def _rank_costs(inp: _CoarseInput, rows: int) -> tuple[Callable, float]:
         # μ_ab exactly as the fold forms it (0/0 and a > b are overwritten).
         np.subtract(mass_prefix[col], mass_prefix[a], out=mu)
         np.subtract(len_prefix[col], len_prefix[a], out=cost)
-        with np.errstate(invalid="ignore"):
-            mu /= cost
-        start = np.searchsorted(sorted_values, mu)
+        mu /= cost
+        start = rank_of(mu)
         # twice = 2·(W_< + i·S_<).
         np.add(start, rows_at[col], out=idx)
         np.take(table, idx, out=twice)
         np.add(start, rows_at[a], out=idx)
         np.take(table, idx, out=spread)
         twice -= spread
-        twice += twice
         # spread = (W − 2W_<) + i·(S − 2S_<); cost = (S − 2S_<) − (W − 2W_<)·μ.
         np.subtract(total[col], total[a], out=spread)
         spread -= twice
@@ -550,9 +631,10 @@ def _certified_split(inp: _CoarseInput, k: int) -> np.ndarray | None:
     or ``None`` when the gap certificate cannot prove it is the fold's.
 
     The DP takes the costs :data:`_RANK_BLOCK_COLUMNS` right endpoints at a
-    time, and the path's ``≤ k`` columns come back in one more call.  At
-    step ``r`` it takes ``argmin_i f[r, i] + cost[i, j]`` for the path's
-    column ``j``; on both matrices those values are within
+    time (a short trailing remainder joins the last full block, see
+    :func:`_column_blocks`), and the path's ``≤ k`` columns come back in
+    one more call.  At step ``r`` it takes ``argmin_i f[r, i] + cost[i, j]`` for
+    the path's column ``j``; on both matrices those values are within
     ``(r + 1)·δ`` of each other.  If the rank column's runner-up exceeds its
     minimum by more than ``2(r + 2)·δ`` (two drifts, plus ``2δ`` that
     dominates the rounding of the gap itself), the fold column's minimum
@@ -560,10 +642,14 @@ def _certified_split(inp: _CoarseInput, k: int) -> np.ndarray | None:
     that holds at every step of the path, the fold's backtrack follows the
     same path, and :func:`_split_l1` prices it with the fold's bits.
     """
-    costs, delta = _rank_costs(inp, max(_RANK_BLOCK_COLUMNS, k))
     ends = np.arange(len(inp.values) + 1)
-    f, path = _dp_layers(lambda j0, j1: costs(ends[j0:j1]), len(ends) - 1, k, _RANK_BLOCK_COLUMNS)
-    columns = f[:-1] + costs(path[1:])  # step r's column of f[r] + cost
+    blocks = _column_blocks(len(ends) - 1, _RANK_BLOCK_COLUMNS)
+    costs, delta = _rank_costs(inp, max(max(j1 - j0 for j0, j1 in blocks), k))
+    with np.errstate(invalid="ignore"):
+        f, path = _dp_layers(
+            lambda j0, j1: costs(ends[j0:j1]), len(ends) - 1, k, _RANK_BLOCK_COLUMNS
+        )
+        columns = f[:-1] + costs(path[1:])  # step r's column of f[r] + cost
     lowest = np.partition(columns, 1, axis=1)
     gaps = lowest[:, 1] - lowest[:, 0]
     if np.all(gaps > 2.0 * (np.arange(len(gaps)) + 2) * delta):
@@ -613,10 +699,13 @@ def coarse_flattening_projection(
     ``O(K² log K + K² k)`` time and ``O(K²)`` memory (one complex rank
     table, with the costs built 32 right endpoints at a time and never
     stored as a matrix) when the rank-prefix split certifies
-    (:func:`_certified_split`), and after the ``K³/6``-term per-piece fold
-    (:func:`_fold_costs`) otherwise, with the same answer bit for bit;
-    either way the cost is independent of the domain size ``n`` — this is
-    the oracle Step 10 of Algorithm 1 calls.  Bases larger than
+    (:func:`_certified_split`); from :data:`_RANK_INDEX_MIN_BASE` pieces up
+    a bucketed index ranks most cost entries with one gather, not a
+    binary search, so the build is O(K²) unless the heights crowd into a
+    few buckets.  When the split does not certify, the ``K³/6``-term
+    per-piece fold (:func:`_fold_costs`) runs after it, with the same
+    answer bit for bit; either way the cost is independent of the domain
+    size ``n`` — this is the oracle Step 10 of Algorithm 1 calls.  Bases larger than
     :data:`_MAX_PROJECTION_BASE` are first coarsened (mask-flip + top-jump + quantile
     borders); the coarsening's own error is *added* to the reported
     distance, so the result remains a valid upper bound (accepting on it is

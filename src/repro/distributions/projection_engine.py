@@ -40,7 +40,7 @@ final by then, since ``i ≤ j``).  The oracle path
 (:func:`project_intervals`) therefore evaluates each interval exactly
 once — ``n(n+1)/2`` evaluations for every input, so the worst case is the
 typical case — with O(n·k) memory for the layers and parents plus one
-block of at most :data:`_DP_BLOCK_CELLS` cells.  A point flattening
+block of at most 5/4 of :data:`_DP_BLOCK_CELLS` cells.  A point flattening
 reaches it only above ``n = 512``: smaller ones take the certified
 rank-prefix split of :mod:`repro.distributions.projection`.  The same
 function runs that module's Step-10 DPs: the rank-prefix split in blocks
@@ -65,7 +65,8 @@ _OBJECTIVES = ("flattening", "median")
 #: Cells (right endpoints × left endpoints) in one column block of
 #: :func:`_dp_layers`.  At 2¹⁸ every ``(K+1)²`` matrix with ``K ≤ 511`` is a
 #: single block (the unblocked DP), and a block plus its per-layer scratch
-#: is 4 MB at any ``n``.
+#: is at most 5 MB at any ``n`` (the last block may take a short remainder,
+#: see :func:`_column_blocks`).
 _DP_BLOCK_CELLS = 1 << 18
 
 #: Pairs per oracle call while a block is filled (whole rows, at least
@@ -202,6 +203,16 @@ def oracle_columns(cost_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> C
     return columns
 
 
+def _column_blocks(n: int, width: int) -> list[tuple[int, int]]:
+    """The blocks ``[j0, j1)`` :func:`_dp_layers` takes over the right
+    endpoints ``0..n``: ``width`` at a time, with a trailing remainder of at
+    most ``width // 4`` joined to the block before it."""
+    starts = list(range(0, n + 1, width))
+    if len(starts) > 1 and n + 1 - starts[-1] <= width // 4:
+        del starts[-1]
+    return list(zip(starts, starts[1:] + [n + 1]))
+
+
 def _dp_layers(
     columns: ColumnBlocks, n: int, pieces: int, width: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -215,8 +226,10 @@ def _dp_layers(
 
     ``columns`` supplies the costs ``width`` right endpoints at a time
     (default: as many as fit in :data:`_DP_BLOCK_CELLS`; see
-    :data:`ColumnBlocks`); each block is requested once and every layer is
-    advanced on it before the next.  ``C(0, j)`` is finite and
+    :data:`ColumnBlocks`), except that a short trailing remainder joins the
+    block before it rather than cost a call and a pass over every layer of
+    its own (:func:`_column_blocks`); each block is requested once and
+    every layer is advanced on it before the next.  ``C(0, j)`` is finite and
     ``f[r, 0] = 0``, so a block's ``inf`` entries (``i > j``) are never a
     first minimum, blocking leaves every value and argmin unchanged, and
     layer 1 is ``0 + C(0, j)`` at parent ``0``.
@@ -227,9 +240,7 @@ def _dp_layers(
     f = np.full((pieces + 1, n + 1), np.inf)
     f[0, 0] = 0.0
     parent = np.zeros((pieces, n + 1), dtype=np.int64)
-    width = width or max(1, _DP_BLOCK_CELLS // (n + 1))
-    for j0 in range(0, n + 1, width):
-        j1 = min(j0 + width, n + 1)
+    for j0, j1 in _column_blocks(n, width or max(1, _DP_BLOCK_CELLS // (n + 1))):
         block = columns(j0, j1)
         stacked = np.empty_like(block)
         rows = np.arange(j1 - j0)

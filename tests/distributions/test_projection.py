@@ -488,6 +488,30 @@ class TestSplitCertified:
             outcomes += "r" if by == {"rank": 1, "fold": 0} else "f"
         assert outcomes == "rff" * 20
 
+    @pytest.mark.parametrize("big_k, blocks", [(32, [33]), (512, [32] * 15 + [33])])
+    def test_a_short_remainder_joins_the_last_block(self, monkeypatch, big_k, blocks):
+        # K + 1 right endpoints, 32 at a time: the one left over joins the
+        # block before it instead of paying for a costs call of its own.
+        widths = []
+        rank_costs = projection._rank_costs
+
+        def counting(inp, rows):
+            costs, delta = rank_costs(inp, rows)
+
+            def counted_costs(ends):
+                widths.append(len(ends))
+                return costs(ends)
+
+            return counted_costs, delta
+
+        monkeypatch.setattr(projection, "_rank_costs", counting)
+        pmf = np.random.default_rng(big_k).random(big_k) + 0.05
+        inp = projection._coarse_input(
+            pmf / pmf.sum(), Partition.singletons(big_k), 4, None, projection._MAX_PROJECTION_BASE
+        )
+        assert projection._certified_split(inp, 4) is not None
+        assert widths == blocks + [4]  # the DP's blocks, then the path's 4 columns
+
     def test_near_tie_takes_the_fold(self, monkeypatch):
         # A palindrome on an odd number of unit pieces: the best 2-piece
         # split and its mirror image cost the same in exact arithmetic, so
