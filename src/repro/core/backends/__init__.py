@@ -20,15 +20,17 @@ Both run on the one stepped driver of :mod:`repro.core.pipeline`.  A
 backend is a *strategy* class the identity pipeline consults for exactly
 the steps that differ: ``budget(n, k, eps, config)``;
 ``learner_samples(config, intervals, eps)``; ``skip_sieve`` (``None``, or
-why there is no sieve stage); the gate ``check(pipeline, span)`` — via
-``check_oracle`` (a bool) or ``project_oracle`` (a projection) — which sets
+why there is no sieve stage); the gate ``check(pipeline, span)`` — pods16
+calls ``exists_close_histogram`` (a bool), cdkl22
+``coarse_flattening_projection`` (a projection) — which sets
 ``pipeline.reference`` and returns a rejection reason or ``None``;
 ``plan_final_test(pipeline)`` → ``(ε', reference pmf, active mask)``; and
 ``statistic(pipeline, z, plan)`` → ``(statistic, span attrs, reason
 prefix)`` with its rule ``escalate(pipeline, plan, statistic, threshold)``
 → an escalated plan, or ``None`` to decide now.
 
-The check itself has one implementation per oracle (no engine choice);
+Each gate calls its projection function directly: there is one
+implementation per question (no engine choice, no injected oracle);
 the backend changes sample budgets and — on marginal inputs — verdicts, so
 it is part of experiment checkpoint fingerprints.
 """

@@ -52,6 +52,7 @@ import numpy as np
 from repro.core.budget import check_instance
 from repro.core.chi2 import active_mask
 from repro.core.config import TesterConfig
+from repro.distributions.projection import coarse_flattening_projection
 from repro.observability.metrics import get_metrics
 from repro.util.intervals import Partition
 
@@ -151,7 +152,7 @@ class Cdkl22:
         sample-free when it is far, otherwise keep ``D*`` as the final
         test's reference."""
         tolerance = pipeline.config.cdkl22_check_tolerance(pipeline.eps)
-        projection = pipeline.project_oracle(
+        projection = coarse_flattening_projection(
             pipeline.learned.to_pmf(),
             pipeline.partition,
             pipeline.k,

@@ -14,6 +14,7 @@ import numpy as np
 from repro.core.budget import algorithm1_budget
 from repro.core.chi2 import active_mask
 from repro.core.config import TesterConfig
+from repro.distributions.projection import exists_close_histogram
 
 
 class Pods16:
@@ -31,7 +32,7 @@ class Pods16:
         """Step 10: is some ``D* ∈ H_k`` within ``ε/60`` of ``D̂`` on the
         kept domain?  The final test then runs against ``D̂`` itself."""
         tolerance = pipeline.config.check_tolerance(pipeline.eps)
-        close = pipeline.check_oracle(
+        close = exists_close_histogram(
             pipeline.learned.to_pmf(),
             pipeline.partition,
             pipeline.k,

@@ -97,36 +97,6 @@ def algorithm1_budget(
     return float(partition + learner + sieve + final)
 
 
-def capped_source(
-    dist,
-    n: int,
-    k: int,
-    eps: float,
-    *,
-    config: TesterConfig | None = None,
-    slack: float = 1.5,
-    rng=None,
-):
-    """A :class:`~repro.distributions.sampling.SampleSource` hard-capped at
-    ``slack ×`` the closed-form worst-case budget of Algorithm 1.
-
-    Any configuration that tries to draw past the cap — a runaway bisection,
-    a mis-scaled profile, a bug reintroducing sample reuse — raises
-    :class:`~repro.distributions.sampling.SampleBudgetExceeded` immediately
-    instead of simulating forever.
-    """
-    from repro.distributions.sampling import SampleSource
-
-    if slack <= 0:
-        raise ValueError(f"slack must be positive, got {slack}")
-    # Ceil exactly once: the cap is an integer from here on, so budget
-    # enforcement and ledger reconciliation never compare floats.
-    cap = math.ceil(slack * algorithm1_budget(n, k, eps, config))
-    if cap <= 0:
-        raise ValueError(f"degenerate budget cap {cap} for n={n}, k={k}")
-    return SampleSource(dist, rng, max_samples=cap)
-
-
 def budget_table_row(n: int, k: int, eps: float) -> dict:
     """One row of the experiment-E1 landscape table."""
     return {

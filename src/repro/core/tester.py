@@ -35,7 +35,7 @@ adaptive two-stage schedule).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -52,11 +52,6 @@ from repro.core.pipeline import FinalTestPlan, SteppedPipeline
 from repro.core.sieve import SieveResult, sieve_intervals
 from repro.distributions.discrete import DiscreteDistribution
 from repro.distributions.histogram import Histogram
-from repro.distributions.projection import (
-    Projection,
-    coarse_flattening_projection,
-    exists_close_histogram,
-)
 from repro.distributions.sampling import SampleSource, as_source
 from repro.observability.trace import NULL_TRACER, Tracer
 from repro.util.intervals import Partition
@@ -65,19 +60,6 @@ from repro.util.rng import RandomState
 #: Canonical stage order of the pipeline (used by the CLI stage table and
 #: trace summaries; early-exit verdicts record a prefix of it).
 STAGE_ORDER = ("partition", "learn", "sieve", "check", "chi2", "plugin")
-
-#: Signature of the Step-10 check oracle: ``(pmf, partition, k, kept,
-#: tolerance) -> bool``.  The default is
-#: :func:`~repro.distributions.projection.exists_close_histogram`; a serve
-#: session with a declared projection fault injects a counting wrapper
-#: with the same signature.
-CheckOracle = Callable[..., bool]
-
-#: Signature of the cdkl22 projection oracle: ``(pmf, partition, k, kept)
-#: -> Projection``.  The default is
-#: :func:`~repro.distributions.projection.coarse_flattening_projection`;
-#: the serve layer's fault wrapper has the same signature.
-ProjectOracle = Callable[..., Projection]
 
 
 @dataclass(frozen=True)
@@ -130,24 +112,17 @@ class TesterPipeline(SteppedPipeline):
         config: TesterConfig | None = None,
         rng: RandomState = None,
         backend: str = DEFAULT_BACKEND,
-        check_oracle: CheckOracle | None = None,
-        project_oracle: ProjectOracle | None = None,
         trace: Tracer = NULL_TRACER,
     ) -> None:
         self.strategy = backend_strategy(backend)
         self.backend = backend
-        self.check_oracle = (
-            check_oracle if check_oracle is not None else exists_close_histogram
-        )
-        self.project_oracle = (
-            project_oracle if project_oracle is not None else coarse_flattening_projection
-        )
         self.source = as_source(dist, rng)
         super().__init__(self.source, k, eps, config=config, trace=trace)
         self.learned: Histogram | None = None
         self.sieve: SieveResult | None = None
         #: The final test's reference, fixed by the check gate (``D̂`` for
-        #: pods16, the projection ``D* ∈ H_k`` for cdkl22).
+        #: pods16, the projection ``D* ∈ H_k`` for cdkl22).  Only the check
+        #: sets it, so serve reads it to tell whether an attempt's check ran.
         self.reference: Histogram | None = None
 
     def budget_cap(self) -> int | None:

@@ -31,8 +31,6 @@ from typing import Any, Callable, Sequence
 from repro.core.backends import DEFAULT_BACKEND, validate_backend
 from repro.core.config import TesterConfig
 from repro.experiments.sweeps import (
-    SweepPoint,
-    _point_from_json,
     _point_to_json,
     measure_point,
     point_instance,
@@ -192,9 +190,6 @@ class ShardResult:
     trace: tuple  # exported sub-trace events (dicts)
     samples_total: int  # sum of ledger totals across the shard's trials
     trials_total: int  # number of ledger events (tester invocations)
-
-    def sweep_point(self) -> SweepPoint:
-        return _point_from_json(self.point)
 
     def commit(self, store: ResultsStore, shard_id: str, worker_id: str) -> bool:
         """Commit this result as ``shard_id``'s row; ``False`` = duplicate."""

@@ -583,22 +583,6 @@ class ResultsStore:
             Shard(shard_id=r[0], index=r[1], payload=json.loads(r[2])) for r in rows
         ]
 
-    def active_leases(self) -> list[Lease]:
-        rows = self._conn().execute(
-            "SELECT l.shard_id, s.idx, s.payload, l.worker_id, l.deadline "
-            "FROM leases l JOIN shards s ON s.shard_id = l.shard_id "
-            "WHERE s.status = 'pending' AND l.deadline > ? ORDER BY s.idx",
-            (self._clock(),),
-        ).fetchall()
-        return [
-            Lease(
-                shard=Shard(shard_id=r[0], index=r[1], payload=json.loads(r[2])),
-                worker_id=r[3],
-                deadline=r[4],
-            )
-            for r in rows
-        ]
-
     def events(self) -> Iterator[dict[str, Any]]:
         """The audit log, oldest first."""
         rows = self._conn().execute(

@@ -15,8 +15,9 @@ Its loop:
 Every store call goes through the robustness substrate: a seeded-jitter
 :class:`~repro.robustness.resilience.RetryPolicy` absorbs transient sqlite
 lock contention (many workers share one write lock), and a per-worker
-:class:`~repro.serve.breaker.CircuitBreaker` backs the whole loop off when
-the store itself is persistently unhealthy rather than hammering it.
+:class:`~repro.robustness.resilience.CircuitBreaker` backs the whole loop
+off when the store itself is persistently unhealthy rather than hammering
+it.
 
 SIGTERM/SIGINT request a **graceful drain**: the in-flight shard finishes
 and commits (work already paid for is not thrown away), no further shards
@@ -49,8 +50,7 @@ from repro.distributed.chaos import ChaosSchedule, ChaosState
 from repro.distributed.spec import SweepSpec, run_shard
 from repro.distributed.store import Lease, ResultsStore, StoreError
 from repro.observability.ledger import SampleLedger
-from repro.robustness.resilience import RetryPolicy, run_with_retry
-from repro.serve.breaker import CircuitBreaker
+from repro.robustness.resilience import CircuitBreaker, RetryPolicy, run_with_retry
 
 #: sqlite's "database is locked" surfaces as OperationalError — the one
 #: store failure that is expected under contention and safe to retry.
@@ -137,12 +137,6 @@ class WorkerOptions:
     #: Stop after this many commits (``None`` = run until the sweep finishes).
     max_shards: "int | None" = None
     chaos: "ChaosSchedule | None" = None
-    retry: "RetryPolicy | None" = None
-    breaker_threshold: int = 3
-    breaker_cooldown: int = 2
-
-    def resolved_retry(self) -> RetryPolicy:
-        return self.retry if self.retry is not None else default_store_retry(self.worker_id)
 
     def resolved_heartbeat_interval(self) -> float:
         if self.heartbeat_interval is not None:
@@ -193,11 +187,8 @@ class Worker:
         self.store = store if isinstance(store, ResultsStore) else ResultsStore(store)
         self.options = options
         self._sleep = sleep
-        self._retry = options.resolved_retry()
-        self._breaker = CircuitBreaker(
-            failure_threshold=options.breaker_threshold,
-            cooldown_rounds=options.breaker_cooldown,
-        )
+        self._retry = default_store_retry(options.worker_id)
+        self._breaker = CircuitBreaker()
         self._chaos = ChaosState(options.chaos) if options.chaos else None
         self._drain_requested = False
         # Wakes pause().  A SimpleQueue, not a threading.Event: put() is

@@ -86,11 +86,6 @@ class ReplaySource(SampleSource):
         """Observations not yet served."""
         return len(self._data) - self._cursor
 
-    def rewind(self) -> None:
-        """Restart from the beginning (reuses data — only statistically
-        sound for *independent* analyses, not within one tester run)."""
-        self._cursor = 0
-
     def _take(self, count: int) -> np.ndarray:
         if count > self.remaining:
             raise InsufficientSamples(count, self.remaining)

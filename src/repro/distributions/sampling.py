@@ -54,8 +54,8 @@ class SampleBudgetExceeded(RuntimeError):
 
     Raised *before* any samples are served, so a capped source never
     over-delivers: a runaway configuration fails fast instead of simulating
-    forever.  See :func:`repro.core.budget.capped_source` for deriving a cap
-    from the closed-form budget of Algorithm 1.
+    forever.  The serve layer caps every attempt at a slack multiple of its
+    backend's closed-form budget.
     """
 
     def __init__(self, requested: int, drawn: int, max_samples: int) -> None:
@@ -191,6 +191,42 @@ class SampleSource:
             child_rng(self._rng),
             max_samples=self._max_samples,
         )
+
+
+class SourceProxy(SampleSource):
+    """A :class:`SampleSource` serving (a view of) another source's stream.
+
+    Budget accounting is the wrapped source's, so ``samples_drawn`` /
+    ``lifetime_drawn`` / ``max_samples`` enforcement behave exactly as for
+    the bare source.  Subclasses (the fault-injecting and deadline
+    wrappers) supply the draw paths, ``spawn`` and ``permuted``.
+    """
+
+    def __init__(self, base: SampleSource) -> None:
+        self._base = base
+
+    @property
+    def n(self) -> int:
+        return self._base.n
+
+    @property
+    def samples_drawn(self) -> int:
+        return self._base.samples_drawn
+
+    @property
+    def lifetime_drawn(self) -> int:
+        return self._base.lifetime_drawn
+
+    @property
+    def draw_calls(self) -> int:
+        return self._base.draw_calls
+
+    @property
+    def max_samples(self) -> int | None:
+        return self._base.max_samples
+
+    def reset_budget(self) -> None:
+        self._base.reset_budget()
 
 
 class _JointBudgetStream(SampleSource):

@@ -345,16 +345,6 @@ def pair_ground_truth(
     return 0.5 * float(np.abs(pp - qq).sum())
 
 
-def closeness_close_workloads() -> list[PairedWorkload]:
-    """All paired workloads with ``p = q``."""
-    return [w for w in CLOSENESS_REGISTRY.values() if w.nature == "close"]
-
-
-def closeness_far_workloads() -> list[PairedWorkload]:
-    """All paired workloads with exact ``dTV(p, q) ≥ ε`` by construction."""
-    return [w for w in CLOSENESS_REGISTRY.values() if w.nature == "far"]
-
-
 def completeness_workloads() -> list[Workload]:
     """All workloads whose instances are exact k-histograms."""
     return [w for w in REGISTRY.values() if w.nature == "complete"]

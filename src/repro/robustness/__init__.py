@@ -1,11 +1,12 @@
-"""Fault-tolerant experiment execution.
+"""Fault injection and fault handling, in one place.
 
-Two pillars, each exercised by experiment E20 and the robust trial runner
-in :mod:`repro.experiments.runner`:
+Two pillars, exercised by experiment E20, the robust trial runner in
+:mod:`repro.experiments.runner`, the serve layer and the sweep workers:
 
 * :mod:`repro.robustness.faults` — corrupted sample streams (Huber
   contamination, out-of-domain samples, stale reads, scheduled failures);
 * :mod:`repro.robustness.resilience` — bounded deterministic retry,
+  circuit breakers (one per serve source, one per sweep worker),
   wall-clock deadlines, structured trial-failure isolation.
 
 Long-running sweeps checkpoint into the sqlite results store of
@@ -21,6 +22,7 @@ from repro.robustness.faults import (
 from repro.robustness.resilience import (
     ISOLATED_ERRORS,
     TRANSIENT_ERRORS,
+    CircuitBreaker,
     Deadline,
     DeadlineSource,
     RetryPolicy,
@@ -34,6 +36,7 @@ from repro.robustness.resilience import (
 __all__ = [
     "ISOLATED_ERRORS",
     "TRANSIENT_ERRORS",
+    "CircuitBreaker",
     "CorruptSampleError",
     "Deadline",
     "DeadlineSource",

@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.distributions.discrete import DiscreteDistribution
-from repro.distributions.sampling import SampleSource, charge_units
+from repro.distributions.sampling import SampleSource, SourceProxy, charge_units
 from repro.observability.metrics import get_metrics
 from repro.util.rng import RandomState, child_rng, ensure_rng
 
@@ -134,14 +134,14 @@ class FaultConfig:
         return replace(self, fail_at_draws=frozenset(calls))
 
 
-class FaultInjectingSource(SampleSource):
+class FaultInjectingSource(SourceProxy):
     """A :class:`SampleSource` serving a corrupted view of another source.
 
-    Budget accounting passes through to the wrapped source (corrupted
-    samples still cost budget — the tester cannot tell them apart), so
-    ``samples_drawn`` / ``lifetime_drawn`` / ``max_samples`` enforcement all
-    behave exactly as for the bare source.  Fault randomness comes from a
-    separate stream (``fault_rng``), keeping the base stream untouched.
+    Budget accounting passes through to the wrapped source
+    (:class:`~repro.distributions.sampling.SourceProxy`): corrupted samples
+    still cost budget — the tester cannot tell them apart.  Fault
+    randomness comes from a separate stream (``fault_rng``), keeping the
+    base stream untouched.
     """
 
     def __init__(
@@ -150,7 +150,7 @@ class FaultInjectingSource(SampleSource):
         config: FaultConfig,
         fault_rng: RandomState = None,
     ) -> None:
-        self._base = source
+        super().__init__(source)
         self._faults = config
         self._fault_rng = ensure_rng(fault_rng)
         self._calls = 0
@@ -164,40 +164,6 @@ class FaultInjectingSource(SampleSource):
             if config.contaminant is not None
             else DiscreteDistribution.uniform(source.n)
         )
-
-    # -- passthrough accounting --------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return self._base.n
-
-    @property
-    def samples_drawn(self) -> int:
-        return self._base.samples_drawn
-
-    @property
-    def lifetime_drawn(self) -> int:
-        return self._base.lifetime_drawn
-
-    @property
-    def draw_calls(self) -> int:
-        return self._base.draw_calls
-
-    @property
-    def max_samples(self) -> int | None:
-        return self._base.max_samples
-
-    def reset_budget(self) -> None:
-        self._base.reset_budget()
-
-    @property
-    def fault_config(self) -> FaultConfig:
-        return self._faults
-
-    @property
-    def calls_made(self) -> int:
-        """Draw calls seen so far (including ones that raised)."""
-        return self._calls
 
     # -- fault machinery ----------------------------------------------------
 

@@ -1,11 +1,12 @@
-"""Bounded retry, wall-clock deadlines, and trial-failure records.
+"""Bounded retry, circuit breakers, wall-clock deadlines, and trial-failure
+records.
 
 Everything here is deliberately *deterministic*: backoff jitter is seeded
 (the delay schedule is a pure function of the policy, so experiments replay
-bit-for-bit given a seed) and deadlines are cooperative (checked at every
-draw through :class:`DeadlineSource`), so a timed-out trial aborts at a
-well-defined point in its sample stream instead of being killed
-mid-arithmetic.
+bit-for-bit given a seed), breaker cooldowns are counted in caller rounds,
+and deadlines are cooperative (checked at every draw through
+:class:`DeadlineSource`), so a timed-out trial aborts at a well-defined
+point in its sample stream instead of being killed mid-arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from repro.distributions.sampling import SampleBudgetExceeded, SampleSource
+from repro.distributions.sampling import SampleBudgetExceeded, SampleSource, SourceProxy
 from repro.observability.metrics import get_metrics
 from repro.robustness.faults import CorruptSampleError, InjectedStreamFailure
 
@@ -131,6 +132,85 @@ def run_with_retry(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
+CLOSED = "CLOSED"
+OPEN = "OPEN"
+HALF_OPEN = "HALF_OPEN"
+
+
+class CircuitBreaker:
+    """Consecutive-failure trip with a scheduled re-probe.
+
+    One breaker guards one upstream: a serve ``source_id``, or a sweep
+    worker's results store.  When the upstream fails repeatedly, retrying
+    every caller against it burns budget on something that is plainly
+    down, so the breaker trips after ``failure_threshold`` *consecutive*
+    failures:
+
+    * **CLOSED** — healthy; traffic flows.
+    * **OPEN** — tripped; callers wait (they are not evicted — their own
+      deadlines and retry budgets decide that).  After ``cooldown_rounds``
+      rounds the breaker moves to HALF_OPEN.
+    * **HALF_OPEN** — one probe per round is let through; a success closes
+      the breaker, a failure re-opens it for another cooldown.  A probe
+      that records neither (a serve session dying of its own budget) frees
+      the slot at the next :meth:`tick`, so it cannot block its upstream.
+
+    A round is one :meth:`tick` of the caller's loop (a service round, one
+    pass of a worker's claim loop), so breaker behaviour replays
+    identically under a fixed seed.
+    """
+
+    def __init__(self, failure_threshold: int = 3, cooldown_rounds: int = 2) -> None:
+        if failure_threshold < 1:
+            raise ValueError(f"failure_threshold must be ≥ 1, got {failure_threshold}")
+        if cooldown_rounds < 1:
+            raise ValueError(f"cooldown_rounds must be ≥ 1, got {cooldown_rounds}")
+        self.failure_threshold = failure_threshold
+        self.cooldown_rounds = cooldown_rounds
+        self.state = CLOSED
+        self.consecutive_failures = 0
+        self.trips = 0
+        self._cooldown_left = 0
+        self._probe_inflight = False
+
+    def tick(self) -> None:
+        """Advance one round: free the probe slot and count down an open
+        breaker's cooldown."""
+        self._probe_inflight = False
+        if self.state == OPEN:
+            self._cooldown_left -= 1
+            if self._cooldown_left <= 0:
+                self.state = HALF_OPEN
+
+    def allow(self) -> bool:
+        """May a caller on this upstream start (or continue) an attempt now?
+
+        In HALF_OPEN only the first caller per round gets through — it
+        becomes the probe whose outcome decides the breaker's fate.
+        """
+        if self.state == CLOSED:
+            return True
+        if self.state == HALF_OPEN and not self._probe_inflight:
+            self._probe_inflight = True
+            return True
+        return False
+
+    def record_success(self) -> None:
+        self.consecutive_failures = 0
+        self._probe_inflight = False
+        self.state = CLOSED
+
+    def record_failure(self) -> None:
+        self.consecutive_failures += 1
+        self._probe_inflight = False
+        if self.state == HALF_OPEN or self.consecutive_failures >= self.failure_threshold:
+            if self.state != OPEN:
+                self.trips += 1
+            self.state = OPEN
+            self._cooldown_left = self.cooldown_rounds
+            self.consecutive_failures = 0
+
+
 class Deadline:
     """A wall-clock deadline with an injectable clock (for tests)."""
 
@@ -156,7 +236,7 @@ class Deadline:
             raise TrialTimeout(self.seconds)
 
 
-class DeadlineSource(SampleSource):
+class DeadlineSource(SourceProxy):
     """A :class:`SampleSource` proxy that enforces a deadline on every draw.
 
     Testers spend their time in sample-draw loops, so checking at each draw
@@ -164,31 +244,8 @@ class DeadlineSource(SampleSource):
     """
 
     def __init__(self, source: SampleSource, deadline: Deadline) -> None:
-        self._base = source
+        super().__init__(source)
         self._deadline = deadline
-
-    @property
-    def n(self) -> int:
-        return self._base.n
-
-    @property
-    def samples_drawn(self) -> int:
-        return self._base.samples_drawn
-
-    @property
-    def lifetime_drawn(self) -> int:
-        return self._base.lifetime_drawn
-
-    @property
-    def draw_calls(self) -> int:
-        return self._base.draw_calls
-
-    @property
-    def max_samples(self) -> int | None:
-        return self._base.max_samples
-
-    def reset_budget(self) -> None:
-        self._base.reset_budget()
 
     def draw(self, m: int) -> np.ndarray:
         self._deadline.check()

@@ -10,13 +10,12 @@ k-histogram?" queries over the batch-first tester core
 * :mod:`repro.serve.admission` — the global in-flight budget
   (sessions × samples) with token-bucket refill, a bounded wait queue, and
   deterministic load shedding;
-* :mod:`repro.serve.breaker` — per-source circuit breakers with scheduled
-  re-probes;
 * :mod:`repro.serve.batch` — the vectorized final-test executor
   (streams × repeats × domain matrices through one χ² kernel call);
 * :mod:`repro.serve.service` — the round-driven event loop tying the above
-  together, with retry, circuit breaking and graceful degradation (each
-  session calls the projection oracles directly);
+  together, with retry, per-source circuit breakers
+  (:class:`~repro.robustness.resilience.CircuitBreaker`) and graceful
+  degradation;
 * :mod:`repro.serve.chaos` — deterministic fault-schedule replay for the
   ``repro serve --chaos`` drill and the E24 soak benchmark.
 
@@ -28,7 +27,6 @@ two runs of the same request set produce byte-identical reports.
 
 from repro.serve.admission import AdmissionConfig, AdmissionController, Rejection
 from repro.serve.batch import compute_final_statistics
-from repro.serve.breaker import CircuitBreaker
 from repro.serve.chaos import ChaosConfig, build_requests
 from repro.serve.service import ServiceConfig, ServiceReport, TesterService
 from repro.serve.session import SessionOutcome, SessionState, StreamRequest, StreamSession
@@ -37,7 +35,6 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "ChaosConfig",
-    "CircuitBreaker",
     "Rejection",
     "ServiceConfig",
     "ServiceReport",

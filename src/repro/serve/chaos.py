@@ -19,10 +19,10 @@ Fault kinds cycle deterministically over the faulty sessions:
   exercises retry and eviction);
 * ``timeout``       — a deadline in virtual ticks too tight for the final
   test (exercises eviction and the partial-pipeline degradation);
-* ``projection``    — a declared fault on the session's first check-stage
-  projection, which is counted in ``serve.projection_fallbacks`` and runs
-  the plain projection (exercises the ``projection-dense-fallback`` →
-  DEGRADED path; no projection actually fails).
+* ``projection``    — a declared fault on the session's check stage: the
+  first attempt whose check ran counts one ``serve.projection_fallbacks``
+  when it closes (exercises the ``projection-dense-fallback`` → DEGRADED
+  path; no projection actually fails).
 """
 
 from __future__ import annotations

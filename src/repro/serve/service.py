@@ -15,12 +15,12 @@ Degradation policy (in order of preference):
 
 1. **retry** — transient stream faults (injected failures, corrupt
    batches) get a fresh attempt after a seeded, jittered backoff in
-   virtual time, up to the retry policy's attempt limit;
+   virtual time, up to :data:`RETRY_POLICY`'s attempt limit;
 2. **fallback** — a session carrying the chaos drill's declared
-   ``projection`` fault counts its first check-stage projection as a
-   fallback and flags the verdict ``projection-dense-fallback``
-   (:meth:`StreamSession.start_attempt
-   <repro.serve.session.StreamSession.start_attempt>`); nothing else
+   ``projection`` fault counts one fallback when the first attempt whose
+   check stage ran closes, and flags the verdict
+   ``projection-dense-fallback`` (:meth:`StreamSession.close_attempt
+   <repro.serve.session.StreamSession.close_attempt>`); nothing else
    falls back — an exception from the projection is a bug and propagates;
 3. **partial-pipeline** — a deadline or budget death *after* the check
    stage passed accepts on the prefix evidence with an explicit confidence
@@ -51,10 +51,9 @@ from repro.distributions.sampling import SampleBudgetExceeded
 from repro.observability.metrics import get_metrics
 from repro.observability.trace import TraceEvent
 from repro.robustness.faults import CorruptSampleError, InjectedStreamFailure
-from repro.robustness.resilience import RetryPolicy, TrialTimeout
+from repro.robustness.resilience import CircuitBreaker, RetryPolicy, TrialTimeout
 from repro.serve.admission import AdmissionConfig, AdmissionController, Rejection
 from repro.serve.batch import FinalBatchItem, compute_final_statistics
-from repro.serve.breaker import CircuitBreaker
 from repro.serve.session import SessionOutcome, SessionState, StreamRequest, StreamSession
 
 
@@ -71,6 +70,21 @@ SESSION_FAILURES = (
 #: trouble).  Budget exhaustion is the session's own doing, not the
 #: upstream's, so it never trips a breaker.
 SOURCE_FAILURES = (InjectedStreamFailure, CorruptSampleError, TrialTimeout)
+
+#: Per-session retry policy, in virtual ticks; ``jitter_seed`` is re-seeded
+#: per session (with the session index) so concurrent retries de-synchronise.
+RETRY_POLICY = RetryPolicy(
+    max_attempts=3,
+    base_delay=2.0,
+    multiplier=2.0,
+    max_delay=32.0,
+    jitter=0.5,
+    retry_on=(InjectedStreamFailure, CorruptSampleError),
+)
+
+#: A session's per-attempt sample cap is ``BUDGET_SLACK ×`` its backend's
+#: worst-case budget.
+BUDGET_SLACK = 1.5
 
 
 class StepClock:
@@ -104,23 +118,6 @@ class ServiceConfig:
 
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     tester: TesterConfig = field(default_factory=TesterConfig.practical)
-    #: Per-session retry policy; ``jitter_seed`` is re-seeded per session
-    #: (with the session index) so concurrent retries de-synchronise.
-    retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(
-            max_attempts=3,
-            base_delay=2.0,
-            multiplier=2.0,
-            max_delay=32.0,
-            jitter=0.5,
-            retry_on=(InjectedStreamFailure, CorruptSampleError),
-        )
-    )
-    breaker_failure_threshold: int = 3
-    breaker_cooldown_rounds: int = 2
-    #: Per-attempt sample caps are ``slack ×`` the Algorithm 1 budget
-    #: (mirrors :func:`repro.core.budget.capped_source`).
-    budget_slack: float = 1.5
     #: Hard stop for the rounds of one :meth:`TesterService.run` — a
     #: liveness backstop, not a tunable.
     max_rounds: int = 100_000
@@ -160,9 +157,7 @@ class ServiceReport:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def request_units(
-    request: StreamRequest, config: TesterConfig, slack: float
-) -> int:
+def request_units(request: StreamRequest, config: TesterConfig) -> int:
     """The admission cost of a request: its per-attempt hard sample cap.
 
     Priced by the request's backend — a cdkl22 request admits at its own
@@ -178,8 +173,10 @@ def request_units(
     if 2.0 * b + 2.0 >= n / 2.0:
         # Plug-in regime: the backend budget formulas do not apply; the
         # offline learner's Θ(n/ε²) budget does.
-        return int(math.ceil(slack * learn_offline_budget_practical(n, request.eps)))
-    return int(math.ceil(slack * backend_budget(request.backend, n, k, request.eps, config)))
+        return int(math.ceil(BUDGET_SLACK * learn_offline_budget_practical(n, request.eps)))
+    return int(
+        math.ceil(BUDGET_SLACK * backend_budget(request.backend, n, k, request.eps, config))
+    )
 
 
 class TesterService:
@@ -234,7 +231,7 @@ class TesterService:
         """Queue a request; returns the :class:`Rejection` when shed."""
         if request.request_id in self._requests:
             raise ValueError(f"duplicate request_id {request.request_id!r}")
-        units = request_units(request, self.config.tester, self.config.budget_slack)
+        units = request_units(request, self.config.tester)
         rejection = self.admission.submit(request.request_id, units)
         if rejection is not None:
             self._rejections.append(rejection)
@@ -365,10 +362,7 @@ class TesterService:
             index,
             request,
             config=self.config.tester,
-            budget_cap=request_units(
-                request, self.config.tester, self.config.budget_slack
-            )
-            or None,
+            budget_cap=request_units(request, self.config.tester) or None,
             clock=self.clock,
             admitted_round=round_index,
         )
@@ -450,7 +444,7 @@ class TesterService:
             return
 
         # Transient stream faults: retry with seeded jittered backoff.
-        policy = replace(self.config.retry, jitter_seed=session.index)
+        policy = replace(RETRY_POLICY, jitter_seed=session.index)
         if session.attempt >= policy.max_attempts:
             self._retire(
                 session,
@@ -497,9 +491,6 @@ class TesterService:
     def _breaker(self, source_id: str) -> CircuitBreaker:
         breaker = self.breakers.get(source_id)
         if breaker is None:
-            breaker = CircuitBreaker(
-                self.config.breaker_failure_threshold,
-                self.config.breaker_cooldown_rounds,
-            )
+            breaker = CircuitBreaker()
             self.breakers[source_id] = breaker
         return breaker

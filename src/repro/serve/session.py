@@ -36,10 +36,6 @@ from repro.core.backends import DEFAULT_BACKEND, validate_backend
 from repro.core.config import TesterConfig
 from repro.core.tester import TesterPipeline, Verdict
 from repro.distributions.discrete import DiscreteDistribution
-from repro.distributions.projection import (
-    coarse_flattening_projection,
-    exists_close_histogram,
-)
 from repro.distributions.sampling import SampleSource
 from repro.observability.metrics import get_metrics
 from repro.observability.trace import RecordingTracer
@@ -89,10 +85,10 @@ class StreamRequest:
     #: shared by every attempt's :class:`DeadlineSource`.
     deadline_ticks: Optional[int] = None
     #: Per-attempt hard sample cap (``None`` → the service derives one from
-    #: the Algorithm 1 budget formula with its configured slack).
+    #: the backend's budget formula with its fixed slack).
     max_samples: Optional[int] = None
-    #: Chaos knob: a declared projection fault — the session's first
-    #: check-stage projection is counted as a fallback and the session
+    #: Chaos knob: a declared projection fault — the first attempt whose
+    #: check stage ran counts one fallback when it closes, and the session
     #: retires DEGRADED (``projection-dense-fallback``).
     projection_fault: bool = False
     #: Tester backend for this session ("pods16" | "cdkl22").  Part of the
@@ -221,45 +217,28 @@ class StreamSession:
             backend=req.backend,
         )
         self._test_span.__enter__()
-        check_oracle, project_oracle = self._projection_oracles()
         self.pipeline = TesterPipeline(
             source,
             req.k,
             req.eps,
             config=self.config,
             backend=req.backend,
-            check_oracle=check_oracle,
-            project_oracle=project_oracle,
             trace=self.tracer,
         )
         return self.pipeline
 
-    def _projection_oracles(self) -> tuple:
-        """The check-stage oracles (pods16 check, cdkl22 projection).
-
-        The plain projection functions, unless the request's declared
-        ``projection`` fault is still pending: then the session's first
-        projection call counts one ``serve.projection_fallbacks`` and
-        degrades the session (``projection-dense-fallback``); every call,
-        that one included, runs the plain projection.
-        """
-        if not self.projection_fault_pending:
-            return exists_close_histogram, coarse_flattening_projection
-
-        def degrade_once(project):
-            def oracle(*args):
-                if self.projection_fault_pending:
-                    self.projection_fault_pending = False
-                    get_metrics().counter("serve.projection_fallbacks").inc()
-                    self.degrade("projection-dense-fallback")
-                return project(*args)
-
-            return oracle
-
-        return degrade_once(exists_close_histogram), degrade_once(coarse_flattening_projection)
-
     def close_attempt(self, reconciled_samples: int) -> None:
-        """Record one finished (or aborted-and-reconciled) attempt."""
+        """Record one finished (or aborted-and-reconciled) attempt.
+
+        The request's declared ``projection`` fault fires here, once: the
+        first closing attempt whose check stage ran (only the check sets
+        ``pipeline.reference``) counts one ``serve.projection_fallbacks``
+        and degrades the session (``projection-dense-fallback``).
+        """
+        if self.projection_fault_pending and self.pipeline.reference is not None:
+            self.projection_fault_pending = False
+            get_metrics().counter("serve.projection_fallbacks").inc()
+            self.degrade("projection-dense-fallback")
         self.attempt_samples.append(int(reconciled_samples))
         if self._test_span is not None:
             self._test_span.set(samples=int(reconciled_samples))

@@ -1,7 +1,5 @@
 """Tests for the closed-form sample-complexity formulas."""
 
-import math
-
 import pytest
 
 from repro.core.budget import (
@@ -107,37 +105,3 @@ class TestImplementationBudget:
         assert set(row) == {
             "n", "k", "eps", "this_paper_ub", "lower_bound", "ilr12", "cdgr16", "learn_offline",
         }
-
-
-class TestCappedSource:
-    def test_cap_is_slack_times_algorithm1_budget(self):
-        from repro.core.budget import capped_source
-        from repro.distributions.discrete import DiscreteDistribution
-
-        cfg = TesterConfig.practical()
-        src = capped_source(
-            DiscreteDistribution.uniform(1000), 1000, 4, 0.3,
-            config=cfg, slack=1.5, rng=0,
-        )
-        # Integer-exact: the cap is ceiled exactly once at construction.
-        assert src.max_samples == math.ceil(1.5 * algorithm1_budget(1000, 4, 0.3, cfg))
-        assert isinstance(src.max_samples, int)
-        src.draw(100)  # well under the cap
-
-    def test_runaway_draw_raises(self):
-        from repro.core.budget import capped_source
-        from repro.distributions.discrete import DiscreteDistribution
-        from repro.distributions.sampling import SampleBudgetExceeded
-
-        src = capped_source(
-            DiscreteDistribution.uniform(1000), 1000, 4, 0.3, slack=1.0, rng=0,
-        )
-        with pytest.raises(SampleBudgetExceeded):
-            src.draw_counts(int(src.max_samples) + 1)
-
-    def test_validation(self):
-        from repro.core.budget import capped_source
-        from repro.distributions.discrete import DiscreteDistribution
-
-        with pytest.raises(ValueError):
-            capped_source(DiscreteDistribution.uniform(10), 10, 2, 0.3, slack=0.0)

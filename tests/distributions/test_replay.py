@@ -68,12 +68,6 @@ class TestDrawing:
         src.reset_budget()
         assert src.samples_drawn == 0.0
 
-    def test_rewind(self):
-        src = ReplaySource(dataset(50), rng=4)
-        first = src.draw(50).copy()
-        src.rewind()
-        assert np.array_equal(src.draw(50), first)
-
     def test_negative_draws(self):
         src = ReplaySource(dataset(10), rng=5)
         with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
-"""Tests for the per-source circuit breaker's state machine."""
+"""Tests for the circuit breaker's state machine."""
 
 import pytest
 
-from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from repro.robustness.resilience import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 
 
 class TestCircuitBreaker:
@@ -69,3 +69,14 @@ class TestCircuitBreaker:
             assert breaker.allow()
             breaker.record_failure()
             assert breaker.state == OPEN
+
+    def test_unrecorded_probe_frees_its_slot_next_round(self):
+        breaker = CircuitBreaker(failure_threshold=1, cooldown_rounds=1)
+        breaker.record_failure()
+        breaker.tick()
+        assert breaker.state == HALF_OPEN
+        assert breaker.allow()  # the probe, which records no outcome
+        assert not breaker.allow()
+        breaker.tick()
+        assert breaker.state == HALF_OPEN
+        assert breaker.allow()  # the next round's probe

@@ -93,7 +93,7 @@ class TestScheduledFailures:
         with pytest.raises(InjectedStreamFailure):
             wrapped.draw_counts_poissonized(5.0)  # call 4: scheduled
         wrapped.draw(5)  # call 5: fine
-        assert wrapped.calls_made == 5
+        assert wrapped.samples_drawn == 15  # three served calls of 5 samples
 
     def test_failed_call_charges_no_budget(self):
         config = FaultConfig(fail_at_draws=frozenset({1}))

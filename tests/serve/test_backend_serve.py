@@ -16,16 +16,20 @@ import pytest
 
 from repro.core.backends import BACKENDS
 from repro.core.config import TesterConfig
+from repro.core.tester import TesterPipeline
 from repro.distributions.discrete import DiscreteDistribution
-from repro.distributions.projection import (
-    coarse_flattening_projection,
-    exists_close_histogram,
-)
+from repro.distributions.sampling import SampleSource
+from repro.experiments.workloads import make
 from repro.observability.metrics import get_metrics
 from repro.serve import ChaosConfig, ServiceConfig, TesterService, build_requests
 from repro.serve.batch import FinalBatchItem, compute_final_statistics
 from repro.serve.service import StepClock
-from repro.serve.session import SessionState, StreamRequest, StreamSession
+from repro.serve.session import (
+    PARTIAL_CONFIDENCE,
+    SessionState,
+    StreamRequest,
+    StreamSession,
+)
 
 N, K, EPS = 512, 4, 0.3  # full-pipeline regime (not plug-in, not trivial)
 CONFIG = TesterConfig.practical()
@@ -165,40 +169,83 @@ class TestProjectionFallback:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_declared_fault_counts_once_and_degrades(self, backend):
-        """The fault is one event: the session's first projection call counts
-        it and degrades the session; later calls (same attempt or a new
-        one) go straight to the plain projection."""
+        """The fault is one event: the first attempt whose check ran counts
+        it when it closes and degrades the session; a later attempt that
+        runs its check too adds nothing.  The verdict is the clean
+        session's: the fault only flags it."""
         session = _session(_request(backend=backend, projection_fault=True))
         pipeline = session.start_attempt()
         before = self._fallbacks()
         verdict = pipeline.run()
-        assert self._fallbacks() - before == 1
+        assert pipeline.reference is not None  # the check ran
+        assert self._fallbacks() == before  # counted when the attempt closes
         session.close_attempt(verdict.samples_used)
+        assert self._fallbacks() - before == 1
         outcome = session.retire_verdict(verdict, 1, 0.0)
         assert outcome.state == SessionState.DEGRADED
         assert outcome.degraded_mode == "projection-dense-fallback"
 
-        args = (
-            pipeline.learned.to_pmf(),
-            pipeline.partition,
-            pipeline.k,
-            pipeline.sieve.kept,
-        )
-        if backend == "pods16":
-            args += (CONFIG.check_tolerance(EPS),)
-            expected = exists_close_histogram(*args)
-            for _ in range(2):
-                assert pipeline.check_oracle(*args) == expected
-        else:
-            expected = coarse_flattening_projection(*args)
-            for _ in range(2):
-                got = pipeline.project_oracle(*args)
-                assert got.distance == expected.distance
-                np.testing.assert_array_equal(got.boundaries, expected.boundaries)
+        clean = _session(_request(backend=backend)).start_attempt().run()
+        assert (verdict.accept, verdict.reason) == (clean.accept, clean.reason)
+
         retry = session.start_attempt()
-        assert retry.check_oracle is exists_close_histogram
-        assert retry.project_oracle is coarse_flattening_projection
+        assert retry.run_to_final() is None  # through its check
+        assert retry.reference is not None
         session.abort_attempt()
+        assert self._fallbacks() - before == 1
+
+    def test_attempts_rejected_at_the_sieve_never_count(self):
+        """A pods16 attempt that rejects at the sieve never runs the check:
+        it neither counts nor degrades.  The first later attempt whose
+        check runs counts exactly once."""
+        # A sawtooth mixed into uniform at a weight where the sieve rejects
+        # attempts 1 and 2 of this seed and passes attempt 3.
+        saw = make("sawtooth-uniform", N, K, EPS, rng=0).pmf
+        weight = 0.0702
+        dist = DiscreteDistribution((1 - weight) / N + weight * saw)
+        session = _session(_request(dist=dist, seed=2, projection_fault=True))
+        before = self._fallbacks()
+        stages = []
+        for _ in range(3):
+            pipeline = session.start_attempt()
+            verdict = pipeline.run()
+            stages.append(verdict.stage)
+            session.close_attempt(verdict.samples_used)
+            if verdict.stage == "sieve":
+                assert pipeline.reference is None
+                assert self._fallbacks() == before
+                assert session.degraded_mode is None
+        assert stages == ["sieve", "sieve", "chi2"]
+        assert self._fallbacks() - before == 1
+        assert session.degraded_mode == "projection-dense-fallback"
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_final_draw_death_after_the_check_keeps_the_fallback_mode(self, backend):
+        """An attempt whose check ran and whose final draw then dies of the
+        deadline retires partial-pipeline, but flagged with the mode that
+        landed first: the fallback, counted once."""
+        request = _request(backend=backend, projection_fault=True)
+        probe = SampleSource(
+            request.dist,
+            rng=np.random.default_rng(
+                np.random.SeedSequence(entropy=request.seed, spawn_key=(0, 1))
+            ),
+        )
+        prefix = TesterPipeline(probe, K, EPS, config=CONFIG, backend=backend)
+        assert prefix.run_to_final() is None
+        # Every draw reads the session's step clock once; so do the deadline's
+        # construction and the round's pre-attempt expiry check.  With two
+        # ticks beyond the prefix's draw calls, the first final draw expires.
+        ticks = probe.draw_calls + 2
+        service = TesterService(ServiceConfig(tester=CONFIG))
+        service.submit(replace(request, deadline_ticks=ticks))
+        before = self._fallbacks()
+        (outcome,) = service.run().outcomes
+        assert outcome.state == SessionState.DEGRADED
+        assert outcome.stage == "check"  # the partial-pipeline verdict
+        assert outcome.confidence == PARTIAL_CONFIDENCE
+        assert "TrialTimeout" in outcome.reason
+        assert outcome.degraded_mode == "projection-dense-fallback"
         assert self._fallbacks() - before == 1
 
     @pytest.mark.parametrize("backend", BACKENDS)

@@ -26,7 +26,7 @@ from repro.serve import (
     build_requests,
 )
 from repro.serve.chaos import FAULT_KINDS
-from repro.serve.service import request_units
+from repro.serve.service import RETRY_POLICY, request_units
 from repro.serve.session import FULL_CONFIDENCE, PARTIAL_CONFIDENCE
 
 N, K, EPS = 512, 4, 0.3
@@ -74,9 +74,7 @@ class TestCleanService:
             rng=np.random.default_rng(
                 np.random.SeedSequence(entropy=request.seed, spawn_key=(0, 1))
             ),
-            max_samples=request_units(
-                request, config.tester, config.budget_slack
-            ),
+            max_samples=request_units(request, config.tester),
         )
         verdict = TesterPipeline(
             source, request.k, request.eps, config=config.tester
@@ -184,9 +182,36 @@ class TestFaultPaths:
         service, report = _run_service([request])
         [outcome] = report.outcomes
         assert outcome.state == SessionState.EVICTED
-        assert outcome.attempts == service.config.retry.max_attempts
+        assert outcome.attempts == RETRY_POLICY.max_attempts
         assert "retries exhausted" in outcome.reason
         assert service.breakers["flaky"].trips >= 1
+        _assert_accounting(report)
+
+    def test_half_open_probe_dying_of_its_budget_frees_the_source(self):
+        # Three sessions whose every draw fails trip source "x"'s breaker.
+        # The half-open probe is then a session whose one-sample cap kills
+        # it, which the breaker does not record (budget death is not the
+        # source's fault).  The next round must offer the probe slot again,
+        # or the clean session behind it waits until the round cap.
+        fail = FaultConfig(fail_at_draws=frozenset(range(1, 200)))
+        requests = [
+            _clean_request(f"A{i}", seed=i, source_id="x", faults=fail)
+            for i in range(3)
+        ]
+        requests.append(_clean_request("B", seed=10, source_id="x", max_samples=1))
+        requests.append(_clean_request("C", seed=11, source_id="x"))
+        service, report = _run_service(requests, ServiceConfig(max_rounds=300))
+        states = {o.request_id: o.state for o in report.outcomes}
+        assert states == {
+            "A0": SessionState.EVICTED,
+            "A1": SessionState.EVICTED,
+            "A2": SessionState.EVICTED,
+            "B": SessionState.EVICTED,
+            "C": SessionState.VERDICT,
+        }
+        assert "SampleBudgetExceeded" in report.outcomes[3].reason
+        assert service.breakers["x"].trips >= 1
+        assert service.breakers["x"].state == "CLOSED"
         _assert_accounting(report)
 
     def test_projection_fault_degrades_to_dense_fallback(self):
