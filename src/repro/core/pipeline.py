@@ -45,19 +45,18 @@ class _StageLog:
     """Per-stage accounting shared by the verdict, the trace and the ledger.
 
     One stage (opened with :meth:`begin`/:meth:`end`, or the :meth:`stage`
-    context manager wrapping them) records the integer draw count and
-    wall-clock duration into the verdict's dicts, enters the draws into the
-    sample ledger, and closes a trace span carrying the same numbers — a
-    single source of truth for all three views.  The explicit begin/end
-    form exists for the stepped pipeline, where a stage stays open across
-    several calls (the batched final test).
+    context manager wrapping them) enters its integer draw count into the
+    sample ledger (the verdict's ``stage_samples`` is the ledger's
+    ``stages``), records its wall-clock duration, and closes a trace span
+    carrying the same numbers — a single source of truth for all three
+    views.  The explicit begin/end form exists for the stepped pipeline,
+    where a stage stays open across several calls (the batched final test).
     """
 
     def __init__(self, source, trace: Tracer, ledger: SampleLedger) -> None:
         self._source = source
         self._trace = trace
         self._ledger = ledger
-        self.stage_samples: dict[str, int] = {}
         self.stage_timings: dict[str, float] = {}
 
     def begin(self, name: str, **attrs: object) -> _StageHandle:
@@ -71,7 +70,6 @@ class _StageLog:
         try:
             drew = self._source.samples_drawn - handle.mark
             handle.span.set(samples=drew)
-            self.stage_samples[handle.name] = drew
             self.stage_timings[handle.name] = time.perf_counter() - handle.tick
             self._ledger.record(handle.name, drew)
         finally:
@@ -385,6 +383,6 @@ class SteppedPipeline:
             eps=self.eps,
             partition=self.partition,
             chi2=chi2,
-            stage_samples=dict(self._log.stage_samples),
+            stage_samples=self._ledger.stages,
             stage_timings=dict(self._log.stage_timings),
         )

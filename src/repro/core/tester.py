@@ -17,9 +17,9 @@ The tester draws samples exclusively through a
 a :class:`~repro.observability.ledger.SampleLedger`, which is reconciled —
 integer equality, no tolerance — against the source's draw counter on
 *every* exit path before a :class:`Verdict` is returned.
-``Verdict.stage_samples`` / ``stage_timings`` are views over the same
-per-stage log that feeds the trace, so a ``--trace`` run and the verdict
-can never disagree.
+``Verdict.stage_samples`` is that ledger's per-stage view, and the same
+per-stage marks feed the trace spans and ``stage_timings``, so a
+``--trace`` run and the verdict can never disagree.
 
 The core is *batch-first*: :class:`TesterPipeline` runs on the stepped
 driver of :mod:`repro.core.pipeline`, so a service multiplexing many

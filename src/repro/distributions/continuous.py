@@ -96,21 +96,3 @@ class GriddedSource(SampleSource):
         ).astype(np.int64)
         self._record(m)
         return counts
-
-    def spawn(self) -> "GriddedSource":
-        from repro.util.rng import child_rng
-
-        return GriddedSource(
-            self._sampler,
-            self._grid_n,
-            low=self._low,
-            high=self._high,
-            rng=child_rng(self._grid_rng),
-            max_samples=self._max_samples,
-        )
-
-    def permuted(self, sigma: np.ndarray) -> SampleSource:
-        raise NotImplementedError(
-            "a gridded continuous source has no explicit pmf to permute; "
-            "grid first (draw counts), then build a DiscreteDistribution"
-        )

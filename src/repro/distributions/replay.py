@@ -108,25 +108,3 @@ class ReplaySource(SampleSource):
         block = self._take(realised)
         self._record(m)
         return np.bincount(block, minlength=self._n).astype(np.int64)
-
-    def spawn(self) -> "ReplaySource":
-        raise NotImplementedError(
-            "a fixed dataset cannot provide independent parallel streams; "
-            "split the observations yourself and build separate ReplaySources"
-        )
-
-    def permuted(self, sigma: np.ndarray) -> "ReplaySource":
-        """Relabel the remaining observations by σ (fresh source)."""
-        sigma = np.asarray(sigma, dtype=np.int64)
-        if sigma.shape != (self._n,) or not np.array_equal(
-            np.sort(sigma), np.arange(self._n)
-        ):
-            raise ValueError("sigma must be a permutation of the domain")
-        remaining = self._data[self._cursor :]
-        return ReplaySource(
-            sigma[remaining],
-            self._n,
-            shuffle=False,
-            rng=self._rng,
-            max_samples=self._max_samples,
-        )

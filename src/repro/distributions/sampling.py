@@ -8,9 +8,11 @@ sampling operations and counts every sample drawn.
 
 Accounting is **integer-exact**: every charge is coerced through
 :func:`charge_units` (``ceil`` for fractional Poissonized expectations), so
-``samples_drawn``/``lifetime_drawn`` are exact integers that per-stage
-ledgers can reconcile without tolerance (see
-:mod:`repro.observability.ledger`).
+``samples_drawn`` is an exact integer that per-stage ledgers can
+reconcile without tolerance (see :mod:`repro.observability.ledger`).  A
+source is the sampling oracle plus that one counter: ``n``,
+``samples_drawn``, the three draw paths, and an optional ``max_samples=``
+cap enforced by :class:`SampleBudgetExceeded`.
 """
 
 from __future__ import annotations
@@ -78,10 +80,8 @@ class SampleSource:
     realised ``Poisson(m)`` count concentrates around ``m``); a fractional
     expectation is charged as ``ceil(m)`` so the books stay integral.
 
-    ``max_samples`` optionally caps the *per-trial* total: a draw that would
-    exceed it raises :class:`SampleBudgetExceeded` before serving anything.
-    ``reset_budget`` restarts the per-trial counter (and the headroom under
-    the cap) while :attr:`lifetime_drawn` keeps the cumulative audit total.
+    ``max_samples`` optionally caps the total: a draw that would exceed it
+    raises :class:`SampleBudgetExceeded` before serving anything.
     """
 
     def __init__(
@@ -103,8 +103,6 @@ class SampleSource:
         # A fractional cap is ceiled once here; everything downstream is int.
         self._max_samples = None if max_samples is None else charge_units(max_samples)
         self._drawn = 0
-        self._lifetime_drawn = 0
-        self._draw_calls = 0
 
     def _check_budget(self, m: float) -> None:
         units = charge_units(m)
@@ -112,10 +110,7 @@ class SampleSource:
             raise SampleBudgetExceeded(units, self._drawn, self._max_samples)
 
     def _record(self, m: float) -> None:
-        units = charge_units(m)
-        self._drawn += units
-        self._lifetime_drawn += units
-        self._draw_calls += 1
+        self._drawn += charge_units(m)
 
     def _charge(self, m: float) -> None:
         self._check_budget(m)
@@ -128,33 +123,9 @@ class SampleSource:
 
     @property
     def samples_drawn(self) -> int:
-        """Samples charged since the last ``reset_budget`` (ceiled expected
-        counts for Poisson draws).  Always an exact integer."""
+        """Samples charged so far (ceiled expected counts for Poisson
+        draws).  Always an exact integer."""
         return self._drawn
-
-    @property
-    def lifetime_drawn(self) -> int:
-        """Cumulative samples charged over the source's whole life.
-
-        Unlike :attr:`samples_drawn` this is never reset: it audits total
-        draw volume across trials even when per-trial counters are zeroed.
-        """
-        return self._lifetime_drawn
-
-    @property
-    def draw_calls(self) -> int:
-        """Number of charged draw operations over the source's life."""
-        return self._draw_calls
-
-    @property
-    def max_samples(self) -> int | None:
-        """The per-trial hard cap (an integer), or ``None`` when unenforced."""
-        return self._max_samples
-
-    def reset_budget(self) -> None:
-        """Zero the per-trial sample counter (e.g. between independent
-        trials).  :attr:`lifetime_drawn` is unaffected."""
-        self._drawn = 0
 
     def draw(self, m: int) -> np.ndarray:
         """``m`` i.i.d. samples as domain indices."""
@@ -171,35 +142,14 @@ class SampleSource:
         self._charge(m)
         return self._dist.sample_counts_poissonized(m, self._rng)
 
-    def spawn(self) -> "SampleSource":
-        """An independent source over the same distribution (fresh stream),
-        sharing no budget with the parent — used for trial isolation.  The
-        per-trial cap (if any) carries over with fresh headroom."""
-        return SampleSource(
-            self._dist, child_rng(self._rng), max_samples=self._max_samples
-        )
-
-    def permuted(self, sigma: np.ndarray) -> "SampleSource":
-        """A source for the relabeled distribution ``D ∘ σ⁻¹``.
-
-        Models the Section-4.2 reduction step: "re-building the identity of
-        the samples according to σ" — samples from the permuted source are
-        exactly ``σ(s)`` for ``s`` drawn from the original.
-        """
-        return SampleSource(
-            self._dist.permute(sigma),
-            child_rng(self._rng),
-            max_samples=self._max_samples,
-        )
-
 
 class SourceProxy(SampleSource):
     """A :class:`SampleSource` serving (a view of) another source's stream.
 
-    Budget accounting is the wrapped source's, so ``samples_drawn`` /
-    ``lifetime_drawn`` / ``max_samples`` enforcement behave exactly as for
-    the bare source.  Subclasses (the fault-injecting and deadline
-    wrappers) supply the draw paths, ``spawn`` and ``permuted``.
+    Budget accounting is the wrapped source's, so ``samples_drawn`` and
+    ``max_samples`` enforcement behave exactly as for the bare source.
+    Subclasses (the fault-injecting and deadline wrappers) supply the draw
+    paths.
     """
 
     def __init__(self, base: SampleSource) -> None:
@@ -213,21 +163,6 @@ class SourceProxy(SampleSource):
     def samples_drawn(self) -> int:
         return self._base.samples_drawn
 
-    @property
-    def lifetime_drawn(self) -> int:
-        return self._base.lifetime_drawn
-
-    @property
-    def draw_calls(self) -> int:
-        return self._base.draw_calls
-
-    @property
-    def max_samples(self) -> int | None:
-        return self._base.max_samples
-
-    def reset_budget(self) -> None:
-        self._base.reset_budget()
-
 
 class _JointBudgetStream(SampleSource):
     """One stream of a :class:`PairedSampleSource`.
@@ -235,9 +170,9 @@ class _JointBudgetStream(SampleSource):
     Draws are served by the underlying per-stream source (so fault-injecting
     or deadline wrappers compose unchanged: pass a wrapped source into the
     pair), but every charge is checked against — and recorded into — the
-    pair's *joint* budget in addition to this stream's own counters.  The
-    stream's own counters are the accounting surface of record for the pair:
-    they are charged before delegation, so ``pair.samples_drawn`` stays
+    pair's *joint* budget in addition to this stream's own counter.  The
+    stream's own counter is the accounting surface of record for the pair:
+    it is charged before delegation, so ``pair.samples_drawn`` stays
     integer-exact even when the base source faults mid-draw.
     """
 
@@ -249,11 +184,6 @@ class _JointBudgetStream(SampleSource):
     @property
     def n(self) -> int:
         return self._base.n
-
-    @property
-    def max_samples(self) -> int | None:
-        """The pair's *joint* cap: one budget governs both streams."""
-        return self._pair.max_samples
 
     def _charge(self, m: float) -> None:
         units = charge_units(m)
@@ -273,15 +203,6 @@ class _JointBudgetStream(SampleSource):
         self._charge(m)
         return self._base.draw_counts_poissonized(m)
 
-    def spawn(self) -> "SampleSource":
-        raise TypeError(
-            "a paired stream cannot be spawned on its own — spawn the "
-            "PairedSampleSource so the joint budget is preserved"
-        )
-
-    def permuted(self, sigma: np.ndarray) -> "SampleSource":
-        raise TypeError("paired streams do not support permutation")
-
 
 class PairedSampleSource:
     """Two per-stream sample sources sharing one joint budget.
@@ -291,7 +212,7 @@ class PairedSampleSource:
     sample-complexity experiments measure — and the quantity a
     :class:`~repro.observability.ledger.SampleLedger` reconciles — is the
     *sum* over both streams, so the pair enforces one joint ``max_samples``
-    cap while each stream keeps its own ``lifetime_drawn`` audit trail.
+    cap while each stream keeps its own ``samples_drawn`` counter.
 
     Either side may be a raw :class:`DiscreteDistribution` (sampled through a
     child stream of ``rng``) or an existing :class:`SampleSource` (e.g. a
@@ -322,7 +243,6 @@ class PairedSampleSource:
             raise ValueError(f"max_samples must be positive, got {max_samples}")
         self._max_samples = None if max_samples is None else charge_units(max_samples)
         self._drawn = 0
-        self._lifetime_drawn = 0
         self.p = _JointBudgetStream(self, base_p)
         self.q = _JointBudgetStream(self, base_q)
 
@@ -334,7 +254,6 @@ class PairedSampleSource:
 
     def _record_joint(self, units: int) -> None:
         self._drawn += units
-        self._lifetime_drawn += units
 
     @property
     def n(self) -> int:
@@ -343,37 +262,9 @@ class PairedSampleSource:
 
     @property
     def samples_drawn(self) -> int:
-        """Joint per-trial total over both streams (always an exact
-        integer; always equals ``p.samples_drawn + q.samples_drawn``)."""
+        """Joint total over both streams (always an exact integer; always
+        equals ``p.samples_drawn + q.samples_drawn``)."""
         return self._drawn
-
-    @property
-    def lifetime_drawn(self) -> int:
-        """Cumulative joint total; never reset."""
-        return self._lifetime_drawn
-
-    @property
-    def draw_calls(self) -> int:
-        """Charged draw operations across both streams."""
-        return self.p.draw_calls + self.q.draw_calls
-
-    @property
-    def max_samples(self) -> int | None:
-        """The joint per-trial hard cap, or ``None`` when unenforced."""
-        return self._max_samples
-
-    def reset_budget(self) -> None:
-        """Zero the joint and both per-stream per-trial counters."""
-        self._drawn = 0
-        self.p.reset_budget()
-        self.q.reset_budget()
-
-    def spawn(self) -> "PairedSampleSource":
-        """An independent pair over the same distributions (fresh streams,
-        fresh joint headroom) — used for trial isolation."""
-        return PairedSampleSource(
-            self.p._base.spawn(), self.q._base.spawn(), max_samples=self._max_samples
-        )
 
 
 def as_source(

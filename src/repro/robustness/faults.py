@@ -50,7 +50,7 @@ import numpy as np
 from repro.distributions.discrete import DiscreteDistribution
 from repro.distributions.sampling import SampleSource, SourceProxy, charge_units
 from repro.observability.metrics import get_metrics
-from repro.util.rng import RandomState, child_rng, ensure_rng
+from repro.util.rng import RandomState, ensure_rng
 
 
 class InjectedStreamFailure(RuntimeError):
@@ -271,22 +271,3 @@ class FaultInjectingSource(SourceProxy):
                 rate * m, self._fault_rng
             )
         return counts
-
-    # -- derived sources ----------------------------------------------------
-
-    def spawn(self) -> "FaultInjectingSource":
-        """An independent faulty source: fresh base stream, fresh fault
-        stream, same fault model, call counter restarted."""
-        return FaultInjectingSource(
-            self._base.spawn(), self._faults, child_rng(self._fault_rng)
-        )
-
-    def permuted(self, sigma: np.ndarray) -> "FaultInjectingSource":
-        """Relabel both the base source and the contaminant by σ, so the
-        corruption travels through the Section-4.2 reduction coherently."""
-        cfg = self._faults
-        if cfg.contaminant is not None:
-            cfg = replace(cfg, contaminant=cfg.contaminant.permute(sigma))
-        return FaultInjectingSource(
-            self._base.permuted(sigma), cfg, child_rng(self._fault_rng)
-        )

@@ -259,24 +259,6 @@ class DeadlineSource(SourceProxy):
         self._deadline.check()
         return self._base.draw_counts_poissonized(m)
 
-    @property
-    def deadline(self) -> Deadline:
-        """The shared deadline object (one per session, never copied)."""
-        return self._deadline
-
-    def spawn(self) -> "DeadlineSource":
-        """A fresh sub-stream under the *same* :class:`Deadline` object.
-
-        Sharing (not copying) the parent deadline is load-bearing: a spawned
-        sub-source must not outlive the session that spawned it, so its
-        draws keep checking the original expiry, not a restarted one.
-        """
-        return DeadlineSource(self._base.spawn(), self._deadline)
-
-    def permuted(self, sigma: np.ndarray) -> "DeadlineSource":
-        """The σ-relabelled source, still under the shared parent deadline."""
-        return DeadlineSource(self._base.permuted(sigma), self._deadline)
-
 
 @dataclass(frozen=True)
 class TrialFailure:

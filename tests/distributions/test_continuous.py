@@ -51,8 +51,6 @@ class TestGriddedSource:
         src.draw_counts(50)
         src.draw_counts_poissonized(25.0)
         assert src.samples_drawn == pytest.approx(175.0)
-        src.reset_budget()
-        assert src.samples_drawn == 0.0
 
     def test_poissonized_counts_independent_poisson(self):
         src = GriddedSource(uniform_sampler, 16, rng=4)
@@ -65,17 +63,6 @@ class TestGriddedSource:
         counts = src.draw_counts(5000)
         assert counts.sum() == 5000
         assert np.all(counts > 0)
-
-    def test_spawn_independent(self):
-        src = GriddedSource(uniform_sampler, 8, rng=6)
-        child = src.spawn()
-        src.draw(10)
-        assert child.samples_drawn == 0.0
-
-    def test_permuted_unsupported(self):
-        src = GriddedSource(uniform_sampler, 8, rng=7)
-        with pytest.raises(NotImplementedError):
-            src.permuted(np.arange(8))
 
     def test_validation(self):
         with pytest.raises(ValueError):

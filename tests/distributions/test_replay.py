@@ -65,8 +65,6 @@ class TestDrawing:
         src.draw(50)
         src.draw_counts(30)
         assert src.samples_drawn == 80.0
-        src.reset_budget()
-        assert src.samples_drawn == 0.0
 
     def test_negative_draws(self):
         src = ReplaySource(dataset(10), rng=5)
@@ -74,24 +72,6 @@ class TestDrawing:
             src.draw(-1)
         with pytest.raises(ValueError):
             src.draw_counts_poissonized(-1.0)
-
-
-class TestStructural:
-    def test_spawn_unsupported(self):
-        with pytest.raises(NotImplementedError):
-            ReplaySource(dataset(10), rng=6).spawn()
-
-    def test_permuted_relabels_remaining(self):
-        src = ReplaySource(np.array([0, 1, 2, 0]), n=3, shuffle=False)
-        src.draw(1)  # consume the leading 0
-        sigma = np.array([2, 0, 1])
-        perm = src.permuted(sigma)
-        assert np.array_equal(perm.draw(3), [0, 1, 2])  # sigma([1,2,0])
-
-    def test_permuted_validation(self):
-        src = ReplaySource(dataset(10, n=4), rng=7)
-        with pytest.raises(ValueError):
-            src.permuted(np.array([0, 0, 1, 2]))
 
 
 class TestEndToEnd:

@@ -39,12 +39,6 @@ class TestSampleSource:
         assert src.samples_drawn == 176
         assert isinstance(src.samples_drawn, int)
 
-    def test_reset_budget(self):
-        src = SampleSource(DiscreteDistribution.uniform(4), rng=0)
-        src.draw(10)
-        src.reset_budget()
-        assert src.samples_drawn == 0.0
-
     def test_negative_draws_raise(self):
         src = SampleSource(DiscreteDistribution.uniform(4), rng=0)
         with pytest.raises(ValueError):
@@ -57,46 +51,14 @@ class TestSampleSource:
     def test_n_exposed(self):
         assert SampleSource(DiscreteDistribution.uniform(7)).n == 7
 
-    def test_spawn_independent_budget(self):
-        src = SampleSource(DiscreteDistribution.uniform(4), rng=0)
-        src.draw(10)
-        child = src.spawn()
-        assert child.samples_drawn == 0.0
-        child.draw(5)
-        assert src.samples_drawn == 10.0
-
-    def test_spawn_reproducible(self):
-        a = SampleSource(DiscreteDistribution.uniform(6), rng=5).spawn().draw(20)
-        b = SampleSource(DiscreteDistribution.uniform(6), rng=5).spawn().draw(20)
-        assert np.array_equal(a, b)
-
     def test_permuted_source_marginals(self):
+        # The Section-4.2 reduction samples the relabelled distribution.
         d = DiscreteDistribution(np.array([0.9, 0.05, 0.05]))
         sigma = np.array([2, 0, 1])
-        src = SampleSource(d, rng=1).permuted(sigma)
+        src = SampleSource(d.permute(sigma), rng=1)
         counts = src.draw_counts(20_000)
         # Mass 0.9 moved to position sigma[0] = 2.  4+ sigma margin.
         assert counts[2] / 20_000 == pytest.approx(0.9, abs=0.02)
-
-
-class TestLifetimeAccounting:
-    def test_lifetime_survives_reset(self):
-        src = SampleSource(DiscreteDistribution.uniform(4), rng=0)
-        src.draw(10)
-        src.reset_budget()
-        src.draw(7)
-        # Per-trial and lifetime counters diverge after a reset.
-        assert src.samples_drawn == 7.0
-        assert src.lifetime_drawn == 17.0
-
-    def test_lifetime_counts_every_draw_kind(self):
-        src = SampleSource(DiscreteDistribution.uniform(4), rng=0)
-        src.draw(10)
-        src.draw_counts(5)
-        src.draw_counts_poissonized(2.5)
-        assert src.lifetime_drawn == 18  # ceil(2.5) billed for the Poisson draw
-        assert isinstance(src.lifetime_drawn, int)
-        assert src.samples_drawn == src.lifetime_drawn
 
 
 class TestBudgetCap:
@@ -119,30 +81,13 @@ class TestBudgetCap:
         with pytest.raises(SampleBudgetExceeded):
             src.draw_counts_poissonized(10.5)
 
-    def test_reset_restores_headroom(self):
-        src = SampleSource(DiscreteDistribution.uniform(4), rng=0, max_samples=10)
-        src.draw(10)
-        src.reset_budget()
-        src.draw(10)
-        assert src.lifetime_drawn == 20.0
-
     def test_uncapped_by_default(self):
         src = SampleSource(DiscreteDistribution.uniform(4), rng=0)
-        assert src.max_samples is None
         src.draw(10**6)
 
     def test_invalid_cap_rejected(self):
         with pytest.raises(ValueError):
             SampleSource(DiscreteDistribution.uniform(4), max_samples=0)
-
-    def test_spawn_inherits_cap_with_fresh_headroom(self):
-        src = SampleSource(DiscreteDistribution.uniform(4), rng=0, max_samples=10)
-        src.draw(10)
-        child = src.spawn()
-        assert child.max_samples == 10.0
-        child.draw(10)  # full headroom again
-        with pytest.raises(SampleBudgetExceeded):
-            child.draw(1)
 
 
 class TestPairedSampleSource:
@@ -164,8 +109,6 @@ class TestPairedSampleSource:
         pair.q.draw_counts_poissonized(7.5)
         assert pair.p.samples_drawn == 30
         assert pair.q.samples_drawn == 20  # ceil(7.5) billed
-        assert pair.p.lifetime_drawn == 30
-        assert pair.q.lifetime_drawn == 20
 
     def test_joint_total_is_the_stream_sum(self):
         pair = self._pair()
@@ -173,8 +116,6 @@ class TestPairedSampleSource:
         pair.q.draw(12)
         assert pair.samples_drawn == 42
         assert pair.samples_drawn == pair.p.samples_drawn + pair.q.samples_drawn
-        assert pair.lifetime_drawn == 42
-        assert pair.draw_calls == 2
         assert isinstance(pair.samples_drawn, int)
 
     def test_one_joint_cap_governs_both_streams(self):
@@ -192,20 +133,11 @@ class TestPairedSampleSource:
 
     def test_stream_max_samples_reports_the_joint_cap(self):
         pair = self._pair(max_samples=50)
-        assert pair.max_samples == 50
-        assert pair.p.max_samples == 50
-        assert pair.q.max_samples == 50
-        assert self._pair().max_samples is None
-
-    def test_reset_budget_resets_joint_and_streams(self):
-        pair = self._pair(max_samples=40)
-        pair.p.draw(25)
-        pair.q.draw(15)
-        pair.reset_budget()
-        assert pair.samples_drawn == 0
-        assert pair.p.samples_drawn == 0 and pair.q.samples_drawn == 0
-        assert pair.lifetime_drawn == 40  # lifetime never resets
-        pair.p.draw(40)  # full joint headroom restored
+        for stream in (pair.p, pair.q):
+            with pytest.raises(SampleBudgetExceeded) as info:
+                stream.draw(51)
+            assert info.value.max_samples == 50
+        self._pair().p.draw(10**6)  # uncapped by default
 
     def test_charge_first_survives_faulting_base(self):
         """Streams charge before delegating, so the joint invariant
@@ -234,22 +166,6 @@ class TestPairedSampleSource:
         with pytest.raises(SampleBudgetExceeded):
             pair.p.draw(11)
         pair.q.draw(11)  # the other stream is unaffected
-
-    def test_spawn_gives_fresh_pair_with_same_cap(self):
-        pair = self._pair(max_samples=30)
-        pair.p.draw(30)
-        child = pair.spawn()
-        assert isinstance(child, PairedSampleSource)
-        assert child.max_samples == 30
-        assert child.samples_drawn == 0
-        child.q.draw(30)  # full joint headroom
-
-    def test_streams_cannot_be_spawned_or_permuted_alone(self):
-        pair = self._pair()
-        with pytest.raises(TypeError, match="spawn the\n?.*PairedSampleSource"):
-            pair.p.spawn()
-        with pytest.raises(TypeError, match="permutation"):
-            pair.q.permuted(np.arange(6))
 
     def test_domains_must_match(self):
         with pytest.raises(ValueError, match="share a domain"):

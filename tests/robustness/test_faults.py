@@ -130,7 +130,17 @@ class TestContamination:
         _, wrapped = _pair(config=config)
         wrapped.draw_counts(1000)
         wrapped.draw_counts_poissonized(500.0)
-        assert wrapped.samples_drawn == pytest.approx(1500.0)
+        assert wrapped.samples_drawn == 1500
+
+    def test_fractional_poissonized_draw_billed_as_ceil(self):
+        # The clean and contaminant shares are 350.35 and 150.15; billing
+        # the contaminant as the remainder against ceil(500.5) keeps the
+        # batch at exactly the 501 a clean draw would bill.
+        config = FaultConfig(contamination_rate=0.3)
+        _, wrapped = _pair(config=config)
+        wrapped.draw_counts_poissonized(500.5)
+        assert wrapped.samples_drawn == 501
+        assert isinstance(wrapped.samples_drawn, int)
 
     def test_budget_cap_enforced_through_wrapper(self):
         config = FaultConfig(contamination_rate=0.5)
@@ -184,22 +194,3 @@ class TestDuplication:
         stale_b = wrapped.draw(1)
         # The stale read repeats the last *delivered* sample of the prior call.
         assert stale_b[0] == delivered[-1]
-
-
-class TestDerivedSources:
-    def test_spawn_keeps_fault_model(self):
-        config = FaultConfig(fail_at_draws=frozenset({1}))
-        _, wrapped = _pair(config=config)
-        child = wrapped.spawn()
-        assert isinstance(child, FaultInjectingSource)
-        with pytest.raises(InjectedStreamFailure):
-            child.draw(1)  # schedule restarts with the call counter
-
-    def test_permuted_relabels_contaminant(self):
-        contaminant = DiscreteDistribution.point_mass(8, at=0)
-        config = FaultConfig(contamination_rate=1.0, contaminant=contaminant)
-        dist = DiscreteDistribution.uniform(8)
-        wrapped = FaultInjectingSource(SampleSource(dist, rng=0), config, fault_rng=1)
-        sigma = np.array([5, 0, 1, 2, 3, 4, 6, 7])
-        samples = wrapped.permuted(sigma).draw(200)
-        assert (samples == 5).all()  # point mass at 0 relabeled to sigma[0]=5

@@ -143,38 +143,6 @@ class TestDeadlineSource:
         with pytest.raises(TrialTimeout):
             source.draw_counts_poissonized(1.0)
 
-    def test_spawn_shares_deadline(self):
-        now = [10.0]
-        deadline = Deadline(5.0, clock=lambda: now[0])
-        source = DeadlineSource(
-            SampleSource(DiscreteDistribution.uniform(8), rng=0), deadline
-        )
-        assert source.deadline is deadline
-        assert source.spawn().deadline is deadline  # shared, never copied
-        now[0] = 20.0
-        with pytest.raises(TrialTimeout):
-            source.spawn().draw(1)
-
-    def test_permuted_shares_deadline(self):
-        import numpy as np
-
-        now = [0.0]
-        deadline = Deadline(5.0, clock=lambda: now[0])
-        source = DeadlineSource(
-            SampleSource(DiscreteDistribution.uniform(8), rng=0), deadline
-        )
-        sigma = np.arange(8)[::-1].copy()
-        relabelled = source.permuted(sigma)
-        assert relabelled.deadline is deadline
-        relabelled.draw(4)  # alive before expiry
-        now[0] = 6.0
-        # The σ-relabelled source dies with its parent session's deadline —
-        # a mid-sieve subdomain draw cannot outlive the trial.
-        with pytest.raises(TrialTimeout):
-            relabelled.draw(1)
-        with pytest.raises(TrialTimeout):
-            source.draw(1)
-
 
 class TestTrialPolicy:
     def test_validation(self):

@@ -31,6 +31,25 @@ from repro.serve.session import (
     StreamSession,
 )
 
+
+class _CountingSource(SampleSource):
+    """A source that counts its draw calls (each path is one call)."""
+
+    draw_count = 0
+
+    def draw(self, m):
+        self.draw_count += 1
+        return super().draw(m)
+
+    def draw_counts(self, m):
+        self.draw_count += 1
+        return super().draw_counts(m)
+
+    def draw_counts_poissonized(self, m):
+        self.draw_count += 1
+        return super().draw_counts_poissonized(m)
+
+
 N, K, EPS = 512, 4, 0.3  # full-pipeline regime (not plug-in, not trivial)
 CONFIG = TesterConfig.practical()
 
@@ -225,7 +244,7 @@ class TestProjectionFallback:
         deadline retires partial-pipeline, but flagged with the mode that
         landed first: the fallback, counted once."""
         request = _request(backend=backend, projection_fault=True)
-        probe = SampleSource(
+        probe = _CountingSource(
             request.dist,
             rng=np.random.default_rng(
                 np.random.SeedSequence(entropy=request.seed, spawn_key=(0, 1))
@@ -236,7 +255,7 @@ class TestProjectionFallback:
         # Every draw reads the session's step clock once; so do the deadline's
         # construction and the round's pre-attempt expiry check.  With two
         # ticks beyond the prefix's draw calls, the first final draw expires.
-        ticks = probe.draw_calls + 2
+        ticks = probe.draw_count + 2
         service = TesterService(ServiceConfig(tester=CONFIG))
         service.submit(replace(request, deadline_ticks=ticks))
         before = self._fallbacks()
